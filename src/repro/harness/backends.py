@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import multiprocessing
 import threading
@@ -59,7 +60,10 @@ except ImportError:  # pragma: no cover
 
 from repro.checker.checker import CheckedTrace
 from repro.core.coverage import REGISTRY
-from repro.executor.executor import execute_script
+# ``execute_script`` is unused here but stays importable as
+# ``backends.execute_script``: perfbench/spans.py wraps that name.
+from repro.executor.executor import (  # noqa: F401
+    ScriptExecutor, execute_script)
 from repro.fsimpl.quirks import Quirks
 from repro.oracle import ConformanceProfile, Oracle, get_oracle
 from repro.script.ast import Script, Trace
@@ -172,12 +176,15 @@ class SerialBackend(_BackendBase):
     survey over many configurations sharing one backend) saves compared
     to the old free functions, which rebuilt the checker per call — the
     oracle instance carries its prefix-memoization cache across every
-    trace the backend ever checks against that name.
+    trace the backend ever checks against that name.  Execution goes
+    through one :class:`~repro.executor.ScriptExecutor`, so each script
+    resumes from its predecessor's state at their shared prefix.
     """
 
     name = "serial"
 
     def __init__(self) -> None:
+        self._executor = ScriptExecutor()
         # Oracles with an engine fast path (``compiled:*``) carry
         # counters worth surfacing; remembered here so run_stats can
         # report them after the iterators are drained.
@@ -210,7 +217,7 @@ class SerialBackend(_BackendBase):
     def execute_iter(self, quirks: Quirks,
                      scripts: Iterable[Script]) -> Iterator[Trace]:
         for script in scripts:
-            yield execute_script(quirks, script)
+            yield self._executor.execute(quirks, script)
 
     def check_iter(self, model: str, traces: Sequence[Trace], *,
                    collect_coverage: bool = False
@@ -232,7 +239,7 @@ class SerialBackend(_BackendBase):
         oracle = self._oracle(model, collect_coverage)
         for script in scripts:
             t0 = time.perf_counter()
-            trace = execute_script(quirks, script)
+            trace = self._executor.execute(quirks, script)
             t1 = time.perf_counter()
             if collect_coverage:
                 REGISTRY.reset_hits()
@@ -265,6 +272,14 @@ def _worker_oracle(model: str, collect_coverage: bool) -> Oracle:
     return get_oracle(model, cache=not collect_coverage)
 
 
+@functools.lru_cache(maxsize=1)
+def _worker_executor() -> ScriptExecutor:
+    """The worker-process executor, created on first use and kept for
+    the worker's life (as :func:`_worker_oracle` keeps oracles), so the
+    scripts of consecutive chunks resume from each other's prefixes."""
+    return ScriptExecutor()
+
+
 def _check_worker(args: Tuple[int, str, str, bool]
                   ) -> Tuple[int, tuple, tuple]:
     """Check one trace; return *full* results keyed by index.
@@ -288,7 +303,7 @@ def _check_worker(args: Tuple[int, str, str, bool]
 def _execute_worker(args: Tuple[int, Quirks, Script]) -> Tuple[int, str]:
     """Execute one script; return the observed trace as text."""
     index, quirks, script = args
-    return index, print_trace(execute_script(quirks, script))
+    return index, print_trace(_worker_executor().execute(quirks, script))
 
 
 def _run_worker(args: Tuple[int, Quirks, Script, str, bool]) -> tuple:
@@ -301,7 +316,7 @@ def _run_worker(args: Tuple[int, Quirks, Script, str, bool]) -> tuple:
     """
     index, quirks, script, model, collect_coverage = args
     t0 = time.perf_counter()
-    trace = execute_script(quirks, script)
+    trace = _worker_executor().execute(quirks, script)
     t1 = time.perf_counter()
     oracle = _worker_oracle(model, collect_coverage)
     if collect_coverage:
@@ -503,6 +518,9 @@ class ShardedBackend(_BackendBase):
         self.reclaim = reclaim
         self.epoch = 0
         self._pool = ShardPool(self.shards, window=window, chunk=chunk)
+        # Runs the parent-side warmup scripts; the shard workers each
+        # keep their own (ShardWorkerState).
+        self._executor = ScriptExecutor()
         self._epochs = ArenaEpochs(self._pool, reclaim=reclaim,
                                    miss_watermark=miss_watermark)
         self._last_stats: Dict[str, int] = {}
@@ -707,7 +725,7 @@ class ShardedBackend(_BackendBase):
             oracle = self._epochs.warm_oracle(model)
             for script in itertools.islice(stream, self.warmup):
                 t0 = time.perf_counter()
-                trace = execute_script(quirks, script)
+                trace = self._executor.execute(quirks, script)
                 t1 = time.perf_counter()
                 verdict = oracle.check(trace)
                 t2 = time.perf_counter()

@@ -18,6 +18,14 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 Address = Union[str, Tuple[str, int]]
 
+#: The longest request line, in bytes without its newline, that the
+#: server reads.  On a longer one it replies with :data:`LINE_TOO_LONG`
+#: and closes the connection; the client refuses to send one.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
+LINE_TOO_LONG = (f"request line exceeds the {MAX_LINE_BYTES}-byte limit "
+                 "(MAX_LINE_BYTES); split it into smaller batches")
+
 
 def parse_address(address: Address) -> Tuple[str, int]:
     """``"host:port"`` (or a ready pair) -> ``(host, port)``."""
@@ -43,7 +51,10 @@ class ServiceClient:
     # -- protocol plumbing ----------------------------------------------------
 
     def _send(self, payload: dict) -> None:
-        self._sock.sendall(json.dumps(payload).encode() + b"\n")
+        line = json.dumps(payload).encode()
+        if len(line) > MAX_LINE_BYTES:
+            raise ValueError(LINE_TOO_LONG)
+        self._sock.sendall(line + b"\n")
 
     def _read(self) -> dict:
         line = self._reader.readline()

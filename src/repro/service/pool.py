@@ -50,9 +50,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.coverage import REGISTRY
 from repro.engine.shard import ArenaHandle, ArenaReader, MemoArena
-from repro.executor.executor import execute_script
+from repro.executor.executor import ScriptExecutor
+from repro.fsimpl.quirks import Quirks
 from repro.oracle import (Oracle, VectoredOracle, create_oracle,
                           get_oracle)
+from repro.script.ast import Script
 from repro.script.parser import parse_trace
 from repro.script.printer import print_trace
 
@@ -70,7 +72,10 @@ class ShardWorkerState:
 
     Factored out of the worker loop so epoch re-attachment is testable
     in-process: ``adopt_epoch`` is exactly what a worker does on an
-    ``("epoch", ...)`` message, and ``check`` is its per-trace path.
+    ``("epoch", ...)`` message, and ``execute`` / ``check`` / ``run``
+    are its ``exec`` / ``check`` / ``run`` task paths.  Execution goes
+    through one :class:`~repro.executor.ScriptExecutor`, so each script
+    resumes from the previous one's state at their shared prefix.
 
     Oracles are built fresh *inside* the worker (never inherited from
     the parent) and kept per model; on each adopted epoch the model's
@@ -88,6 +93,7 @@ class ShardWorkerState:
         self._oracles: Dict[str, Oracle] = {}
         self._readers: Dict[str, ArenaReader] = {}
         self._verdicts: "Dict[Tuple[str, str], tuple]" = {}
+        self._executor = ScriptExecutor()
         self._banked = {"arena_hits": 0, "arena_misses": 0,
                         "compiled_hits": 0, "compiled_misses": 0}
         self.epochs_adopted = 0
@@ -156,7 +162,23 @@ class ShardWorkerState:
                 self._banked["arena_misses"] += getattr(
                     memo, "arena_misses", 0)
 
-    # -- checking -------------------------------------------------------------
+    # -- tasks ----------------------------------------------------------------
+
+    def execute(self, quirks: Quirks, script: Script) -> str:
+        """Execute one script; return its trace as text."""
+        return print_trace(self._executor.execute(quirks, script))
+
+    def run(self, model: str, collect_coverage: bool, quirks: Quirks,
+            script: Script) -> tuple:
+        """Execute *and* check one script; return the ``run`` result
+        ``(target, trace_text, profiles, covered, exec_s, check_s)``."""
+        t0 = time.perf_counter()
+        trace_text = self.execute(quirks, script)
+        t1 = time.perf_counter()
+        profiles, covered = self.check(model, collect_coverage, trace_text)
+        t2 = time.perf_counter()
+        return (script.target_function, trace_text, profiles, covered,
+                t1 - t0, t2 - t1)
 
     def check(self, model: str, collect_coverage: bool,
               trace_text: str) -> Tuple[tuple, tuple]:
@@ -241,26 +263,12 @@ def _pool_worker(shard_index: int, in_q, out_q) -> None:
             results = []
             for task_kind, index, payload in batch:
                 if task_kind == "exec":
-                    quirks, script = payload
-                    results.append(
-                        (index,
-                         print_trace(execute_script(quirks, script))))
+                    result = state.execute(*payload)
                 elif task_kind == "check":
-                    results.append(
-                        (index, state.check(model, coverage, payload)))
+                    result = state.check(model, coverage, payload)
                 else:  # "run": execute *and* check on the shard
-                    quirks, script = payload
-                    t0 = time.perf_counter()
-                    trace_text = print_trace(
-                        execute_script(quirks, script))
-                    t1 = time.perf_counter()
-                    profiles, covered = state.check(model, coverage,
-                                                    trace_text)
-                    t2 = time.perf_counter()
-                    results.append(
-                        (index,
-                         (script.target_function, trace_text, profiles,
-                          covered, t1 - t0, t2 - t1)))
+                    result = state.run(model, coverage, *payload)
+                results.append((index, result))
             out_q.put(("ok", call_id, results))
     except Exception:
         out_q.put(("fatal", shard_index, traceback.format_exc()))

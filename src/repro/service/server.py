@@ -27,7 +27,9 @@ A ``verdict`` response is ``{"op": "verdict", "id": ..., "name": ...,
 rebuild the exact per-platform profile objects, which is how the
 parity harness checks the served path bit-for-bit against
 :class:`~repro.harness.backends.SerialBackend`.  Malformed input gets
-``{"op": "error", ...}`` on that line and the connection stays up.
+``{"op": "error", ...}`` on that line and the connection stays up.  A
+line longer than :data:`~repro.service.client.MAX_LINE_BYTES` gets an
+error naming the limit, and then that connection is closed.
 
 Checking is delegated to a :class:`~repro.service.service
 .CheckingService`: ``submit`` runs on the default executor (it may
@@ -41,6 +43,7 @@ import asyncio
 import json
 from typing import Optional
 
+from repro.service.client import LINE_TOO_LONG, MAX_LINE_BYTES
 from repro.service.service import CheckingService
 
 
@@ -60,7 +63,8 @@ class ServiceServer:
         bound port is readable from :attr:`port` afterwards)."""
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port,
+            limit=MAX_LINE_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def wait_closed(self) -> None:
@@ -79,7 +83,16 @@ class ServiceServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran MAX_LINE_BYTES and asyncio has
+                    # dropped what it buffered: the stream cannot
+                    # resync, so say why and close this connection.
+                    await self._send(writer, {"op": "error", "id": None,
+                                              "error": LINE_TOO_LONG})
+                    await self._skip_line(reader)
+                    break
                 if not line:
                     break
                 stop = await self._handle_line(line, writer)
@@ -93,6 +106,19 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    @staticmethod
+    async def _skip_line(reader: asyncio.StreamReader) -> None:
+        """Read and drop the rest of an overrun line (until a newline,
+        EOF or a second of silence).  Closing a socket with unread input
+        sends a reset, which can destroy the error reply in flight."""
+        try:
+            while True:
+                chunk = await asyncio.wait_for(reader.read(1 << 16), 1.0)
+                if not chunk or b"\n" in chunk:
+                    return
+        except asyncio.TimeoutError:
+            return
 
     async def _handle_line(self, line: bytes,
                            writer: asyncio.StreamWriter) -> bool:

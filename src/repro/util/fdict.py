@@ -24,11 +24,16 @@ class fdict(Mapping[K, V]):
     __slots__ = ("_d", "_hash")
 
     def __init__(self, items: Iterable[Tuple[K, V]] | Mapping[K, V] = ()):
-        if isinstance(items, Mapping):
-            self._d = dict(items)
-        else:
-            self._d = dict(items)
+        self._d = dict(items)
         self._hash: int | None = None
+
+    @classmethod
+    def _wrap(cls, d: dict) -> "fdict[K, V]":
+        """Wrap a dict the caller just built and hands over: no copy."""
+        new = cls.__new__(cls)
+        new._d = d
+        new._hash = None
+        return new
 
     # -- Mapping interface -------------------------------------------------
     def __getitem__(self, key: K) -> V:
@@ -48,13 +53,13 @@ class fdict(Mapping[K, V]):
         """Return a new map with ``key`` bound to ``value``."""
         new = dict(self._d)
         new[key] = value
-        return fdict(new)
+        return fdict._wrap(new)
 
     def remove(self, key: K) -> "fdict[K, V]":
         """Return a new map without ``key`` (key must be present)."""
         new = dict(self._d)
         del new[key]
-        return fdict(new)
+        return fdict._wrap(new)
 
     def discard(self, key: K) -> "fdict[K, V]":
         """Return a new map without ``key`` (no-op if absent)."""
@@ -66,11 +71,11 @@ class fdict(Mapping[K, V]):
         """Return a new map with all bindings of ``other`` added."""
         new = dict(self._d)
         new.update(other)
-        return fdict(new)
+        return fdict._wrap(new)
 
     def map_values(self, fn) -> "fdict[K, V]":
         """Return a new map applying ``fn`` to every value."""
-        return fdict({k: fn(v) for k, v in self._d.items()})
+        return fdict._wrap({k: fn(v) for k, v in self._d.items()})
 
     # -- equality / hashing --------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -8,7 +8,6 @@ from repro.api import (ProcessPoolBackend, RunArtifact, SerialBackend,
                        Session, ShardedBackend, survey)
 from repro.cli import main
 from repro.fsimpl import config_by_name
-from repro.harness import backends as backends_mod
 from repro.harness import (check_traces, compare_to_baseline,
                            merge_results, run_and_check, save_baseline)
 from repro.script import parse_script
@@ -41,14 +40,16 @@ def _strip_volatile(artifact: RunArtifact) -> RunArtifact:
 
 class TestSessionOnePass:
     def test_run_executes_each_script_exactly_once(self, monkeypatch):
+        from repro.executor import ScriptExecutor
+
         calls = []
-        real = backends_mod.execute_script
+        real = ScriptExecutor.execute
 
-        def counting(quirks, script):
+        def counting(self, quirks, script, *args):
             calls.append(script.name)
-            return real(quirks, script)
+            return real(self, quirks, script, *args)
 
-        monkeypatch.setattr(backends_mod, "execute_script", counting)
+        monkeypatch.setattr(ScriptExecutor, "execute", counting)
         with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE) as session:
             first = session.run()
             second = session.run()

@@ -9,19 +9,24 @@ whatever comes next.  Coverage is the handwritten suite on a clean and
 a quirky configuration (deviations, recovery, pruning included) plus a
 seeded randomized property sweep, and an end-to-end
 :class:`~repro.harness.backends.ShardedBackend` pass against the
-serial artifact.
+serial artifact.  The execution axis holds prefix-resumed execution
+(:class:`~repro.executor.ScriptExecutor`) to fresh
+:func:`~repro.executor.execute_script` runs on every configuration.
 """
 
 import dataclasses
 
 import pytest
 
-from helpers_parity import (ENGINES, PARITY_CONFIGS, baseline_rows,
-                            handwritten_traces)
+from helpers_parity import (ENGINES, PARITY_CONFIGS, RESUMPTION_CASES,
+                            baseline_rows, execution_orders,
+                            execution_scripts, handwritten_traces,
+                            resumption_scripts)
 from repro.api import SerialBackend, Session, ShardedBackend
 from repro.core.platform import SPECS
-from repro.executor import execute_script
-from repro.fsimpl import config_by_name
+from repro.executor import ScriptExecutor, execute_script
+from repro.fsimpl import ALL_CONFIGS, KernelFS, config_by_name
+from repro.script import parse_script
 from repro.testgen.randomized import random_suite
 
 ALL_PLATFORMS = tuple(SPECS)
@@ -75,6 +80,97 @@ def test_randomized_property_sweep(engine):
         want = ENGINES["uninterned"](ALL_PLATFORMS)(traces)
         for trace, got_rows, want_rows in zip(traces, got, want):
             assert got_rows == want_rows, (engine, config, trace.name)
+
+
+# -- the execution axis -------------------------------------------------------
+
+@pytest.mark.parametrize("config", [cfg.name for cfg in ALL_CONFIGS])
+def test_resumed_execution_parity(config):
+    """One warm executor over the whole stream, as given and grouped
+    by shared prefix: every trace == a fresh execution."""
+    quirks = config_by_name(config)
+    scripts = execution_scripts()
+    fresh = [execute_script(quirks, script) for script in scripts]
+    executor = ScriptExecutor()
+    for order in execution_orders(scripts):
+        for i in order:
+            assert executor.execute(quirks, scripts[i]) == fresh[i], \
+                (config, scripts[i].name)
+
+
+def test_kernel_fields_are_the_snapshot():
+    """A resumed kernel is restored from ``state``, ``leaked_bytes``
+    and ``_dead``; ``quirks`` and ``spec`` are fixed per executor key.
+    A new attribute must join the snapshot, or it would leak from one
+    resumed script into the next."""
+    for quirks in ALL_CONFIGS:
+        assert set(vars(KernelFS(quirks))) == {
+            "quirks", "spec", "state", "leaked_bytes", "_dead"}
+
+
+@pytest.mark.parametrize("case", sorted(RESUMPTION_CASES))
+def test_resumption_cases_exercise_their_field(case):
+    """Each case's mutation really fires on its configuration and its
+    second tail observes it: Z changes when the quirk is switched off,
+    and differs from Y, which skips the mutation."""
+    quirk, config, *_ = RESUMPTION_CASES[case]
+    quirks = config_by_name(config)
+    default = {field.name: field.default
+               for field in dataclasses.fields(quirks)}[quirk]
+    healthy = dataclasses.replace(quirks, **{quirk: default})
+    _x, y, z = resumption_scripts(case)[:3]
+    assert execute_script(quirks, z) != execute_script(healthy, z)
+    assert execute_script(quirks, y) != execute_script(quirks, z)
+
+
+def test_all_repeat_stream():
+    """The same script five times in a row: every repeat resumes from
+    the whole script and still equals a fresh run."""
+    for case, (_quirk, config, *_rest) in RESUMPTION_CASES.items():
+        quirks = config_by_name(config)
+        executor = ScriptExecutor()
+        for script in resumption_scripts(case)[:3]:
+            want = execute_script(quirks, script)
+            for _ in range(5):
+                assert executor.execute(quirks, script) == want, \
+                    (case, script.name)
+
+
+def test_alternating_configs_and_credentials():
+    """Two configurations and two default uid/gid pairs, interleaved
+    per script: each key resumes its own path."""
+    keys = [(config_by_name(config), uid, gid)
+            for config in ("osx_hfsplus", "linux_posixovl_vfat")
+            for uid, gid in ((0, 0), (1000, 1000))]
+    executor = ScriptExecutor()
+    for n, script in enumerate(execution_scripts()):
+        for quirks, uid, gid in keys[n % 4:] + keys[:n % 4]:
+            assert executor.execute(quirks, script, uid, gid) == \
+                execute_script(quirks, script, uid, gid), \
+                (quirks.name, uid, gid, script.name)
+
+
+def test_raising_step_leaves_executor_usable():
+    """A step that raises (creating a pid that exists) raises as a
+    fresh run does, and the executor keeps producing fresh-equal
+    traces, including for a script sharing the prefix before it."""
+    quirks = config_by_name("linux_ext4")
+    head = '@type script\n# Test %s\nmkdir "d" 0o755\nstat "d"\n'
+    raising = parse_script(head % "raises"
+                           + "@process create p1 uid=0 gid=0\n"
+                           + 'rmdir "d"\n')
+    sibling = parse_script(head % "sibling" + 'rmdir "d"\n')
+    with pytest.raises(ValueError, match="cannot create process 1"):
+        execute_script(quirks, raising)
+    executor = ScriptExecutor()
+    for script in (sibling, raising, sibling, raising, raising,
+                   *execution_scripts()[:8], sibling):
+        if script is raising:
+            with pytest.raises(ValueError, match="cannot create process"):
+                executor.execute(quirks, script)
+        else:
+            assert executor.execute(quirks, script) == \
+                execute_script(quirks, script), script.name
 
 
 def _strip_volatile(artifact):

@@ -71,6 +71,26 @@ class TestPersistence:
         d = fdict({"a": 1, "b": 2}).map_values(lambda v: v * 10)
         assert dict(d) == {"a": 10, "b": 20}
 
+    def test_results_never_alias_their_source(self):
+        """Construction copies its input and every update builds its own
+        dict, so mutating an input never reaches a map, and no result
+        shares storage with the map or the mapping it came from."""
+        source = {"a": 1, "b": 2}
+        base = fdict(source)
+        source["c"] = 3
+        assert dict(base) == {"a": 1, "b": 2}
+        assert fdict(base)._d is not base._d
+        other = {"d": 4}
+        results = [base.set("a", 9), base.remove("a"), base.discard("b"),
+                   base.update_with(other), base.map_values(str)]
+        other["e"] = 5
+        assert [dict(r) for r in results] == [
+            {"a": 9, "b": 2}, {"b": 2}, {"a": 1}, {"a": 1, "b": 2, "d": 4},
+            {"a": "1", "b": "2"}]
+        assert dict(base) == {"a": 1, "b": 2}
+        storages = [base._d, other] + [r._d for r in results]
+        assert len({id(d) for d in storages}) == len(storages)
+
 
 class TestEqualityHashing:
     def test_equal_regardless_of_insertion_order(self):

@@ -7,15 +7,18 @@ The service stack has four layers, tested here bottom-up:
 * :class:`CheckingService` — lifecycle (start/submit/drain/stats/
   shutdown), the warmup-then-publish epoch policy, parent-only mode.
 * The asyncio front door + blocking client — protocol round trips,
-  error replies, shutdown, and bit-for-bit verdict parity with
-  :class:`~repro.api.SerialBackend` through the wire format.
+  error replies, shutdown, the request line limit, and bit-for-bit
+  verdict parity with :class:`~repro.api.SerialBackend` through the
+  wire format.
 * The CLI wiring — ``repro check --server`` against a live server.
 
 Cross-engine checking parity is enforced separately by
 ``tests/test_engine_parity.py`` (the ``service`` registry entry).
 """
 
+import itertools
 import json
+import socket
 import threading
 
 import pytest
@@ -27,6 +30,7 @@ from repro.oracle import ConformanceProfile
 from repro.script import parse_script, print_trace
 from repro.service import (ArenaEpochs, CheckingService, CheckResult,
                            ServiceClient, ShardPool, run_server)
+from repro.service.client import LINE_TOO_LONG, MAX_LINE_BYTES
 
 CONFIG = "linux_sshfs_tmpfs"
 
@@ -286,6 +290,64 @@ class TestServerProtocol:
                 assert got == want
                 assert done["engine_stats"]["epochs_published"] == 1
                 assert done["engine_stats"]["resolved_in_parent"] == 3
+
+
+class TestLineLimit:
+    """Request lines up to ``MAX_LINE_BYTES`` are served; a longer one
+    gets an error naming the limit, never a bare connection reset."""
+
+    def test_default_plan_batch_over_64kib_gets_every_verdict(self):
+        from repro.executor import ScriptExecutor
+        from repro.gen import default_plan
+
+        quirks = config_by_name("linux_ext4")
+        executor = ScriptExecutor()
+        traces = [executor.execute(quirks, script) for script in
+                  itertools.islice(default_plan().scripts(), 200)]
+        texts = [print_trace(t) for t in traces]
+        # Over asyncio's default 64 KiB stream limit.
+        assert len(json.dumps({"op": "batch", "traces": texts})) > 1 << 16
+        with _Server(CheckingService("linux", shards=0)) as server:
+            with ServiceClient(server.address) as client:
+                verdicts, done = client.check_batch(texts)
+        assert done["count"] == 200
+        assert [v["name"] for v in verdicts] == [t.name for t in traces]
+        assert [tuple(ConformanceProfile.from_dict(row)
+                      for row in v["profiles"]) for v in verdicts] == \
+            _serial_rows(traces, model="linux")
+
+    def test_over_limit_line_gets_error_then_close(self):
+        trace = _traces(1)[0]
+        line = json.dumps({"op": "check",
+                           "trace": "x" * (2 * MAX_LINE_BYTES)}).encode()
+        with _Server(CheckingService("linux", shards=0)) as server:
+            host, port = server.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)),
+                                          timeout=60) as sock:
+                sock.sendall(line + b"\n")
+                reader = sock.makefile("rb")
+                reply = json.loads(reader.readline())
+                assert reply == {"op": "error", "id": None,
+                                 "error": LINE_TOO_LONG}
+                assert str(MAX_LINE_BYTES) in reply["error"]
+                assert reader.readline() == b""  # closed, not reset
+                reader.close()
+            # The server itself is unharmed: a new connection is served.
+            with ServiceClient(server.address) as client:
+                verdict = client.check(print_trace(trace))
+        assert verdict["op"] == "verdict"
+        assert verdict["name"] == trace.name
+
+    def test_client_refuses_over_limit_line_before_sending(self):
+        trace = _traces(1)[0]
+        with _Server(CheckingService("linux", shards=0)) as server:
+            with ServiceClient(server.address) as client:
+                with pytest.raises(ValueError) as excinfo:
+                    client.check("x" * (MAX_LINE_BYTES + 1))
+                assert str(excinfo.value) == LINE_TOO_LONG
+                # Nothing was sent, so the connection still serves.
+                verdict = client.check(print_trace(trace))
+        assert verdict["name"] == trace.name
 
 
 class TestCliServer:
