@@ -10,18 +10,19 @@ deprecated free functions, the CLI) shares one engine:
 * :class:`SerialBackend` runs in-process and caches one
   :class:`repro.oracle.Oracle` per model/oracle name;
 * :class:`ProcessPoolBackend` keeps a *persistent* worker pool across
-  calls; each worker caches its oracle per name, and results are
-  returned in full and keyed by index (duplicate trace names cannot
-  collide).  Workers exchange trace *text*, mirroring the paper's
-  process-per-trace architecture.
-* :class:`ShardedBackend` partitions each call across *persistent*
-  shard processes (a :class:`~repro.service.pool.ShardPool` that
-  outlives the call) and shares **one** read-mostly transition memo: a
-  parent-side warmup pass packs the interned engine's tables into a
-  shared-memory :class:`~repro.engine.shard.MemoArena` that every
-  worker re-attaches per published epoch, falling back to local
-  memoization on miss (hit/miss and amortization counters surface in
-  RunArtifact v5 ``engine_stats``).
+  calls that both executes and checks; each worker caches its oracle
+  per name, and results are returned in full and keyed by index
+  (duplicate trace names cannot collide).  Workers exchange trace
+  *text*, mirroring the paper's process-per-trace architecture.
+* :class:`ShardedBackend` executes every script in the parent and
+  partitions the *checking* across *persistent* shard processes (a
+  :class:`~repro.service.pool.ShardPool` that outlives the call), which
+  share **one** read-mostly transition memo: a parent-side warmup pass
+  packs the interned engine's tables into a shared-memory
+  :class:`~repro.engine.shard.MemoArena` that every worker re-attaches
+  per published epoch, falling back to local memoization on miss
+  (hit/miss and amortization counters surface in RunArtifact v5
+  ``engine_stats``).
 
 Checking is oracle-driven: the ``model`` parameter is an oracle name
 resolved through :mod:`repro.oracle` — a plain platform (``"linux"``)
@@ -467,9 +468,18 @@ class ShardedBackend(_BackendBase):
     """Sharded checking over a shared read-mostly transition memo.
 
     A drop-in for :class:`ProcessPoolBackend` built on the persistent
-    :class:`~repro.service.pool.ShardPool`, with three differences in
+    :class:`~repro.service.pool.ShardPool`, with four differences in
     how the work runs:
 
+    * **Execute in the parent, check on the shards.**  As in the paper
+      (§7.1), only checking runs on worker processes.  ``run_iter``
+      executes on the pool's feeder thread with a per-call
+      :class:`~repro.executor.ScriptExecutor` (an abandoned call's
+      feeder may still be running), keeps each :class:`Trace` and ships
+      its text once; a shard parses and checks it.  A script that
+      raises fails its call, not the pool.  That one thread bounds the
+      call's throughput: cheap on prefix-sharing streams, it becomes
+      the limit at a few shards when scripts share little.
     * **Persistent workers.**  Shard processes are spawned on the first
       call and *reused* across calls — the re-fork cost that used to be
       paid per ``check_iter``/``run_iter`` call is paid once per
@@ -518,9 +528,6 @@ class ShardedBackend(_BackendBase):
         self.reclaim = reclaim
         self.epoch = 0
         self._pool = ShardPool(self.shards, window=window, chunk=chunk)
-        # Runs the parent-side warmup scripts; the shard workers each
-        # keep their own (ShardWorkerState).
-        self._executor = ScriptExecutor()
         self._epochs = ArenaEpochs(self._pool, reclaim=reclaim,
                                    miss_watermark=miss_watermark)
         self._last_stats: Dict[str, int] = {}
@@ -607,14 +614,9 @@ class ShardedBackend(_BackendBase):
 
     def execute_iter(self, quirks: Quirks,
                      scripts: Iterable[Script]) -> Iterator[Trace]:
-        scripts = list(scripts)
-        if not scripts:
-            return
-        items = (("exec", script.name, (quirks, script))
-                 for script in scripts)
-        call = self._pool.submit_stream(items, partition=quirks.name)
-        for _index, trace_text in call.results():
-            yield parse_trace(trace_text)
+        executor = ScriptExecutor()
+        for script in scripts:
+            yield executor.execute(quirks, script)
 
     @staticmethod
     def _store_model(model: str) -> str:
@@ -695,8 +697,7 @@ class ShardedBackend(_BackendBase):
                     profiles, covered = memoized, ()
                 else:
                     assert pool_iter is not None
-                    _got, payload = next(pool_iter)
-                    profiles, covered = payload
+                    _got, (profiles, covered, _seconds) = next(pool_iter)
                     if not collect_coverage:
                         self._memoize(model, texts[i], profiles)
                 self._store_append(f"check:{self._store_model(model)}", traces[i].name,
@@ -719,19 +720,20 @@ class ShardedBackend(_BackendBase):
                  collect_coverage: bool = False
                  ) -> Iterator[RunRecord]:
         stream = iter(scripts)
+        executor = ScriptExecutor()
+        store_partition = f"{quirks.name}:{self._store_model(model)}"
         stats = self._begin_epoch()
         index = 0
         if not collect_coverage and self._epochs.needs_publish(model):
             oracle = self._epochs.warm_oracle(model)
             for script in itertools.islice(stream, self.warmup):
                 t0 = time.perf_counter()
-                trace = self._executor.execute(quirks, script)
+                trace = executor.execute(quirks, script)
                 t1 = time.perf_counter()
                 verdict = oracle.check(trace)
                 t2 = time.perf_counter()
-                self._store_append(f"{quirks.name}:{self._store_model(model)}",
-                                   trace.name, print_trace(trace),
-                                   verdict.profiles,
+                self._store_append(store_partition, trace.name,
+                                   print_trace(trace), verdict.profiles,
                                    target=script.target_function,
                                    exec_seconds=t1 - t0,
                                    check_seconds=t2 - t1)
@@ -748,18 +750,28 @@ class ShardedBackend(_BackendBase):
         call = None
         first = next(stream, None)
         if first is not None:
-            items = (("run", script.name, (quirks, script))
-                     for script in itertools.chain([first], stream))
+            # Filled on the pool's feeder thread, emptied here: an
+            # index's result can only arrive after its item was yielded.
+            held: Dict[int, Tuple[str, Trace, str, float]] = {}
+
+            def items() -> Iterator[Tuple[str, str, str]]:
+                for i, script in enumerate(
+                        itertools.chain([first], stream), index):
+                    t0 = time.perf_counter()
+                    trace = executor.execute(quirks, script)
+                    text = print_trace(trace)
+                    held[i] = (script.target_function, trace, text,
+                               time.perf_counter() - t0)
+                    yield ("check", script.name, text)
+
             call = self._pool.submit_stream(
-                items, model=model, collect_coverage=collect_coverage,
+                items(), model=model, collect_coverage=collect_coverage,
                 partition=f"{quirks.name}:{model}", start_index=index)
-            for _got, payload in call.results():
-                (target, trace_text, profiles, covered, exec_s,
-                 check_s) = payload
-                trace = parse_trace(trace_text)
-                self._store_append(f"{quirks.name}:{self._store_model(model)}",
-                                   trace.name, trace_text, profiles,
-                                   covered, target=target,
+            for i, (profiles, covered, check_s) in call.results():
+                target, trace, trace_text, exec_s = held.pop(i)
+                self._store_append(store_partition, trace.name,
+                                   trace_text, profiles, covered,
+                                   target=target,
                                    exec_seconds=exec_s,
                                    check_seconds=check_s)
                 yield RunRecord(

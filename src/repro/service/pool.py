@@ -7,13 +7,14 @@ to serial on small repeated calls: the fork + re-warm cost was paid per
 call.  This module factors the worker lifetime out of the call:
 
 * :class:`ShardPool` spawns shard processes **once** and reuses them
-  across calls.  Work is submitted as ``(kind, name, payload)`` items —
-  the same ``exec`` / ``check`` / ``run`` task kinds the old fan-out
-  used — either streamed (:meth:`ShardPool.submit_stream`, bounded
-  backpressure, results re-sequenced in input order) or as a
-  materialised list returning one future per item
-  (:meth:`ShardPool.submit`).  Cumulative counters come back on every
-  call barrier and surface through :meth:`ShardPool.run_stats`.
+  across calls.  Shards only check (the caller executes, §7.1): work
+  is ``("check", name, trace_text)`` items, each answered with
+  ``(profiles, covered, parse_and_check_seconds)``, either streamed
+  (:meth:`ShardPool.submit_stream`, bounded backpressure, results
+  re-sequenced in input order) or as a materialised list returning one
+  future per item (:meth:`ShardPool.submit`).  Cumulative counters
+  come back on every call barrier and surface through
+  :meth:`ShardPool.run_stats`.
 * Arena epochs are **republished, not re-forked**: the parent
   broadcasts an ``("epoch", model, handle)`` message and each worker
   re-attaches by :data:`~repro.engine.shard.ArenaHandle`, rebuilding a
@@ -50,13 +51,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.coverage import REGISTRY
 from repro.engine.shard import ArenaHandle, ArenaReader, MemoArena
-from repro.executor.executor import ScriptExecutor
-from repro.fsimpl.quirks import Quirks
 from repro.oracle import (Oracle, VectoredOracle, create_oracle,
                           get_oracle)
-from repro.script.ast import Script
 from repro.script.parser import parse_trace
-from repro.script.printer import print_trace
 
 #: Stats keys each worker accumulates and reports on call barriers.
 _WORKER_COUNTERS = ("arena_hits", "arena_misses", "epochs_adopted",
@@ -72,10 +69,8 @@ class ShardWorkerState:
 
     Factored out of the worker loop so epoch re-attachment is testable
     in-process: ``adopt_epoch`` is exactly what a worker does on an
-    ``("epoch", ...)`` message, and ``execute`` / ``check`` / ``run``
-    are its ``exec`` / ``check`` / ``run`` task paths.  Execution goes
-    through one :class:`~repro.executor.ScriptExecutor`, so each script
-    resumes from the previous one's state at their shared prefix.
+    ``("epoch", ...)`` message, and ``check`` is its one task path (the
+    worker loop adds the timing).  A shard never executes scripts.
 
     Oracles are built fresh *inside* the worker (never inherited from
     the parent) and kept per model; on each adopted epoch the model's
@@ -93,7 +88,6 @@ class ShardWorkerState:
         self._oracles: Dict[str, Oracle] = {}
         self._readers: Dict[str, ArenaReader] = {}
         self._verdicts: "Dict[Tuple[str, str], tuple]" = {}
-        self._executor = ScriptExecutor()
         self._banked = {"arena_hits": 0, "arena_misses": 0,
                         "compiled_hits": 0, "compiled_misses": 0}
         self.epochs_adopted = 0
@@ -164,22 +158,6 @@ class ShardWorkerState:
 
     # -- tasks ----------------------------------------------------------------
 
-    def execute(self, quirks: Quirks, script: Script) -> str:
-        """Execute one script; return its trace as text."""
-        return print_trace(self._executor.execute(quirks, script))
-
-    def run(self, model: str, collect_coverage: bool, quirks: Quirks,
-            script: Script) -> tuple:
-        """Execute *and* check one script; return the ``run`` result
-        ``(target, trace_text, profiles, covered, exec_s, check_s)``."""
-        t0 = time.perf_counter()
-        trace_text = self.execute(quirks, script)
-        t1 = time.perf_counter()
-        profiles, covered = self.check(model, collect_coverage, trace_text)
-        t2 = time.perf_counter()
-        return (script.target_function, trace_text, profiles, covered,
-                t1 - t0, t2 - t1)
-
     def check(self, model: str, collect_coverage: bool,
               trace_text: str) -> Tuple[tuple, tuple]:
         """Check one trace (text form); return (profiles, covered)."""
@@ -236,8 +214,9 @@ def _pool_worker(shard_index: int, in_q, out_q) -> None:
 
     * ``("epoch", model, handle)`` — re-attach to a republished arena.
     * ``("task", call_id, model, coverage, batch)`` — a chunk of
-      ``(kind, index, payload)`` items; results go back as
-      ``("ok", call_id, [(index, result), ...])``.
+      ``(index, trace_text)`` items to check; results go back as
+      ``("ok", call_id, [(index, (profiles, covered, seconds)), ...])``,
+      the seconds timing the parse plus the check.
     * ``("end", call_id)`` — call barrier; the worker answers
       ``("done", call_id, shard_index, cumulative_stats)``.  Because
       each worker's messages are FIFO, the parent seeing ``done`` knows
@@ -261,14 +240,12 @@ def _pool_worker(shard_index: int, in_q, out_q) -> None:
                 continue
             _, call_id, model, coverage, batch = message
             results = []
-            for task_kind, index, payload in batch:
-                if task_kind == "exec":
-                    result = state.execute(*payload)
-                elif task_kind == "check":
-                    result = state.check(model, coverage, payload)
-                else:  # "run": execute *and* check on the shard
-                    result = state.run(model, coverage, *payload)
-                results.append((index, result))
+            for index, trace_text in batch:
+                t0 = time.perf_counter()
+                profiles, covered = state.check(model, coverage,
+                                                trace_text)
+                results.append((index, (profiles, covered,
+                                        time.perf_counter() - t0)))
             out_q.put(("ok", call_id, results))
     except Exception:
         out_q.put(("fatal", shard_index, traceback.format_exc()))
@@ -505,13 +482,14 @@ class ShardPool:
                       collect_coverage: bool = False,
                       partition: str = "",
                       start_index: int = 0) -> ShardCall:
-        """Feed ``(kind, name, payload)`` items to the pool.
+        """Feed ``("check", name, trace_text)`` items to the pool.
 
         ``items`` may be a lazy generator: a feeder thread pulls it
         only ``window * chunk`` items ahead of consumption (the
         in-flight semaphore is released as :meth:`ShardCall.results`
         yields), so a generating plan stream stays lazy.  A stream that
-        raises mid-generation fails the call rather than truncating it.
+        raises mid-generation fails the call with that exception rather
+        than truncating it; the pool stays usable.
         """
         if self._broken is not None:
             raise RuntimeError(self._broken)
@@ -579,17 +557,21 @@ class ShardPool:
             return True
 
         try:
-            for index, (kind, name, payload) in enumerate(
+            for index, (_kind, name, trace_text) in enumerate(
                     items, start_index):
                 while not call._in_flight.acquire(timeout=0.1):
                     if call._stop.is_set() or self._stop.is_set():
                         return
                 shard = self.shard_of(partition, name)
-                buffers[shard].append((kind, index, payload))
+                buffers[shard].append((index, trace_text))
                 fed += 1
                 if len(buffers[shard]) >= self.chunk:
                     if not flush(shard):
                         return
+                # Pulling an item can be costly (the caller may execute
+                # a script to make it): an abandoned call pulls no more.
+                if call._stop.is_set() or self._stop.is_set():
+                    return
             for shard in range(self.shards):
                 if not flush(shard):
                     return

@@ -227,7 +227,7 @@ class CheckingService:
             if error is not None:
                 outer.set_exception(error)
                 return
-            profiles, _covered = inner.result()
+            profiles, _covered, _seconds = inner.result()
             self._store_append(trace, profiles)
             outer.set_result(CheckResult(trace.name, profiles))
         return done

@@ -15,6 +15,9 @@ serial artifact.  The execution axis holds prefix-resumed execution
 """
 
 import dataclasses
+import itertools
+import sys
+import threading
 
 import pytest
 
@@ -284,3 +287,94 @@ class TestShardedBackendEndToEnd:
                      collect_coverage=True) as session:
             sharded = session.run()
         assert serial.covered_clauses == sharded.covered_clauses
+
+    def test_raising_script_leaves_backend_usable(self):
+        """A step that raises (creating a pid that exists) fails the
+        call with the original exception, and the backend's pool is
+        not poisoned: the same backend then runs a clean suite."""
+        from repro.testgen.generator import gen_handwritten_tests
+
+        quirks = config_by_name("linux_ext4")
+        head = '@type script\n# Test %s\nmkdir "d" 0o755\n'
+        good = parse_script(head % "good" + 'rmdir "d"\n')
+        raising = parse_script(head % "raises"
+                               + "@process create p1 uid=0 gid=0\n")
+        suite = gen_handwritten_tests()[:12]
+        backend = ShardedBackend(2, warmup=0)
+        try:
+            with pytest.raises(ValueError, match="cannot create process"):
+                list(backend.run_iter(quirks, "linux",
+                                      [good, raising, good]))
+            got = [record.outcome.profiles
+                   for record in backend.run_iter(quirks, "linux", suite)]
+        finally:
+            backend.close()
+        assert got == [record.outcome.profiles for record in
+                       SerialBackend().run_iter(quirks, "linux", suite)]
+
+    def test_warmup_only_stream_never_starts_the_pool(self):
+        """A suite the parent's warmup consumes entirely is executed and
+        checked there: no shard process is spawned for it."""
+        from repro.testgen.generator import gen_handwritten_tests
+
+        quirks = config_by_name("linux_ext4")
+        for n in (3, 4):
+            suite = gen_handwritten_tests()[:n]
+            with ShardedBackend(2, warmup=4) as backend:
+                got = [record.outcome.profiles for record in
+                       backend.run_iter(quirks, "linux", suite)]
+                assert not backend._pool.alive
+                assert backend.run_stats()["pool_cold_starts"] == 0
+            assert got == [record.outcome.profiles for record in
+                           SerialBackend().run_iter(quirks, "linux",
+                                                    suite)]
+
+    def test_feeder_and_consumer_under_forced_switching(self):
+        """Executed traces are held on the pool's feeder thread and
+        taken on the consuming thread.  With a thread switch forced
+        every 10 µs and more shards than cores, every record still
+        equals the serial backend's, in order; so does each run started
+        right after an abandoned one, whose feeder may still be
+        executing (each call has its own executor)."""
+        from repro.gen import default_plan
+
+        def rows(records):
+            return [(r.target_function, r.outcome.checked.trace,
+                     r.outcome.profiles) for r in records]
+
+        quirks = config_by_name("linux_ext4")
+        scripts = list(default_plan().take(150).scripts())
+        want = rows(SerialBackend().run_iter(quirks, "all", scripts))
+        backend = ShardedBackend(4, warmup=2)
+        got, errors = {}, []
+
+        def stress():
+            try:
+                got["full"] = rows(backend.run_iter(quirks, "all",
+                                                    scripts))
+                for n in (3, 6, 12, 24):
+                    abandoned = backend.run_iter(quirks, "all", scripts)
+                    got["abandoned", n] = rows(
+                        itertools.islice(abandoned, n))
+                    abandoned.close()
+                    got["next", n] = rows(backend.run_iter(
+                        quirks, "all", scripts))
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(target=stress, daemon=True)
+            thread.start()
+            thread.join(timeout=300)
+            assert not thread.is_alive(), "sharded run_iter hung"
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        if errors:
+            raise errors[0]
+        assert got["full"] == want
+        for n in (3, 6, 12, 24):
+            assert got["abandoned", n] == want[:n]
+            assert got["next", n] == want, n

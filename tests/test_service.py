@@ -140,6 +140,39 @@ class TestShardPool:
             epochs.close()
             pool.close()
 
+    def test_abandoned_call_pulls_no_further_items(self):
+        """Pulling an item can be costly (the sharded backend executes a
+        script to make one): once the consumer abandons a call, its
+        feeder finishes the pull in progress and stops, even while the
+        in-flight window has room."""
+        chunk = 8
+        text = print_trace(_traces(1)[0])
+        gate, done = threading.Event(), threading.Event()
+        pulled = []
+        with ShardPool(2, chunk=chunk) as pool:
+            # Every item routes to one shard, so the first chunk is
+            # flushed and checked before the stream blocks on the gate.
+            names = [name for name in (f"t{i}" for i in range(1000))
+                     if pool.shard_of("all", name) == 0]
+
+            def items():
+                try:
+                    for i in range(100):
+                        if i >= chunk:
+                            gate.wait(timeout=60)
+                        pulled.append(i)
+                        yield ("check", names[i], text)
+                finally:
+                    done.set()  # the feeder let go of the stream
+
+            results = pool.submit_stream(items(), model="all",
+                                         partition="all").results()
+            next(results)
+            results.close()
+            gate.set()
+            assert done.wait(timeout=60)
+        assert len(pulled) == chunk + 1
+
     def test_repeat_submission_hits_worker_verdict_memo(self):
         traces = _traces(4)
         items = [("check", t.name, print_trace(t)) for t in traces]
