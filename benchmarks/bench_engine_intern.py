@@ -12,20 +12,12 @@ traces across configurations):
 * **baseline** — ``TraceChecker(intern=False)``: the original
   frozenset-of-dataclass state-set loop;
 * **interned** — ``TraceChecker(intern=True)`` (the default): one warm
-  checker per platform, engine tables kept across traces;
-* **compiled** — ``TraceChecker(intern="compiled")``: the warmed memo
-  frozen into dense int64 successor tables
-  (:mod:`repro.engine.compiled`), whole traces walked as int-array
-  operations with Python-loop fallback on any miss.
+  checker per platform, engine tables kept across traces.
 
-Every ``CheckedTrace`` must be identical across all three, the
-vectored oracle's profiles must match the uninterned checker per
-platform, and the speedups are recorded.  Acceptance: interned >=
-1.5x over baseline on the cold total, and compiled >= 3x over
-interned on the *warm* pass — one extra sweep with the already-warm
-checkers, the steady state a long campaign actually runs in (the
-cold total folds in one-off memo warm-up and compilation and only
-converges to the warm ratio as ``--repeats`` grows).
+Every ``CheckedTrace`` must be identical across both, the vectored
+oracle's profiles must match the uninterned checker per platform, and
+the speedup is recorded.  Acceptance: interned >= 1.5x over baseline
+on the cold total.
 
 Usage::
 
@@ -53,8 +45,6 @@ from repro.gen import default_plan  # noqa: E402
 from repro.oracle import VectoredOracle  # noqa: E402
 
 TARGET_SPEEDUP = 1.5
-#: Compiled-vs-interned ratio acceptance on the repeat-heavy shape.
-COMPILED_TARGET = 3.0
 
 
 def build_traces(config: str, sample: int, repeats: int, seed: int):
@@ -100,56 +90,15 @@ def main(argv=None) -> int:
     # across every trace each checker sees.
     t0 = time.perf_counter()
     interned = {}
-    interned_checkers = {}
     for platform in platforms:
         checker = TraceChecker(spec_by_name(platform))
-        interned_checkers[platform] = checker
         interned[platform] = [checker.check(trace) for trace in traces]
     interned_s = time.perf_counter() - t0
-
-    # Compiled: the frozen int-table fast path in front of the same
-    # loop; the first COMPILE_AFTER checks per platform warm + freeze,
-    # the repeats then walk dense tables.
-    t0 = time.perf_counter()
-    compiled = {}
-    compiled_checkers = {}
-    compiled_hits = compiled_misses = 0
-    for platform in platforms:
-        checker = TraceChecker(spec_by_name(platform),
-                               intern="compiled")
-        compiled_checkers[platform] = checker
-        compiled[platform] = [checker.check(trace) for trace in traces]
-        compiled_hits += checker.compiled_hits
-        compiled_misses += checker.compiled_misses
-    compiled_s = time.perf_counter() - t0
-
-    # Warm regime: one extra pass with the already-warm checkers.
-    # The cold lanes above fold in memo warm-up and compilation, which
-    # amortize away over a campaign; this pass is what the steady
-    # state costs, and it is where the compiled acceptance gate bites
-    # (the cold total only approaches it as --repeats grows).
-    t0 = time.perf_counter()
-    for platform in platforms:
-        checker = interned_checkers[platform]
-        for trace in traces:
-            checker.check(trace)
-    interned_warm_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for platform in platforms:
-        checker = compiled_checkers[platform]
-        for trace in traces:
-            checker.check(trace)
-    compiled_warm_s = time.perf_counter() - t0
 
     mismatches = sum(
         1
         for platform in platforms
         for got, want in zip(interned[platform], baseline[platform])
-        if got != want)
-    compiled_mismatches = sum(
-        1
-        for platform in platforms
-        for got, want in zip(compiled[platform], baseline[platform])
         if got != want)
 
     # Vectored engine parity on a slice (full vectored parity is
@@ -167,10 +116,6 @@ def main(argv=None) -> int:
                 vec_mismatches += 1
 
     speedup = baseline_s / interned_s if interned_s else float("inf")
-    compiled_speedup = (interned_s / compiled_s if compiled_s
-                        else float("inf"))
-    warm_speedup = (interned_warm_s / compiled_warm_s
-                    if compiled_warm_s else float("inf"))
     checks = len(traces) * len(platforms)
     result = {
         "mode": "smoke" if args.smoke else "full",
@@ -185,17 +130,7 @@ def main(argv=None) -> int:
         "interned_traces_per_s": round(checks / interned_s, 1),
         "speedup": round(speedup, 3),
         "target_speedup": TARGET_SPEEDUP,
-        "compiled_seconds": round(compiled_s, 3),
-        "compiled_traces_per_s": round(checks / compiled_s, 1),
-        "compiled_speedup_vs_interned": round(compiled_speedup, 3),
-        "interned_warm_seconds": round(interned_warm_s, 3),
-        "compiled_warm_seconds": round(compiled_warm_s, 3),
-        "compiled_warm_speedup": round(warm_speedup, 3),
-        "compiled_target": COMPILED_TARGET,
-        "compiled_hits": compiled_hits,
-        "compiled_misses": compiled_misses,
         "checked_trace_mismatches": mismatches,
-        "compiled_trace_mismatches": compiled_mismatches,
         "vectored_profile_mismatches": vec_mismatches,
     }
 
@@ -206,17 +141,8 @@ def main(argv=None) -> int:
           f"({result['baseline_traces_per_s']:8.1f} traces/s)")
     print(f"interned   : {interned_s:7.2f} s "
           f"({result['interned_traces_per_s']:8.1f} traces/s)")
-    print(f"compiled   : {compiled_s:7.2f} s "
-          f"({result['compiled_traces_per_s']:8.1f} traces/s, "
-          f"{compiled_hits} hits / {compiled_misses} misses)")
-    print(f"warm pass  : interned {interned_warm_s * 1000:7.1f} ms, "
-          f"compiled {compiled_warm_s * 1000:7.1f} ms")
     print(f"speedup    : {speedup:7.2f}x  (target >= {TARGET_SPEEDUP})")
-    print(f"compiled/interned: {compiled_speedup:.2f}x cold total, "
-          f"{warm_speedup:.2f}x warm  (warm target >= "
-          f"{COMPILED_TARGET})")
     print(f"parity     : {mismatches} CheckedTrace mismatches, "
-          f"{compiled_mismatches} compiled mismatches, "
           f"{vec_mismatches} vectored profile mismatches")
     if args.json:
         out = pathlib.Path(args.json)
@@ -225,18 +151,11 @@ def main(argv=None) -> int:
                        + "\n")
         print(f"result written to {out}")
 
-    if mismatches or compiled_mismatches or vec_mismatches:
+    if mismatches or vec_mismatches:
         print("FAIL: engine results differ from baseline")
-        return 1
-    if compiled_hits == 0:
-        print("FAIL: compiled fast path never fired")
         return 1
     if args.strict and speedup < TARGET_SPEEDUP:
         print(f"FAIL: speedup {speedup:.2f} < {TARGET_SPEEDUP}")
-        return 1
-    if args.strict and warm_speedup < COMPILED_TARGET:
-        print(f"FAIL: compiled warm speedup {warm_speedup:.2f} < "
-              f"{COMPILED_TARGET}")
         return 1
     return 0
 

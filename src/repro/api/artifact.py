@@ -19,11 +19,11 @@ reported by backends with a ``run_stats`` method; v5 extends
 (``epochs_published``, ``pool_cold_starts``, ``epochs_adopted``,
 ``verdict_hits``) — the layout itself is unchanged, the version bump
 marks that identical inputs now produce different (richer) stats
-dictionaries than a v4 writer would; v6 extends them again with the
-compiled-engine fast-path counters (``compiled_hits`` /
-``compiled_misses`` from :mod:`repro.engine.compiled`), reported by
-sharded runs unconditionally and by serial runs under a
-``compiled:*`` oracle.  v1–v5 artifacts still load.
+dictionaries than a v4 writer would; v6 extended them again with a
+compiled checking engine's fast-path counters (``compiled_hits`` /
+``compiled_misses``).  That engine has since been removed, so writers
+no longer report those keys, but ``engine_stats`` is an open map and
+v6 files that carry them still load, as do v1–v5 artifacts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ FORMAT_VERSION = 6
 
 #: Versions ``from_json`` still reads (v1 lacked plan provenance, v2
 #: the multi-platform conformance profiles, v3 the engine stats, v4
-#: the amortization counters, v5 the compiled-engine counters).
+#: the amortization counters, v5 the counters of the since-removed
+#: compiled engine).
 _READABLE_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 

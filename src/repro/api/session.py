@@ -90,18 +90,6 @@ class Session:
     collect_coverage:
         Record which specification clauses the checking phase covers
         (needed for :meth:`RunArtifact.coverage_report`).
-    engine:
-        Checking-engine variant: ``"interned"`` (the default) resolves
-        the oracle name as-is; ``"compiled"`` prefixes it with
-        ``compiled:`` so every resolver builds a
-        :class:`repro.oracle.CompiledOracle`, which freezes the warmed
-        transition memo into dense int64 successor tables and walks
-        whole traces as int-array operations, falling back to the
-        interned memo on any miss (``compiled_hits`` /
-        ``compiled_misses`` surface in artifact ``engine_stats``).
-        Verdicts are bit-for-bit identical either way, and store rows
-        dedup across engines.  Incompatible with ``collect_coverage``
-        — compiled walks never re-execute transition bodies.
     store:
         A :class:`repro.store.CampaignStore` (or a path to one) that
         every verdict is appended to *as it arrives*, under the
@@ -123,20 +111,10 @@ class Session:
                  shards: Optional[int] = None,
                  chunksize: Optional[int] = None,
                  collect_coverage: bool = False,
-                 engine: Optional[str] = None,
                  store: Optional[Union[CampaignStore, str,
                                        pathlib.Path]] = None) -> None:
         if plan is not None and suite is not None:
             raise ValueError("pass either plan or suite, not both")
-        if engine not in (None, "interned", "compiled"):
-            raise ValueError(
-                f"unknown engine {engine!r}: pass 'interned' (the "
-                "default) or 'compiled'")
-        if engine == "compiled" and collect_coverage:
-            raise ValueError(
-                "the compiled engine cannot collect coverage: "
-                "compiled walks never re-execute transition bodies, "
-                "so specification-clause cover() calls would be lost")
         self.quirks = (config if isinstance(config, Quirks)
                        else config_by_name(config))
         self.model = model or self.quirks.platform
@@ -150,15 +128,6 @@ class Session:
         self.check_on: Tuple[str, ...] = (
             tuple(platforms) if len(platforms) > 1 else ())
         self._oracle_name = oracle_name_for(platforms)
-        self._store_oracle_name = self._oracle_name
-        self.engine = engine or "interned"
-        if engine == "compiled":
-            # The compiled oracle name routes every resolver — the
-            # serial backend, pool workers, the warm packing oracle —
-            # to a CompiledOracle over the same platforms; the store
-            # partition keeps the plain name (verdicts are bit-for-bit
-            # engine-independent, so rows must dedup across engines).
-            self._oracle_name = "compiled:" + self._oracle_name
         self.scale = scale
         self.limit = limit
         if backend is None or isinstance(backend, str):
@@ -230,10 +199,8 @@ class Session:
     @property
     def store_partition(self) -> str:
         """The config-partition this session's rows are addressed
-        under: configuration name + oracle name.  Always the *plain*
-        oracle name — verdicts are engine-independent, so a compiled
-        re-run of a campaign dedups against its interned rows."""
-        return f"{self.quirks.name}:{self._store_oracle_name}"
+        under: configuration name + oracle name."""
+        return f"{self.quirks.name}:{self._oracle_name}"
 
     def _store_append(self, target_function: str,
                       outcome: CheckOutcome,
@@ -493,8 +460,7 @@ def survey(configs: Optional[Sequence[str | Quirks]] = None, *,
            scale: int = 1, limit: int = 0,
            check_on: Optional[Sequence[str]] = None,
            backend: Optional[Backend] = None,
-           collect_coverage: bool = False,
-           engine: Optional[str] = None) -> List[RunArtifact]:
+           collect_coverage: bool = False) -> List[RunArtifact]:
     """Run the pipeline across many configurations, sharing the work.
 
     The backend (with its caches and worker pool) is shared by every
@@ -505,10 +471,7 @@ def survey(configs: Optional[Sequence[str | Quirks]] = None, *,
     configuration, and a ``suite`` — or the default generated
     population — is shared as-is.  ``check_on`` threads through to
     every session: each configuration's traces are checked against all
-    listed platforms in one vectored pass.  ``engine`` likewise
-    applies to every session — ``engine="compiled"`` is where the
-    survey shines, since one configuration's compiled automaton warms
-    the shared backend's caches for the next.
+    listed platforms in one vectored pass.
     """
     if plan is not None and suite is not None:
         raise ValueError("pass either plan or suite, not both")
@@ -525,7 +488,7 @@ def survey(configs: Optional[Sequence[str | Quirks]] = None, *,
     with owned_backend(backend) as shared:
         return [
             Session(q, plan=plan, suite=suite, backend=shared,
-                    check_on=check_on, engine=engine,
+                    check_on=check_on,
                     collect_coverage=collect_coverage).run()
             for q in quirks
         ]

@@ -18,8 +18,7 @@ from repro.core.labels import (OsCall, OsCreate, OsDestroy, OsLabel,
                                OsReturn, OsSignal, OsSpin)
 from repro.core.platform import PlatformSpec
 from repro.core.values import render_return
-from repro.engine import (CompiledAutomaton, InternTable,
-                          TransitionMemo, recover_states)
+from repro.engine import InternTable, TransitionMemo, recover_states
 from repro.osapi.os_state import OsStateOrSpecial, initial_os_state
 from repro.osapi.transition import allowed_returns, os_trans, tau_closure
 from repro.script.ast import Trace
@@ -109,16 +108,10 @@ class TraceChecker:
     #: transient set between a call and its return is not pruned.
     DEFAULT_MAX_STATES = 64
 
-    #: ``intern="compiled"``: checks through the Python loop before the
-    #: first freeze (the memo must be warm for the tables to hold
-    #: anything), and re-freezes after this many fast-path misses.
-    COMPILE_AFTER = 8
-    RECOMPILE_MISSES = 32
-
     def __init__(self, spec: PlatformSpec, groups: dict | None = None,
                  max_states: int = DEFAULT_MAX_STATES,
                  default_uid: int = 0, default_gid: int = 0,
-                 intern: bool | str = True):
+                 intern: bool = True):
         self.spec = spec
         self.groups = groups or {}
         self.max_states = max_states
@@ -140,27 +133,10 @@ class TraceChecker:
         #: ``check`` calls; per-trace specification-clause coverage
         #: therefore must use fresh instances (as the coverage path's
         #: uncached oracles already do).
-        #: ``intern="compiled"`` additionally fronts the interned loop
-        #: with a frozen int-table fast path
-        #: (:mod:`repro.engine.compiled`): after :data:`COMPILE_AFTER`
-        #: checks the warm memo is compiled into a
-        #: :class:`~repro.engine.compiled.CompiledAutomaton`, and clean
-        #: traces over known states walk dense tables instead of the
-        #: Python loop.  Any complication (unseen label/state,
-        #: deviation, pruning) falls back to :meth:`_check_interned`
-        #: with identical results, counted in ``compiled_misses``.
-        self.compiled = (intern == "compiled")
-        self.intern = bool(intern)
-        if self.intern:
+        self.intern = intern
+        if intern:
             self._table = InternTable()
             self._memo = TransitionMemo(spec, self._table)
-        if self.compiled:
-            self.compiled_hits = 0
-            self.compiled_misses = 0
-            self._checks = 0
-            self._misses_at_compile = 0
-            self._automaton = None
-            self._init_sid = None
 
     def _implicit_creates(self, trace: Trace) -> List[OsCreate]:
         """CREATE labels for pids the trace uses but never creates."""
@@ -168,53 +144,9 @@ class TraceChecker:
                                 self.default_gid)
 
     def check(self, trace: Trace) -> CheckedTrace:
-        if self.compiled:
-            checked = self._check_compiled(trace)
-            if checked is not None:
-                return checked
         if self.intern:
             return self._check_interned(trace)
         return self._check_uninterned(trace)
-
-    def _check_compiled(self, trace: Trace) -> Optional[CheckedTrace]:
-        """The compiled fast path; None hands the trace to the exact
-        interned loop (which also warms the memo for the next freeze)."""
-        self._checks += 1
-        automaton = self._automaton
-        if automaton is None:
-            if self._checks <= self.COMPILE_AFTER:
-                return None
-            automaton = self._compile_automaton()
-        elif (self.compiled_misses - self._misses_at_compile
-              >= self.RECOMPILE_MISSES):
-            automaton = self._compile_automaton()
-        init_sid = self._init_sid
-        if init_sid is None:
-            # One intern per checker: self._table never changes, so
-            # the initial state's id is a constant worth caching.
-            init_sid = self._table.intern(initial_os_state(self.groups))
-            self._init_sid = init_sid
-        labels = [event.label for event in trace.events]
-        maxs = automaton.walker().walk(
-            self._implicit_creates(trace), labels, init_sid,
-            self.max_states)
-        if maxs is None:
-            self.compiled_misses += 1
-            return None
-        self.compiled_hits += 1
-        return CheckedTrace(trace=trace, deviations=(),
-                            max_state_set=maxs[0],
-                            labels_checked=len(labels), pruned=False)
-
-    def _compile_automaton(self):
-        automaton = CompiledAutomaton.compile(self._table,
-                                              (self._memo,))
-        if self._automaton is not None:
-            # Same table, wider rows: keep the warmed walker memos.
-            automaton.adopt_walker(self._automaton)
-        self._automaton = automaton
-        self._misses_at_compile = self.compiled_misses
-        return self._automaton
 
     def _check_interned(self, trace: Trace) -> CheckedTrace:
         """The interned engine loop: ids in, ids out.

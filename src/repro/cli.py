@@ -182,8 +182,6 @@ def _cmd_serve(args) -> int:
 
     model = (oracle_name_for(_parse_platforms(args.platforms))
              if args.platforms else args.model)
-    if args.engine == "compiled":
-        model = "compiled:" + model
     shards = 0 if args.backend == "serial" else args.shards
     service = CheckingService(model, shards=shards,
                               warmup=args.warmup,
@@ -302,7 +300,6 @@ def _cmd_run(args) -> int:
                      check_on=_parse_platforms(args.check_on)
                      if args.check_on else None,
                      plan=_plan_from_args(args), backend=backend,
-                     engine=args.engine,
                      store=args.store) as session:
             artifact = session.run(
                 progress=_progress_printer() if args.progress
@@ -331,7 +328,7 @@ def _cmd_survey(args) -> int:
                       backend=args.backend,
                       shards=args.shards) as backend:
         artifacts = survey(configs, plan=_plan_from_args(args),
-                           backend=backend, engine=args.engine)
+                           backend=backend)
     print(render_summary_table([a.suite_result for a in artifacts]))
     print()
     print(render_merge(merge_results(artifacts)))
@@ -349,13 +346,9 @@ def _cmd_coverage(args) -> int:
     with make_backend(args.processes, chunksize=args.chunksize,
                       backend=args.backend,
                       shards=args.shards) as backend:
-        # engine=args.engine is passed through so --engine compiled
-        # fails with Session's coverage-incompatibility error instead
-        # of being silently ignored.
         session = Session(args.config, model=args.model,
                           plan=_plan_from_args(args),
-                          backend=backend, engine=args.engine,
-                          collect_coverage=True)
+                          backend=backend, collect_coverage=True)
         artifact = session.run()
         report = artifact.coverage_report()
     # The reachable-but-unhit clauses, per platform: the frontier a
@@ -394,11 +387,6 @@ def _cmd_fuzz(args) -> int:
     also registers the ``fuzz`` campaign-store view)."""
     from repro.fuzz import run_fuzz
 
-    if args.engine == "compiled":
-        print("repro fuzz: --engine compiled is unsupported — the "
-              "fuzz loop is coverage-guided, and compiled walks "
-              "never re-execute transition bodies", file=sys.stderr)
-        return 2
     platforms = (_parse_platforms(args.platforms)
                  if args.platforms else None)
 
@@ -602,14 +590,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
                         help="shard workers for the sharded backend "
                              "(default: --processes, else CPU count); "
                              "implies --backend sharded")
-    parser.add_argument("--engine", default=None,
-                        choices=["interned", "compiled"],
-                        help="checking engine (default: interned); "
-                             "'compiled' freezes the warmed transition "
-                             "memo into dense int64 successor tables "
-                             "and walks traces as int-array "
-                             "operations, falling back to the memo on "
-                             "any miss (identical verdicts)")
 
 
 def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
@@ -683,12 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "oracle")
     p.add_argument("--shards", type=int, default=None,
                    help="shard workers (default: CPU count, min 2)")
-    p.add_argument("--engine", default=None,
-                   choices=["interned", "compiled"],
-                   help="checking engine (default: interned); "
-                        "'compiled' serves every verdict from dense "
-                        "int64 successor tables compiled from the "
-                        "warmed memo, falling back on any miss")
     p.add_argument("--warmup", type=int, default=16,
                    help="traces checked in the parent before each "
                         "arena epoch is published")

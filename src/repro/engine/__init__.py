@@ -28,12 +28,6 @@ This package is the engine both checking front ends share:
   instead of re-deriving it per worker;
   :class:`SharedTransitionMemo` falls back to local derivation on
   arena misses, with identical results.
-* :mod:`repro.engine.compiled` freezes a warmed table + memo set into
-  dense ``int64`` successor/closure tables
-  (:class:`CompiledAutomaton`) whose shared :class:`CompiledWalker`
-  walks whole clean traces as int-keyed lookups — Python only on
-  misses, which fall back to the memo (and warm it for the next
-  compilation).
 
 Layering (``tests/test_architecture.py``): the package sits directly
 above ``repro.osapi`` and *below* ``repro.checker``, so both the
@@ -51,15 +45,10 @@ coverage-collection path therefore uses fresh tables per check, exactly
 as it already runs oracles with prefix caching disabled.
 """
 
-from repro.engine.compiled import (CompiledAutomaton,
-                                   CompiledSpecTable,
-                                   CompiledTableError, CompiledWalker)
 from repro.engine.intern import InternTable
 from repro.engine.memo import TransitionMemo, recover_states
 from repro.engine.shard import (ArenaReader, MemoArena,
                                 SharedTransitionMemo)
 
-__all__ = ["ArenaReader", "CompiledAutomaton", "CompiledSpecTable",
-           "CompiledTableError", "CompiledWalker", "InternTable",
-           "MemoArena", "SharedTransitionMemo", "TransitionMemo",
-           "recover_states"]
+__all__ = ["ArenaReader", "InternTable", "MemoArena",
+           "SharedTransitionMemo", "TransitionMemo", "recover_states"]

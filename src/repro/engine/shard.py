@@ -363,52 +363,6 @@ class ArenaReader:
         base = section["vals"] + off
         return frozenset(words[base:base + cnt])
 
-    @property
-    def packed_slots(self) -> int:
-        """Label-slot width of the composite transition keys
-        (``key = sid * slots + label_id``)."""
-        return self._slots
-
-    def _copy_words(self, base: int, n: int) -> array.array:
-        out = array.array("q")
-        out.frombytes(self._words[base:base + n].tobytes())
-        return out
-
-    def packed_columns(self, spec: str) -> Dict[str, array.array]:
-        """Copies of one spec's packed columns, keyed for
-        :class:`repro.engine.compiled.CompiledSpecTable`.
-
-        Copying (one ``memcpy`` per column, per epoch adoption)
-        detaches the result from this reader's buffer: the caller may
-        :meth:`close` the reader — or swap epochs — while tables built
-        from the copies keep serving rows.
-        """
-        section = self._sections[self._specs_check(spec)]
-        trans, closure = section["trans"], section["closure"]
-        tn, cn = trans["n"], closure["n"]
-        words = self._words
-        tsuccs_len = (words[trans["offs"] + tn - 1]
-                      + words[trans["cnts"] + tn - 1]) if tn else 0
-        cvals_len = (words[closure["offs"] + cn - 1]
-                     + words[closure["cnts"] + cn - 1]) if cn else 0
-        return {
-            "tkeys": self._copy_words(trans["keys"], tn),
-            "toffs": self._copy_words(trans["offs"], tn),
-            "tcnts": self._copy_words(trans["cnts"], tn),
-            "tsuccs": self._copy_words(trans["succs"], tsuccs_len),
-            "ckeys": self._copy_words(closure["keys"], cn),
-            "coffs": self._copy_words(closure["offs"], cn),
-            "ccnts": self._copy_words(closure["cnts"], cn),
-            "cvals": self._copy_words(closure["vals"], cvals_len),
-        }
-
-    def _specs_check(self, spec: str) -> str:
-        if spec not in self._sections:
-            raise KeyError(
-                f"arena has no rows for spec {spec!r}; packed: "
-                f"{', '.join(self.specs)}")
-        return spec
-
     def seed_table(self, table: InternTable) -> None:
         """Intern the arena's states so local ids equal arena ids.
 

@@ -186,10 +186,6 @@ class SerialBackend(_BackendBase):
 
     def __init__(self) -> None:
         self._executor = ScriptExecutor()
-        # Oracles with an engine fast path (``compiled:*``) carry
-        # counters worth surfacing; remembered here so run_stats can
-        # report them after the iterators are drained.
-        self._stat_oracles: Dict[str, Oracle] = {}
 
     def _oracle(self, model: str,
                 collect_coverage: bool = False) -> Oracle:
@@ -198,22 +194,12 @@ class SerialBackend(_BackendBase):
         # second memo layer (which would serve stale instances after
         # register_oracle(replace=True)).  Coverage collection gets an
         # uncached oracle: prefix hits would skip clause evaluations.
-        oracle = get_oracle(model, cache=not collect_coverage)
-        if not collect_coverage and hasattr(oracle, "compiled_hits"):
-            self._stat_oracles[model] = oracle
-        return oracle
+        return get_oracle(model, cache=not collect_coverage)
 
     def run_stats(self) -> Dict[str, int]:
-        """Compiled-engine counters, when a ``compiled:*`` oracle ran.
-
-        Empty for every other model — plain serial runs keep recording
-        an empty ``engine_stats`` exactly as before RunArtifact v6.
-        """
-        stats: Dict[str, int] = {}
-        for oracle in self._stat_oracles.values():
-            for key in ("compiled_hits", "compiled_misses"):
-                stats[key] = stats.get(key, 0) + getattr(oracle, key, 0)
-        return stats
+        """Serial runs keep no engine counters: an empty map, so their
+        artifacts record an empty ``engine_stats``."""
+        return {}
 
     def execute_iter(self, quirks: Quirks,
                      scripts: Iterable[Script]) -> Iterator[Trace]:
@@ -531,9 +517,6 @@ class ShardedBackend(_BackendBase):
         self._epochs = ArenaEpochs(self._pool, reclaim=reclaim,
                                    miss_watermark=miss_watermark)
         self._last_stats: Dict[str, int] = {}
-        # Warm-oracle compiled counters already folded into earlier
-        # calls' stats (the oracles count over their whole life).
-        self._warm_compiled_seen: Dict[str, int] = {}
         # Parent-side bounded verdict memo, keyed by exact trace text.
         # The oracle is deterministic, so a memoized profile tuple is
         # bit-for-bit what a re-check would produce — an exact repeat
@@ -583,8 +566,7 @@ class ShardedBackend(_BackendBase):
         return {"shards": self.shards, "warmup_traces": 0,
                 "arena_states": 0, "arena_rows": 0,
                 "arena_hits": 0, "arena_misses": 0,
-                "verdict_hits": 0, "epochs_adopted": 0,
-                "compiled_hits": 0, "compiled_misses": 0}
+                "verdict_hits": 0, "epochs_adopted": 0}
 
     def _note_arena(self, stats: Dict[str, int]) -> None:
         arena = self._epochs.arena
@@ -595,17 +577,8 @@ class ShardedBackend(_BackendBase):
     def _finish_call(self, stats: Dict[str, int], call) -> None:
         if call is not None:
             for key in ("arena_hits", "arena_misses", "verdict_hits",
-                        "epochs_adopted", "compiled_hits",
-                        "compiled_misses"):
+                        "epochs_adopted"):
                 stats[key] = stats.get(key, 0) + call.stats.get(key, 0)
-        # The parent-side warm oracles walk the same compiled fast
-        # path during warmup passes; their counters are lifetime
-        # totals on a backend reused across calls, so fold in only
-        # what this call added.
-        for key, value in self._epochs.compiled_totals().items():
-            seen = self._warm_compiled_seen.get(key, 0)
-            stats[key] = stats.get(key, 0) + (value - seen)
-            self._warm_compiled_seen[key] = value
         stats["epochs_published"] = self._epochs.epochs_published
         stats["pool_cold_starts"] = self._pool.cold_starts
         self._last_stats = stats
@@ -617,14 +590,6 @@ class ShardedBackend(_BackendBase):
         executor = ScriptExecutor()
         for script in scripts:
             yield executor.execute(quirks, script)
-
-    @staticmethod
-    def _store_model(model: str) -> str:
-        """The model name store rows are partitioned by: the engine
-        prefix is dropped because verdicts are engine-independent —
-        a ``compiled:all`` re-run must dedup against ``all`` rows."""
-        return (model[len("compiled:"):]
-                if model.startswith("compiled:") else model)
 
     def _store_append(self, partition: str, name: str,
                       trace_text: str, profiles: tuple,
@@ -659,7 +624,7 @@ class ShardedBackend(_BackendBase):
                     verdict = oracle.check(trace)
                     text = print_trace(trace)
                     self._memoize(model, text, verdict.profiles)
-                    self._store_append(f"check:{self._store_model(model)}", trace.name,
+                    self._store_append(f"check:{model}", trace.name,
                                        text, verdict.profiles)
                     yield CheckOutcome(verdict.primary_checked,
                                        frozenset(), verdict.profiles)
@@ -685,8 +650,7 @@ class ShardedBackend(_BackendBase):
         pool_iter = None
         try:
             if misses:
-                items = [("check", traces[i].name, texts[i])
-                         for i in misses]
+                items = [(traces[i].name, texts[i]) for i in misses]
                 call = self._pool.submit_stream(
                     items, model=model,
                     collect_coverage=collect_coverage, partition=model)
@@ -700,7 +664,7 @@ class ShardedBackend(_BackendBase):
                     _got, (profiles, covered, _seconds) = next(pool_iter)
                     if not collect_coverage:
                         self._memoize(model, texts[i], profiles)
-                self._store_append(f"check:{self._store_model(model)}", traces[i].name,
+                self._store_append(f"check:{model}", traces[i].name,
                                    texts[i], profiles, covered)
                 yield CheckOutcome(profiles[0].as_checked(traces[i]),
                                    frozenset(covered), profiles)
@@ -721,7 +685,8 @@ class ShardedBackend(_BackendBase):
                  ) -> Iterator[RunRecord]:
         stream = iter(scripts)
         executor = ScriptExecutor()
-        store_partition = f"{quirks.name}:{self._store_model(model)}"
+        # Store rows and shard routing share the Session partition.
+        partition = f"{quirks.name}:{model}"
         stats = self._begin_epoch()
         index = 0
         if not collect_coverage and self._epochs.needs_publish(model):
@@ -732,7 +697,7 @@ class ShardedBackend(_BackendBase):
                 t1 = time.perf_counter()
                 verdict = oracle.check(trace)
                 t2 = time.perf_counter()
-                self._store_append(store_partition, trace.name,
+                self._store_append(partition, trace.name,
                                    print_trace(trace), verdict.profiles,
                                    target=script.target_function,
                                    exec_seconds=t1 - t0,
@@ -754,7 +719,7 @@ class ShardedBackend(_BackendBase):
             # index's result can only arrive after its item was yielded.
             held: Dict[int, Tuple[str, Trace, str, float]] = {}
 
-            def items() -> Iterator[Tuple[str, str, str]]:
+            def items() -> Iterator[Tuple[str, str]]:
                 for i, script in enumerate(
                         itertools.chain([first], stream), index):
                     t0 = time.perf_counter()
@@ -762,14 +727,14 @@ class ShardedBackend(_BackendBase):
                     text = print_trace(trace)
                     held[i] = (script.target_function, trace, text,
                                time.perf_counter() - t0)
-                    yield ("check", script.name, text)
+                    yield (script.name, text)
 
             call = self._pool.submit_stream(
                 items(), model=model, collect_coverage=collect_coverage,
-                partition=f"{quirks.name}:{model}", start_index=index)
+                partition=partition, start_index=index)
             for i, (profiles, covered, check_s) in call.results():
                 target, trace, trace_text, exec_s = held.pop(i)
-                self._store_append(store_partition, trace.name,
+                self._store_append(partition, trace.name,
                                    trace_text, profiles, covered,
                                    target=target,
                                    exec_seconds=exec_s,

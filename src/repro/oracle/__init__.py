@@ -21,12 +21,7 @@ Three oracle families ship built in:
   emitting a per-platform :class:`ConformanceProfile` in a single pass;
 * the **determinized reference oracle** (``"reference:<p>"``,
   ``"triaged:<p>"``) — fsimpl-backed fast accept/reject triage (paper
-  section 8), optionally escalating mismatches to the full model check;
-* the **compiled oracle** (``"compiled:<name>"`` wrapping any of the
-  above model/vectored names) — the vectored loop behind a frozen
-  int-table fast path (:mod:`repro.engine.compiled`): whole clean
-  traces walk dense ``int64`` successor tables, any miss falls back to
-  the exact Python loop, counted in ``engine_stats``.
+  section 8), optionally escalating mismatches to the full model check.
 
 Model and vectored oracles memoize clean label prefixes in a
 :class:`PrefixCache`, so suites whose scripts share generated setup
@@ -39,7 +34,6 @@ single-platform shim.
 
 from repro.oracle.base import Oracle
 from repro.oracle.cache import PrefixCache
-from repro.oracle.compiled import CompiledOracle
 from repro.oracle.reference import ReferenceOracle
 from repro.oracle.registry import (REGISTRY, OracleRegistry,
                                    create_oracle, get_oracle,
@@ -51,8 +45,7 @@ from repro.oracle.verdict import (ConformanceProfile, Verdict,
                                   deviation_to_dict)
 
 __all__ = [
-    "CompiledOracle", "ConformanceProfile", "ModelOracle", "Oracle",
-    "OracleRegistry",
+    "ConformanceProfile", "ModelOracle", "Oracle", "OracleRegistry",
     "PrefixCache", "REGISTRY", "ReferenceOracle", "VectoredOracle",
     "Verdict", "create_oracle", "deviation_from_dict",
     "deviation_to_dict", "get_oracle", "oracle_name_for",

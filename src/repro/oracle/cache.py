@@ -63,7 +63,6 @@ class PrefixCache:
         self.max_nodes = max_nodes
         self._roots: Dict[Hashable, _Node] = {}
         self._tables: Dict[Hashable, InternTable] = {}
-        self._compiled: Dict[Hashable, object] = {}
         self._nodes = 0
         self.hits = 0        #: labels skipped via a memoized prefix
         self.misses = 0      #: labels processed (and possibly stored)
@@ -96,23 +95,6 @@ class PrefixCache:
             table = InternTable()
             self._tables[key] = table
         return table
-
-    def compiled(self, key: Hashable = ()):
-        """The partition's installed compiled automaton, or None.
-
-        Stored beside the partition's table because it is valid under
-        exactly the same contract: its rows are keyed by that table's
-        ids.  Every oracle sharing the partition shares the automaton
-        (and its walker's warmed set-level memo) the same way they
-        share snapshots.
-        """
-        return self._compiled.get(key)
-
-    def install_compiled(self, key: Hashable, automaton) -> None:
-        """Publish a (re)compiled automaton for a partition.  Callers
-        replace wholesale — automatons are immutable snapshots of a
-        growing memo, never patched."""
-        self._compiled[key] = automaton
 
     def lookup(self, node: _Node, label: object) -> Optional[_Node]:
         """The child for ``label`` if it holds a snapshot, else None."""
@@ -186,7 +168,6 @@ class PrefixCache:
     def clear(self) -> None:
         self._roots = {}
         self._tables = {}
-        self._compiled = {}
         self._nodes = 0
         self.hits = 0
         self.misses = 0

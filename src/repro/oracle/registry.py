@@ -17,11 +17,6 @@ freebsd``                      over that platform variant
                                rejects)
 ``triaged:<platform>``         reference triage with a ``ModelOracle``
                                fallback: exact verdicts, cheap accept path
-``compiled:<model-name>``      :class:`~repro.oracle.compiled.CompiledOracle`
-                               wrapping a platform / ``all`` /
-                               ``vectored:A+B`` name: the same verdicts
-                               behind a frozen int-table fast path —
-                               parsed, not listed
 =============================  ==============================================
 
 ``get`` memoizes instances (so a long-lived backend, or each pool
@@ -36,25 +31,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.platform import SPECS
 from repro.oracle.base import Oracle
-from repro.oracle.compiled import CompiledOracle
 from repro.oracle.reference import ReferenceOracle
 from repro.oracle.vectored import ModelOracle, VectoredOracle
 
-
-def _model_platforms(name: str) -> Tuple[str, ...]:
-    """The platform tuple behind a model/vectored oracle name (what
-    ``compiled:<name>`` wraps — reference/triaged oracles have no
-    state-set engine to compile)."""
-    if name == "all":
-        return tuple(SPECS)
-    if name.startswith("vectored:"):
-        return tuple(p for p in name[len("vectored:"):].split("+")
-                     if p)
-    if name in SPECS:
-        return (name,)
-    raise ValueError(
-        f"'compiled:' wraps a model oracle name ({', '.join(SPECS)}, "
-        f"'all' or 'vectored:A+B[+...]'), not {name!r}")
 
 #: A factory takes ``cache`` (bool) and returns a fresh oracle.
 OracleFactory = Callable[[bool], Oracle]
@@ -87,13 +66,9 @@ class OracleRegistry:
             platforms = [p for p in name[len("vectored:"):].split("+")
                          if p]
             return VectoredOracle(platforms, cache=cache)
-        if name.startswith("compiled:"):
-            return CompiledOracle(
-                _model_platforms(name[len("compiled:"):]), cache=cache)
         raise ValueError(
             f"unknown oracle {name!r}; registered: "
-            f"{', '.join(self.names())} (or 'vectored:A+B[+...]' / "
-            f"'compiled:<model-name>')")
+            f"{', '.join(self.names())} (or 'vectored:A+B[+...]')")
 
     def get(self, name: str, *, cache: bool = True) -> Oracle:
         """The memoized instance for ``name`` (one prefix cache per

@@ -8,7 +8,7 @@ call.  This module factors the worker lifetime out of the call:
 
 * :class:`ShardPool` spawns shard processes **once** and reuses them
   across calls.  Shards only check (the caller executes, §7.1): work
-  is ``("check", name, trace_text)`` items, each answered with
+  is ``(name, trace_text)`` items, each answered with
   ``(profiles, covered, parse_and_check_seconds)``, either streamed
   (:meth:`ShardPool.submit_stream`, bounded backpressure, results
   re-sequenced in input order) or as a materialised list returning one
@@ -57,11 +57,20 @@ from repro.script.parser import parse_trace
 
 #: Stats keys each worker accumulates and reports on call barriers.
 _WORKER_COUNTERS = ("arena_hits", "arena_misses", "epochs_adopted",
-                    "epoch_attach_failures", "verdict_hits",
-                    "compiled_hits", "compiled_misses")
+                    "epoch_attach_failures", "verdict_hits")
 
 #: Bound on the per-worker verdict memo (entries, FIFO eviction).
 VERDICT_MEMO_MAX = 4096
+
+
+def _add_arena_counts(totals: Dict[str, int],
+                      oracle: Optional[Oracle]) -> None:
+    """Add a cached engine oracle's arena hit/miss counts to
+    ``totals`` (nothing for other oracles, or None)."""
+    if isinstance(oracle, VectoredOracle) and oracle.cache is not None:
+        for memo in oracle.engine_snapshot()[1]:
+            totals["arena_hits"] += getattr(memo, "arena_hits", 0)
+            totals["arena_misses"] += getattr(memo, "arena_misses", 0)
 
 
 class ShardWorkerState:
@@ -88,8 +97,7 @@ class ShardWorkerState:
         self._oracles: Dict[str, Oracle] = {}
         self._readers: Dict[str, ArenaReader] = {}
         self._verdicts: "Dict[Tuple[str, str], tuple]" = {}
-        self._banked = {"arena_hits": 0, "arena_misses": 0,
-                        "compiled_hits": 0, "compiled_misses": 0}
+        self._banked = {"arena_hits": 0, "arena_misses": 0}
         self.epochs_adopted = 0
         self.epoch_attach_failures = 0
         self.verdict_hits = 0
@@ -131,7 +139,9 @@ class ShardWorkerState:
             reader.close()
             self.epoch_attach_failures += 1
             return False
-        self._bank_counters(self._oracles.get(model))
+        # A replaced oracle's hit/miss history must survive into the
+        # cumulative stats even though the oracle itself is dropped.
+        _add_arena_counts(self._banked, self._oracles.get(model))
         previous = self._readers.pop(model, None)
         self._oracles[model] = oracle
         self._readers[model] = reader
@@ -139,22 +149,6 @@ class ShardWorkerState:
             previous.close()
         self.epochs_adopted += 1
         return True
-
-    def _bank_counters(self, oracle: Optional[Oracle]) -> None:
-        # A replaced oracle's hit/miss history must survive into the
-        # cumulative stats even though the oracle itself is dropped.
-        if oracle is None:
-            return
-        self._banked["compiled_hits"] += getattr(
-            oracle, "compiled_hits", 0)
-        self._banked["compiled_misses"] += getattr(
-            oracle, "compiled_misses", 0)
-        if isinstance(oracle, VectoredOracle) and oracle.cache is not None:
-            for memo in oracle.engine_snapshot()[1]:
-                self._banked["arena_hits"] += getattr(
-                    memo, "arena_hits", 0)
-                self._banked["arena_misses"] += getattr(
-                    memo, "arena_misses", 0)
 
     # -- tasks ----------------------------------------------------------------
 
@@ -184,17 +178,7 @@ class ShardWorkerState:
     def stats(self) -> Dict[str, int]:
         totals = dict(self._banked)
         for oracle in self._oracles.values():
-            totals["compiled_hits"] += getattr(
-                oracle, "compiled_hits", 0)
-            totals["compiled_misses"] += getattr(
-                oracle, "compiled_misses", 0)
-            if isinstance(oracle, VectoredOracle) \
-                    and oracle.cache is not None:
-                for memo in oracle.engine_snapshot()[1]:
-                    totals["arena_hits"] += getattr(
-                        memo, "arena_hits", 0)
-                    totals["arena_misses"] += getattr(
-                        memo, "arena_misses", 0)
+            _add_arena_counts(totals, oracle)
         totals["epochs_adopted"] = self.epochs_adopted
         totals["epoch_attach_failures"] = self.epoch_attach_failures
         totals["verdict_hits"] = self.verdict_hits
@@ -477,17 +461,19 @@ class ShardPool:
         whose caches already know it."""
         return zlib.crc32(f"{partition}:{name}".encode()) % self.shards
 
-    def submit_stream(self, items: Iterable[Tuple[str, str, object]],
+    def submit_stream(self, items: Iterable[Tuple[str, str]],
                       *, model: Optional[str] = None,
                       collect_coverage: bool = False,
                       partition: str = "",
                       start_index: int = 0) -> ShardCall:
-        """Feed ``("check", name, trace_text)`` items to the pool.
+        """Feed ``(name, trace_text)`` items to the pool.
 
-        ``items`` may be a lazy generator: a feeder thread pulls it
-        only ``window * chunk`` items ahead of consumption (the
-        in-flight semaphore is released as :meth:`ShardCall.results`
-        yields), so a generating plan stream stays lazy.  A stream that
+        ``name`` routes the item (:meth:`shard_of`); only the text
+        travels to the shard.  ``items`` may be a lazy generator: a
+        feeder thread pulls it only ``window * chunk`` items ahead of
+        consumption (the in-flight semaphore is released as
+        :meth:`ShardCall.results` yields), so a generating plan stream
+        stays lazy.  A stream that
         raises mid-generation fails the call with that exception rather
         than truncating it; the pool stays usable.
         """
@@ -508,7 +494,7 @@ class ShardPool:
         feeder.start()
         return call
 
-    def submit(self, items: Iterable[Tuple[str, str, object]], *,
+    def submit(self, items: Iterable[Tuple[str, str]], *,
                model: Optional[str] = None,
                collect_coverage: bool = False, partition: str = "",
                start_index: int = 0) -> List[Future]:
@@ -557,7 +543,7 @@ class ShardPool:
             return True
 
         try:
-            for index, (_kind, name, trace_text) in enumerate(
+            for index, (name, trace_text) in enumerate(
                     items, start_index):
                 while not call._in_flight.acquire(timeout=0.1):
                     if call._stop.is_set() or self._stop.is_set():
@@ -734,15 +720,6 @@ class ArenaEpochs:
         misses = self.pool.run_stats().get("arena_misses", 0)
         return (misses - self._miss_floor.get(model, 0)
                 >= self.miss_watermark)
-
-    def compiled_totals(self) -> Dict[str, int]:
-        """Lifetime compiled-engine counters over the warm oracles
-        (zero for models whose oracle has no compiled fast path)."""
-        totals = {"compiled_hits": 0, "compiled_misses": 0}
-        for oracle in self._warm.values():
-            for key in totals:
-                totals[key] += getattr(oracle, key, 0)
-        return totals
 
     def publish(self, model: str) -> Optional[MemoArena]:
         """Cut a new epoch from the warm oracle and broadcast it."""

@@ -202,7 +202,7 @@ class CheckingService:
                     self._resolved_in_parent += index
                     self._epochs.publish(self.model)
                 if index < len(parsed):
-                    items = [("check", trace.name, print_trace(trace))
+                    items = [(trace.name, print_trace(trace))
                              for trace in parsed[index:]]
                     inner = self._pool.submit(
                         items, model=self.model, partition=self.model,

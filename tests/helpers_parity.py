@@ -129,28 +129,6 @@ def _make_sharded(platforms: Tuple[str, ...]) -> CheckFn:
     return check
 
 
-def _make_compiled(platforms: Tuple[str, ...]) -> CheckFn:
-    """The compiled fast path in front of the vectored loop.
-
-    ``compile_after=2`` freezes the automaton almost immediately, so
-    most of the suite runs *after* compilation — exercising compiled
-    hits, miss-driven fallback to the Python loop (quirky traces
-    deviate, unseen states appear throughout) and periodic
-    recompilation (``recompile_misses=8``) within one parity pass.
-    """
-    from repro.oracle import CompiledOracle
-    oracle = CompiledOracle(platforms, compile_after=2,
-                            recompile_misses=8)
-    def check(traces):
-        rows = [{profile.platform: profile_row(profile)
-                 for profile in oracle.check(trace).profiles}
-                for trace in traces]
-        assert oracle.compilations > 0, \
-            "compiled engine never froze an automaton"
-        return rows
-    return check
-
-
 def _make_service(platforms: Tuple[str, ...]) -> CheckFn:
     """The full served path: traces travel as text through the asyncio
     line-JSON server and come back as ``ConformanceProfile.to_dict``
@@ -202,7 +180,6 @@ register_engine("uninterned", _make_uninterned)
 register_engine("interned", _make_interned)
 register_engine("vectored", _make_vectored)
 register_engine("sharded", _make_sharded)
-register_engine("compiled", _make_compiled)
 register_engine("service", _make_service)
 
 

@@ -8,6 +8,8 @@ details of path resolution" and vice versa.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import repro
 # The layer table lives with the linter now (``repro lint`` enforces
@@ -71,3 +73,25 @@ def test_model_module_inventory_matches_fig5():
     """The four model modules of Fig. 5 exist as packages."""
     for package in ("state", "pathres", "fsops", "osapi"):
         assert (SRC / package / "__init__.py").exists(), package
+
+
+def test_import_graph_is_stdlib_only():
+    """Importing the package, its CLI and its service loads nothing
+    from outside the standard library: every process (shard workers
+    and ``repro serve`` included) pays for whatever ``import repro``
+    pulls in.  Checked in a fresh interpreter, so modules this test
+    process already holds do not mask a new dependency."""
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        "import repro, repro.cli, repro.service\n"
+        "print('\\n'.join(sorted({name.split('.')[0] for name in "
+        "set(sys.modules) - before})))\n")
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, timeout=120).stdout.split()
+    foreign = [name for name in loaded
+               if name != "repro" and not name.startswith("__")
+               and name not in sys.stdlib_module_names]
+    assert foreign == [], f"non-stdlib modules imported: {foreign}"

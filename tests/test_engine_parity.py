@@ -4,10 +4,10 @@ The scattered per-PR parity tests (interned vs uninterned in
 ``test_engine_intern``, vectored vs independent checkers in
 ``test_oracle_api``) are replaced by this single parametrized harness
 over the :data:`helpers_parity.ENGINES` registry — {uninterned,
-interned, vectored, sharded} today, one ``register_engine`` call for
-whatever comes next.  Coverage is the handwritten suite on a clean and
-a quirky configuration (deviations, recovery, pruning included) plus a
-seeded randomized property sweep, and an end-to-end
+interned, vectored, sharded, service} today, one ``register_engine``
+call for whatever comes next.  Coverage is the handwritten suite on a
+clean and a quirky configuration (deviations, recovery, pruning
+included) plus a seeded randomized property sweep, and an end-to-end
 :class:`~repro.harness.backends.ShardedBackend` pass against the
 serial artifact.  The execution axis holds prefix-resumed execution
 (:class:`~repro.executor.ScriptExecutor`) to fresh
@@ -36,10 +36,10 @@ ALL_PLATFORMS = tuple(SPECS)
 
 
 def test_registry_covers_every_engine():
-    """The acceptance criterion: all four engines register here, and
+    """The acceptance criterion: all five engines register here, and
     new engines get parity coverage by registering too."""
     assert {"uninterned", "interned", "vectored",
-            "sharded", "compiled"} <= set(ENGINES)
+            "sharded", "service"} <= set(ENGINES)
 
 
 def test_profile_order_follows_oracle_platforms():

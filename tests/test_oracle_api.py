@@ -9,6 +9,7 @@ the CLI surface (``repro check --platforms``, ``repro oracles``).
 """
 
 import dataclasses
+import json
 import pathlib
 
 import pytest
@@ -331,13 +332,12 @@ class TestRunArtifactV5:
         assert stats["pool_cold_starts"] == 1
         assert stats["epochs_published"] == 1
         assert stats["epochs_adopted"] == 2  # one adoption per worker
-        # v6: compiled counters always present under sharding (zero
-        # when the run never routed a compiled oracle).
-        assert stats["compiled_hits"] == 0
-        assert stats["compiled_misses"] == 0
+        # v6's compiled-engine keys: that engine is gone, so no
+        # writer reports them.
+        assert "compiled_hits" not in stats
         assert artifact.failing  # deviations must survive the trip too
         assert RunArtifact.from_json(artifact.to_json()) == artifact
-        payload = __import__("json").loads(artifact.to_json())
+        payload = json.loads(artifact.to_json())
         assert payload["format"] == 6
         assert payload["engine_stats"]["shards"] == 2
 
@@ -364,20 +364,20 @@ class TestRunArtifactV5:
         assert reloaded.engine_stats == artifact.engine_stats
         assert reloaded.checked == artifact.checked
 
-    def test_compiled_engine_counters_round_trip(self):
-        """RunArtifact v6: the compiled fast path's hit/miss counters
-        reach the artifact and survive the JSON trip."""
-        # Enough repeats to cross the oracle's compile_after warmup
-        # (16 checks) with plenty of post-freeze re-checks left.
-        with Session("linux_ext4", suite=SMALL_SUITE * 12,
-                     engine="compiled") as s:
-            artifact = s.run()
+    def test_v6_compiled_engine_counters_load(self):
+        """v6 artifacts written while the compiled engine existed carry
+        its hit/miss counters in ``engine_stats``; they still load and
+        round-trip unchanged."""
+        payload = json.loads(
+            (FIXTURES / "artifact_v5.json").read_text())
+        payload["format"] = 6
+        payload["engine_stats"].update(compiled_hits=3,
+                                       compiled_misses=5)
+        artifact = RunArtifact.from_json(json.dumps(payload))
         stats = dict(artifact.engine_stats)
-        assert stats["compiled_hits"] + stats["compiled_misses"] > 0
+        assert (stats["compiled_hits"], stats["compiled_misses"]) == (3, 5)
+        assert json.loads(artifact.to_json()) == payload
         assert RunArtifact.from_json(artifact.to_json()) == artifact
-        payload = __import__("json").loads(artifact.to_json())
-        assert payload["format"] == 6
-        assert "compiled_misses" in payload["engine_stats"]
 
     def test_backends_without_run_stats_record_nothing(self):
         with Session("linux_ext4", suite=SMALL_SUITE) as s:

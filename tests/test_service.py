@@ -90,7 +90,7 @@ class TestShardPool:
             oracle = epochs.warm_oracle("all")
             oracle.check(traces[0])
             epochs.publish("all")
-            items = [("check", t.name, print_trace(t)) for t in traces]
+            items = [(t.name, print_trace(t)) for t in traces]
             futures = pool.submit(items, model="all", partition="all")
             got = [f.result(timeout=60)[0] for f in futures]
             epochs.close()
@@ -98,7 +98,7 @@ class TestShardPool:
 
     def test_pool_restarts_after_close(self):
         traces = _traces(3)
-        items = [("check", t.name, print_trace(t)) for t in traces]
+        items = [(t.name, print_trace(t)) for t in traces]
         pool = ShardPool(2)
         try:
             first = pool.submit(items, model="all", partition="all")
@@ -126,7 +126,7 @@ class TestShardPool:
                 oracle.check(trace)
             epochs.publish("all")  # pool not started: stored only
             assert not pool.alive
-            items = [("check", t.name, print_trace(t)) for t in traces]
+            items = [(t.name, print_trace(t)) for t in traces]
             call = pool.submit_stream(items, model="all",
                                       partition="all")
             got = [payload[0] for _i, payload in call.results()]
@@ -161,7 +161,7 @@ class TestShardPool:
                         if i >= chunk:
                             gate.wait(timeout=60)
                         pulled.append(i)
-                        yield ("check", names[i], text)
+                        yield (names[i], text)
                 finally:
                     done.set()  # the feeder let go of the stream
 
@@ -175,7 +175,7 @@ class TestShardPool:
 
     def test_repeat_submission_hits_worker_verdict_memo(self):
         traces = _traces(4)
-        items = [("check", t.name, print_trace(t)) for t in traces]
+        items = [(t.name, print_trace(t)) for t in traces]
         with ShardPool(2) as pool:
             first = pool.submit_stream(items, model="all",
                                        partition="all")
