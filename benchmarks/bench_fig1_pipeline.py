@@ -8,13 +8,18 @@ dataflow figure.
 
 from conftest import record_table
 
-from repro.harness import render_suite_result, run_and_check
+from repro.api import Session
+from repro.harness import render_suite_result
+
+
+def run_suite(suite):
+    with Session("linux_ext4", suite=suite) as session:
+        return session.run()
 
 
 def test_fig1_pipeline(benchmark, bench_suite):
-    result = benchmark.pedantic(
-        lambda: run_and_check("linux_ext4", bench_suite),
-        rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_suite(bench_suite),
+                                rounds=1, iterations=1)
     record_table(
         "fig1_pipeline",
         f"scripts in      : {result.total}\n"

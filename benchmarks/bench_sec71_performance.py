@@ -11,28 +11,40 @@ checking scales, (c) the throughput is reported per-trace.
 import time
 
 import pytest
-from conftest import BENCH_SUBSET, record_table
+from conftest import record_table
 
-from repro.harness.run import check_traces, execute_suite
+from repro.api import ProcessPoolBackend, SerialBackend
 from repro.fsimpl import config_by_name
+
+
+def execute_all(quirks, suite):
+    return list(SerialBackend().execute_iter(quirks, suite))
+
+
+def check_all(traces, processes=1):
+    if processes == 1:
+        backend = SerialBackend()
+        return [o.checked for o in backend.check_iter("linux", traces)]
+    with ProcessPoolBackend(processes) as pool:
+        return [o.checked for o in pool.check_iter("linux", traces)]
 
 
 @pytest.fixture(scope="module")
 def traces(bench_suite):
-    return execute_suite(config_by_name("linux_tmpfs"), bench_suite)
+    return execute_all(config_by_name("linux_tmpfs"), bench_suite)
 
 
 def test_sec71_execution_throughput(benchmark, bench_suite):
     quirks = config_by_name("linux_tmpfs")
     result = benchmark.pedantic(
-        lambda: execute_suite(quirks, bench_suite),
+        lambda: execute_all(quirks, bench_suite),
         rounds=1, iterations=1)
     assert len(result) == len(bench_suite)
 
 
 def test_sec71_checking_throughput(benchmark, traces):
     checked = benchmark.pedantic(
-        lambda: check_traces("linux", traces, processes=1),
+        lambda: check_all(traces),
         rounds=1, iterations=1)
     assert len(checked) == len(traces)
 
@@ -41,9 +53,9 @@ def test_sec71_check_faster_than_execute(benchmark, bench_suite):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     quirks = config_by_name("linux_tmpfs")
     t0 = time.perf_counter()
-    traces = execute_suite(quirks, bench_suite)
+    traces = execute_all(quirks, bench_suite)
     t1 = time.perf_counter()
-    check_traces("linux", traces, processes=1)
+    check_all(traces)
     t2 = time.perf_counter()
     exec_s, check_s = t1 - t0, t2 - t1
     rate = len(traces) / check_s
@@ -65,10 +77,10 @@ def test_sec71_parallel_checking_scales(benchmark, traces):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     subset = traces[: max(40, min(200, len(traces)))]
     t0 = time.perf_counter()
-    check_traces("linux", subset, processes=1)
+    check_all(subset)
     serial = time.perf_counter() - t0
     t0 = time.perf_counter()
-    check_traces("linux", subset, processes=4)
+    check_all(subset, processes=4)
     par = time.perf_counter() - t0
     record_table(
         "sec71_parallelism",

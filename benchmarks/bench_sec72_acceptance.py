@@ -16,17 +16,17 @@ Paper results reproduced in shape:
 import pytest
 from conftest import record_table
 
-from repro.harness import render_summary_table, run_and_check
+from repro.api import Session, survey
+from repro.harness import render_summary_table
 
 
 @pytest.fixture(scope="module")
 def results(full_suite):
-    out = {}
-    out["linux_ext4"] = run_and_check("linux_ext4", full_suite)
-    out["linux_tmpfs"] = run_and_check("linux_tmpfs", full_suite)
-    out["osx_hfsplus"] = run_and_check("osx_hfsplus", full_suite)
-    out["osx_vs_linux_model"] = run_and_check(
-        "osx_hfsplus", full_suite, model="linux")
+    out = {artifact.config: artifact for artifact in survey(
+        ["linux_ext4", "linux_tmpfs", "osx_hfsplus"], suite=full_suite)}
+    with Session("osx_hfsplus", model="linux",
+                 suite=full_suite) as session:
+        out["osx_vs_linux_model"] = session.run()
     return out
 
 

@@ -9,13 +9,18 @@ traces and prints the uncovered remainder.
 
 from conftest import record_table
 
-from repro.harness import measure_coverage
+from repro.api import Session
+
+
+def coverage_of(suite):
+    with Session("linux_ext4", suite=suite,
+                 collect_coverage=True) as session:
+        return session.run().coverage_report()
 
 
 def test_sec72_model_coverage(benchmark, full_suite):
-    report = benchmark.pedantic(
-        lambda: measure_coverage("linux_ext4", full_suite),
-        rounds=1, iterations=1)
+    report = benchmark.pedantic(lambda: coverage_of(full_suite),
+                                rounds=1, iterations=1)
     record_table(
         "sec72_coverage",
         report.render()

@@ -11,8 +11,9 @@ configurations that carry it.
 import pytest
 from conftest import record_table
 
+from repro.api import survey as survey_configs
 from repro.fsimpl import ALL_CONFIGS
-from repro.harness import merge_results, render_merge, run_and_check
+from repro.harness import merge_results, render_merge
 from repro.script import parse_script
 
 #: Targeted scripts, one per defect class of §7.3.
@@ -85,8 +86,8 @@ SCRIPTS = [parse_script(f"@type script\n# Test {name}\n{body}")
 
 @pytest.fixture(scope="module")
 def survey():
-    return {cfg.name: run_and_check(cfg, SCRIPTS)
-            for cfg in ALL_CONFIGS}
+    return {artifact.config: artifact
+            for artifact in survey_configs(ALL_CONFIGS, suite=SCRIPTS)}
 
 
 def test_sec73_survey_matrix(benchmark, survey):

@@ -24,9 +24,10 @@ al., SOSP 2015) in Python:
   the simulated implementations-under-test (~40 configurations
   reproducing the paper's survey, including its documented defects);
 * :mod:`repro.harness` -- the pipeline engine (pluggable serial /
-  process-pool backends), coverage, merging and reports;
+  process-pool / sharded backends), merging, reports and trace
+  analyses;
 * :mod:`repro.api` -- the :class:`Session` facade, the single front
-  door to the pipeline;
+  door to the pipeline: every suite runs as its one streaming pass;
 * :mod:`repro.service` -- the persistent checking service: a shard
   pool whose workers outlive individual calls
   (:class:`~repro.service.ShardPool`), the long-lived
@@ -80,11 +81,12 @@ every trace::
         artifact = s.run()
     print(artifact.conformance_counts())
 
-The old free functions (``run_and_check``, ``check_traces``,
-``measure_coverage``, ``execute_suite``) and ``TraceChecker`` /
-``analyse_portability`` remain as deprecated shims over the same
-engine and will keep working; new code should prefer :class:`Session`
-and :mod:`repro.oracle`.
+Coverage comes from the same pass
+(``Session(..., collect_coverage=True).run().coverage_report()``), and
+a trace's portability from one verdict
+(``portability_report(get_oracle("all").check(trace))``).
+:class:`TraceChecker` is the single-platform reference checker the
+oracles' parity is measured against.
 """
 
 from repro.core import (Errno, OpenFlag, PlatformSpec, SeekWhence, Stat,
@@ -98,12 +100,11 @@ from repro.script import (parse_script, parse_trace, print_script,
 from repro.executor import execute_script
 from repro.fsimpl import (ALL_CONFIGS, KernelFS, Quirks, ReferenceFS,
                           config_by_name)
-from repro.testgen import SuiteSummary, generate_suite, summarize
+from repro.testgen import SuiteSummary, summarize
 from repro.gen import (REGISTRY, RandomizedStrategy, Strategy, TestPlan,
                        build_plan, default_plan, union)
-from repro.harness import (measure_coverage, merge_results,
-                           render_merge, render_suite_result,
-                           render_summary_table, run_and_check)
+from repro.harness import (merge_results, render_merge,
+                           render_suite_result, render_summary_table)
 from repro.api import (Backend, ProcessPoolBackend, RunArtifact,
                        SerialBackend, Session, ShardedBackend,
                        survey)
@@ -121,11 +122,11 @@ __all__ = [
     "parse_script", "parse_trace", "print_script", "print_trace",
     "execute_script",
     "ALL_CONFIGS", "KernelFS", "Quirks", "ReferenceFS", "config_by_name",
-    "SuiteSummary", "generate_suite", "summarize",
+    "SuiteSummary", "summarize",
     "REGISTRY", "RandomizedStrategy", "Strategy", "TestPlan",
     "build_plan", "default_plan", "union",
-    "measure_coverage", "merge_results", "render_merge",
-    "render_suite_result", "render_summary_table", "run_and_check",
+    "merge_results", "render_merge", "render_suite_result",
+    "render_summary_table",
     "Backend", "ProcessPoolBackend", "RunArtifact", "SerialBackend",
     "Session", "ShardedBackend", "survey",
     "CheckingService", "ServiceClient",

@@ -1,8 +1,8 @@
 """The unified pipeline API: the package's single front door.
 
-Everything the old bag of free functions did — run a suite, check the
-traces, render reports, measure coverage, survey configurations — goes
-through a :class:`Session` configured once::
+Running a suite, checking its traces, rendering reports, measuring
+coverage and surveying configurations all go through a
+:class:`Session` configured once::
 
     from repro.api import Session
     from repro.gen import default_plan
@@ -15,15 +15,15 @@ through a :class:`Session` configured once::
     html = artifact.render_html()          # same pass, no re-run
     blob = artifact.to_json()              # CI-diffable; records plan
 
-The plan streams: generation is consumed lazily by the backend chunker
-(:meth:`Backend.run_iter`), so a process pool starts checking while the
-plan is still producing and the suite is never materialised.  Execution
-and checking are delegated to a pluggable
-:class:`~repro.harness.backends.Backend` (:class:`SerialBackend` or the
-persistent :class:`ProcessPoolBackend`), and results can be streamed via
-:meth:`Session.iter_checked`.  The old free functions
-(``run_and_check``, ``check_traces``, ``measure_coverage``, …) remain as
-deprecated shims over this machinery.
+The plan streams: generation is consumed lazily by the backend's
+:meth:`~repro.harness.backends.Backend.run_iter`, so a process pool
+starts checking while the plan is still producing and the suite is
+never materialised.  That one pass is the only way a suite runs:
+execution and checking are delegated to a pluggable
+:class:`~repro.harness.backends.Backend` (:class:`SerialBackend`, the
+persistent :class:`ProcessPoolBackend` or the :class:`ShardedBackend`),
+results stream via :meth:`Session.iter_checked`, and
+:func:`survey` runs one session per configuration on a shared backend.
 """
 
 from repro.api.artifact import (FORMAT_VERSION, ArtifactRow,

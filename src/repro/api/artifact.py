@@ -159,8 +159,8 @@ class RunArtifact:
 
     @property
     def suite_result(self) -> SuiteResult:
-        """The legacy :class:`SuiteResult` view of this artifact, for
-        the renderers, merge and CI baseline machinery."""
+        """The :class:`SuiteResult` view of this artifact, for the
+        renderers, merge and CI baseline machinery."""
         return SuiteResult(config=self.config, model=self.model,
                            total=self.total, failing=self.failing,
                            exec_seconds=self.exec_seconds,

@@ -11,10 +11,11 @@ report, coverage, CI baseline, survey merge — renders from the same
 Generation *streams*: a :class:`repro.gen.TestPlan` is consumed lazily
 by the backend's ``run_iter`` — the suite is never materialised, and a
 process pool starts checking the first scripts while the plan is still
-producing the rest.  ``iter_checked()`` yields each
-:class:`CheckedTrace` as the backend completes it, with an optional
-progress callback — the shape long CI runs and future async/sharded
-backends plug into.
+producing the rest.  That streaming pass is the only way a session
+runs its suite: ``iter_checked()`` yields each :class:`CheckedTrace`
+as the backend completes it, with an optional progress callback, and
+:meth:`Session.run`, :attr:`Session.traces` and :func:`survey` all
+read the artifact that one pass leaves behind.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from repro.core.platform import spec_by_name
 from repro.fsimpl.configs import ALL_CONFIGS, config_by_name
 from repro.fsimpl.quirks import Quirks
 from repro.gen import TestPlan, default_plan, explicit
-from repro.harness.backends import (Backend, CheckOutcome, ProgressFn,
-                                    RunRecord, SerialBackend,
-                                    fallback_run_iter, make_backend,
-                                    owned_backend)
-from repro.oracle import ConformanceProfile, oracle_name_for
+from repro.harness.backends import (Backend, ProgressFn, RunRecord,
+                                    make_backend, owned_backend)
+from repro.oracle import oracle_name_for
 from repro.script.ast import Script, Trace
 from repro.script.printer import print_trace
 from repro.store import CampaignStore, TraceRecord
@@ -83,7 +82,7 @@ class Session:
         interpreter exit.  A backend *instance* passed in explicitly is
         shared — the session will not close it (use the backend's own
         context manager).  Defaults to a private, owned
-        :class:`SerialBackend`.
+        :class:`~repro.harness.backends.SerialBackend`.
     processes / shards / chunksize:
         Sizing for a named (or defaulted) backend; rejected alongside
         a backend instance, whose construction already decided them.
@@ -161,32 +160,15 @@ class Session:
         else:
             generated = default_plan(scale=scale)
             self.plan = generated.take(limit) if limit else generated
-        self._traces: Optional[Tuple[Trace, ...]] = None
-        self._exec_seconds: Optional[float] = None
         self._artifact: Optional[RunArtifact] = None
 
     # -- cached pipeline stages -----------------------------------------------
 
     @property
-    def suite(self) -> Tuple[Script, ...]:
-        """The script suite, **materialised** from the plan on first
-        access.  A plan-driven run never touches this — streaming
-        consumers should use :meth:`iter_checked`/:meth:`run`."""
-        if self._suite is None:
-            self._suite = tuple(self.plan.scripts())
-        return self._suite
-
-    @property
     def traces(self) -> Tuple[Trace, ...]:
-        """The observed traces (suite executed once on first access)."""
-        if self._artifact is not None:
-            return tuple(c.trace for c in self._artifact.checked)
-        if self._traces is None:
-            t0 = time.perf_counter()
-            self._traces = tuple(
-                self.backend.execute_iter(self.quirks, self.suite))
-            self._exec_seconds = time.perf_counter() - t0
-        return self._traces
+        """The observed traces: those of :meth:`run`'s artifact (so the
+        first access runs the pipeline, once)."""
+        return tuple(c.trace for c in self.run().checked)
 
     # -- the campaign store ---------------------------------------------------
 
@@ -202,28 +184,19 @@ class Session:
         under: configuration name + oracle name."""
         return f"{self.quirks.name}:{self._oracle_name}"
 
-    def _store_append(self, target_function: str,
-                      outcome: CheckOutcome,
-                      exec_seconds: float = 0.0,
-                      check_seconds: float = 0.0) -> None:
+    def _store_append(self, record: RunRecord) -> None:
         if self._store is None:
             return
-        # A single-model backend yields outcomes whose profile tuple
-        # may be empty (pre-profile custom backends): synthesise the
-        # primary profile so the stored row always carries per-platform
-        # verdicts.
-        profiles = outcome.profiles or (
-            ConformanceProfile.from_checked(self.model,
-                                            outcome.checked),)
+        outcome = record.outcome
         self._store.append(TraceRecord(
             partition=self.store_partition,
             name=outcome.checked.trace.name,
-            target_function=target_function,
+            target_function=record.target_function,
             trace_text=print_trace(outcome.checked.trace),
-            profiles=tuple(profiles),
+            profiles=tuple(outcome.profiles),
             covered=tuple(sorted(outcome.covered)),
-            exec_seconds=exec_seconds,
-            check_seconds=check_seconds))
+            exec_seconds=record.exec_seconds,
+            check_seconds=record.check_seconds))
 
     # -- running --------------------------------------------------------------
 
@@ -244,11 +217,6 @@ class Session:
                     progress(done, total, checked)
                 yield checked
             return
-        if self._traces is not None:
-            # Traces were already executed via the two-phase path;
-            # check them rather than re-executing the suite.
-            yield from self._iter_checked_traces(progress)
-            return
         for record in self._iter_records_streaming(progress):
             yield record.outcome.checked
 
@@ -266,7 +234,7 @@ class Session:
         the artifact is cached the per-record coverage is gone, so this
         raises rather than silently yielding hollow records.
         """
-        if self._artifact is not None or self._traces is not None:
+        if self._artifact is not None:
             raise RuntimeError(
                 "iter_records needs a fresh session: the pipeline "
                 "already ran and per-record coverage is folded away")
@@ -294,35 +262,16 @@ class Session:
             total_hint = (self.plan.cheap_estimate() or 0
                           if progress is not None else 0)
         records: List[RunRecord] = []
-        run_iter = getattr(self.backend, "run_iter", None)
-        if run_iter is not None:
-            iterator = run_iter(self.quirks, self._oracle_name,
-                                iter(source),
-                                collect_coverage=self.collect_coverage)
-        else:
-            # A pre-0.3 custom backend implementing only the two-phase
-            # protocol (execute_iter/check_iter): compose the stream
-            # script by script so laziness is preserved.  Such a
-            # backend predates oracle names, so multi-platform checking
-            # cannot be silently routed through it.
-            if self.check_on:
-                raise ValueError(
-                    "check_on requires an oracle-aware backend "
-                    "(run_iter); this backend implements only the "
-                    "pre-0.3 two-phase protocol")
-            iterator = fallback_run_iter(
-                self.backend, self.quirks, self._oracle_name,
-                iter(source),
-                collect_coverage=self.collect_coverage)
+        iterator = self.backend.run_iter(
+            self.quirks, self._oracle_name, iter(source),
+            collect_coverage=self.collect_coverage)
         t0 = time.perf_counter()
         pending = next(iterator, None)
         while pending is not None:
             record = pending
             pending = next(iterator, None)
             records.append(record)
-            self._store_append(record.target_function, record.outcome,
-                               exec_seconds=record.exec_seconds,
-                               check_seconds=record.check_seconds)
+            self._store_append(record)
             if progress is not None:
                 progress(len(records), total_hint,
                          record.outcome.checked)
@@ -333,51 +282,17 @@ class Session:
         if self._artifact is None:  # empty suite: the loop never ran
             self._finalize_records(records, wall_seconds=0.0)
 
-    def _iter_checked_traces(self, progress: Optional[ProgressFn]
-                             ) -> Iterator[CheckedTrace]:
-        """Legacy two-phase path, used when ``.traces`` was already
-        materialised by the caller."""
-        traces = self.traces
-        outcomes: List[CheckOutcome] = []
-        t0 = time.perf_counter()
-        for outcome in self.backend.check_iter(
-                self._oracle_name, traces,
-                collect_coverage=self.collect_coverage):
-            outcomes.append(outcome)
-            self._store_append(
-                self.suite[len(outcomes) - 1].target_function, outcome)
-            if progress is not None:
-                progress(len(outcomes), len(traces), outcome.checked)
-            if len(outcomes) == len(traces):
-                self._finalize_records(
-                    [RunRecord(target_function=s.target_function,
-                               outcome=o)
-                     for s, o in zip(self.suite, outcomes)],
-                    exec_seconds=self._exec_seconds or 0.0,
-                    check_seconds=time.perf_counter() - t0)
-            yield outcome.checked
-        if self._artifact is None:  # empty suite: the loop never ran
-            self._finalize_records([], exec_seconds=self._exec_seconds
-                                   or 0.0,
-                                   check_seconds=time.perf_counter() - t0)
-
     def _finalize_records(self, records: Sequence[RunRecord],
-                          exec_seconds: Optional[float] = None,
-                          check_seconds: Optional[float] = None,
-                          wall_seconds: Optional[float] = None) -> None:
-        if exec_seconds is None or check_seconds is None:
-            # Streamed pass: the phases interleave (and under a pool
-            # the per-record times are summed worker time, not wall
-            # time), so apportion the measured wall clock by the
-            # phases' relative weight — artifact timings stay
-            # comparable to the paper's wall-clock traces/second.
-            sum_exec = sum(r.exec_seconds for r in records)
-            sum_check = sum(r.check_seconds for r in records)
-            wall = wall_seconds if wall_seconds is not None else \
-                sum_exec + sum_check
-            busy = sum_exec + sum_check
-            exec_seconds = wall * sum_exec / busy if busy else 0.0
-            check_seconds = wall - exec_seconds if busy else 0.0
+                          wall_seconds: float) -> None:
+        # The phases interleave (and under a pool the per-record times
+        # are summed worker time, not wall time), so apportion the
+        # measured wall clock by the phases' relative weight — artifact
+        # timings stay comparable to the paper's wall-clock
+        # traces/second.
+        sum_exec = sum(r.exec_seconds for r in records)
+        busy = sum_exec + sum(r.check_seconds for r in records)
+        exec_seconds = wall_seconds * sum_exec / busy if busy else 0.0
+        check_seconds = wall_seconds - exec_seconds if busy else 0.0
         covered: set = set()
         for record in records:
             covered |= record.outcome.covered
@@ -391,9 +306,9 @@ class Session:
         if self.check_on and any(
                 len(r.outcome.profiles) != len(self.check_on)
                 for r in records):
-            # A custom backend that ignores the oracle protocol would
-            # otherwise yield empty/short profile rows and the artifact
-            # would quietly report zero conformance everywhere.
+            # A custom backend that ignores the oracle name would
+            # otherwise yield short profile rows and the artifact would
+            # quietly report zero conformance everywhere.
             raise ValueError(
                 "backend did not produce one conformance profile per "
                 "platform; check_on requires an oracle-aware backend")

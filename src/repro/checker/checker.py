@@ -83,14 +83,14 @@ class CheckedTrace:
 class TraceChecker:
     """Checks traces against one variant of the model.
 
-    .. deprecated::
-        New code should check through :mod:`repro.oracle`
-        (``get_oracle("linux").check(trace)``), which adds prefix
-        memoization, one-pass multi-platform checking and the common
-        :class:`~repro.oracle.Verdict` surface.  This class keeps its
-        own body — layering forbids ``repro.checker`` importing
-        ``repro.oracle`` — and the oracle engine's single-platform
-        parity with it is test-enforced.
+    This is the reference checker: the oracles' single-platform parity
+    is tested against it, and ``perfbench/refs.py`` builds the
+    benchmark's recorded verdicts with it.  Applications should check
+    through :mod:`repro.oracle` (``get_oracle("linux").check(trace)``),
+    which adds prefix memoization, one-pass multi-platform checking and
+    the common :class:`~repro.oracle.Verdict` surface.  This class
+    keeps its own body, because layering forbids ``repro.checker``
+    importing ``repro.oracle``.
 
     ``groups`` optionally pre-populates the model's group table, matching
     the checking flags the paper mentions (e.g. whether the initial

@@ -31,7 +31,7 @@ This package is the engine both checking front ends share:
 
 Layering (``tests/test_architecture.py``): the package sits directly
 above ``repro.osapi`` and *below* ``repro.checker``, so both the
-deprecated :class:`~repro.checker.checker.TraceChecker` and the
+reference :class:`~repro.checker.checker.TraceChecker` and the
 :mod:`repro.oracle` engines may build on it.  Results are bit-for-bit
 identical to uninterned exploration — interning is injective, and the
 parity is test-enforced (handwritten suite plus a randomized

@@ -102,8 +102,13 @@ class TestPlan:
 
     def scale(self, k: int) -> "TestPlan":
         """Replicate the population ``k`` times; copies are renamed
-        ``<name>__r<copy>`` exactly as the classic ``generate_suite``
-        did, and the source is re-generated per copy (never held)."""
+        ``<name>__r<copy>`` (as the reference ``generate_suite`` in
+        ``tests/helpers.py`` does), and the source is re-generated per
+        copy (never held).
+
+        Equivalence partitioning says such copies add no coverage,
+        which makes them filler for performance experiments (section
+        7.1) that leaves acceptance results undistorted."""
         return self if k <= 1 else _ScalePlan(self, k)
 
     def shuffle(self, seed: int = 0) -> "TestPlan":

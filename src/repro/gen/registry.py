@@ -20,8 +20,9 @@ name                      wraps                          tags
 ========================  =============================  ==============
 
 :func:`default_plan` is the union of every strategy except
-``randomized`` in the exact order the deprecated ``generate_suite``
-used, so old and new surfaces produce byte-identical suites.
+``randomized`` in the classic suite order.  ``generate_suite`` in
+``tests/helpers.py`` states that order independently, as a list of
+generator calls, and the tests hold the two byte-identical.
 :func:`build_plan` turns CLI-shaped selection options
 (``--plan/--include/--exclude/--sample/--seed``) into a plan.
 """
@@ -114,7 +115,8 @@ def get_strategy(name: str) -> Strategy:
     return REGISTRY.get(name)
 
 
-#: Default-plan members, in the classic ``generate_suite`` order.
+#: Default-plan members, in the classic suite order (the reference
+#: is ``generate_suite`` in ``tests/helpers.py``).
 DEFAULT_STRATEGY_NAMES = (
     "one_path", "two_path:rename", "two_path:link", "two_path:symlink",
     "open", "fd", "handle", "permission", "handwritten",
@@ -169,7 +171,8 @@ register(RandomizedStrategy())
 
 def default_plan(scale: int = 1) -> TestPlan:
     """The paper's full suite as a plan: every registered strategy
-    except ``randomized``, in the classic ``generate_suite`` order."""
+    except ``randomized``, in the classic suite order
+    (:data:`DEFAULT_STRATEGY_NAMES`)."""
     plan = union(*(REGISTRY.get(name)
                    for name in DEFAULT_STRATEGY_NAMES),
                  label="default")

@@ -1,29 +1,25 @@
 """Test-and-check harness and result analysis (paper Fig. 1, section 7).
 
-``backends`` is the engine: pluggable serial / process-pool execution
-and checking shared by :class:`repro.api.Session` and by the deprecated
-free functions here (``run_and_check``, ``check_traces``, …, kept as
-thin shims); ``results``/``merge``/``report`` aggregate, combine and
-render results across configurations; ``coverage`` measures
-specification coverage (section 7.2).
+``backends`` is the engine: the serial, process-pool and sharded
+backends whose ``run_iter`` executes and checks a script stream for
+:class:`repro.api.Session`, the one way a suite is run.  ``run`` holds
+the :class:`SuiteResult` view of a run; ``merge``/``report``/``ci``
+combine, render and baseline results across configurations;
+``portability``, ``debug``, ``reduce`` and ``differential`` analyse
+single traces and configuration pairs.
 """
 
-from repro.harness.backends import (Backend, CheckOutcome, PipelineRun,
+from repro.harness.backends import (Backend, CheckOutcome,
                                     ProcessPoolBackend, SerialBackend,
                                     ShardedBackend, make_backend,
-                                    owned_backend, run_pipeline)
-from repro.harness.run import (SuiteResult, TraceFailure,
-                               as_suite_result, check_traces,
-                               execute_suite, run_and_check,
-                               suite_result_from)
-from repro.harness.coverage import measure_coverage
+                                    owned_backend)
+from repro.harness.run import SuiteResult, TraceFailure, as_suite_result
 from repro.harness.merge import (DeviationRecord, merge_results,
                                  merge_verdicts)
 from repro.harness.report import (render_merge, render_suite_result,
                                   render_summary_table)
 from repro.harness.debug import DebugStep, debug_trace, render_debug
 from repro.harness.portability import (PortabilityReport,
-                                       analyse_portability,
                                        portability_report)
 from repro.harness.reduce import (is_one_minimal, reduce_script,
                                   script_fails)
@@ -34,16 +30,13 @@ from repro.harness.ci import (RegressionReport, compare_to_baseline,
                               save_baseline)
 
 __all__ = [
-    "Backend", "CheckOutcome", "PipelineRun", "ProcessPoolBackend",
-    "SerialBackend", "ShardedBackend", "make_backend", "owned_backend",
-    "run_pipeline",
-    "SuiteResult", "TraceFailure", "as_suite_result", "check_traces",
-    "execute_suite", "run_and_check", "suite_result_from",
-    "measure_coverage",
+    "Backend", "CheckOutcome", "ProcessPoolBackend", "SerialBackend",
+    "ShardedBackend", "make_backend", "owned_backend",
+    "SuiteResult", "TraceFailure", "as_suite_result",
     "DeviationRecord", "merge_results", "merge_verdicts",
     "render_merge", "render_suite_result", "render_summary_table",
     "DebugStep", "debug_trace", "render_debug",
-    "PortabilityReport", "analyse_portability", "portability_report",
+    "PortabilityReport", "portability_report",
     "is_one_minimal", "reduce_script", "script_fails",
     "render_artifact_html", "render_html_report",
     "Difference", "DifferentialResult", "differential_run",

@@ -3,9 +3,11 @@
 The paper's pipeline (Fig. 1) has two embarrassingly parallel phases —
 executing a script suite and checking the observed traces — and reports
 running the checking phase over 4 worker processes (section 7.1).  This
-module factors both phases behind a small :class:`Backend` protocol so
-that every consumer (the :class:`repro.api.Session` facade, the
-deprecated free functions, the CLI) shares one engine:
+module runs both phases behind a small :class:`Backend` protocol.  Its
+``run_iter`` executes *and* checks a script stream, and it is the one
+way a suite runs: :class:`repro.api.Session` calls it, and through
+Session so do :func:`repro.api.survey`, the CLI and the fuzzer.  Three
+backends implement it:
 
 * :class:`SerialBackend` runs in-process and caches one
   :class:`repro.oracle.Oracle` per model/oracle name;
@@ -36,7 +38,9 @@ transition derived for one trace is free for every later trace the
 same worker checks.
 
 Backends yield results as they complete, which is what makes
-``Session.iter_checked()`` a true streaming iterator.
+``Session.iter_checked()`` a true streaming iterator.  Each backend
+also keeps the two single-phase halves, ``execute_iter`` and
+``check_iter``, for callers that already hold scripts or traces.
 """
 
 from __future__ import annotations
@@ -49,15 +53,8 @@ import multiprocessing
 import threading
 import time
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator,
-                    List, Optional, Sequence, Tuple, Union)
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+                    Optional, Protocol, Sequence, Tuple, Union,
+                    runtime_checkable)
 
 from repro.checker.checker import CheckedTrace
 from repro.core.coverage import REGISTRY
@@ -68,7 +65,7 @@ from repro.executor.executor import (  # noqa: F401
 from repro.fsimpl.quirks import Quirks
 from repro.oracle import ConformanceProfile, Oracle, get_oracle
 from repro.script.ast import Script, Trace
-from repro.service.pool import ArenaEpochs, ShardPool
+from repro.service.pool import VERDICT_MEMO_MAX, ArenaEpochs, ShardPool
 from repro.script.parser import parse_trace
 from repro.script.printer import print_trace
 from repro.store import CampaignStore, TraceRecord
@@ -113,7 +110,12 @@ class RunRecord:
 
 @runtime_checkable
 class Backend(Protocol):
-    """Where the pipeline's two parallel phases actually run."""
+    """Where the pipeline's two parallel phases actually run.
+
+    :meth:`run_iter` is the pipeline; :class:`repro.api.Session` calls
+    nothing else to run a suite.  A custom backend must implement all
+    four methods.
+    """
 
     #: Short descriptor recorded in artifacts (e.g. ``"serial"``).
     name: str
@@ -141,13 +143,9 @@ class Backend(Protocol):
         ``scripts`` may be a lazy generator (a
         :meth:`repro.gen.TestPlan.scripts` stream); the backend pulls
         from it incrementally, so checking begins while generation is
-        still producing and the suite is never materialised.
-
-        Optional for backward compatibility: a backend implementing
-        only the two-phase surface still works —
-        :class:`repro.api.Session` falls back to
-        :func:`fallback_run_iter`, which composes this from
-        ``execute_iter``/``check_iter``.
+        still producing and the suite is never materialised.  Each
+        outcome carries one :class:`~repro.oracle.ConformanceProfile`
+        per platform of the ``model`` oracle.
         """
         ...
 
@@ -169,32 +167,38 @@ class _BackendBase:
         self.close()
 
 
+def _oracle(model: str, collect_coverage: bool) -> Oracle:
+    """The oracle for a name, in this process.
+
+    :func:`repro.oracle.get_oracle` memoizes per ``(name, cache)``
+    process-wide, so a serial backend and each pool worker keep one
+    oracle per name for their whole life — and with it a warm prefix
+    cache, intern table and transition memo (:mod:`repro.engine`) —
+    without a second memo layer that would serve stale instances after
+    ``register_oracle(replace=True)``.  Coverage runs resolve with
+    ``cache=False``, which also rebuilds the engine tables per trace so
+    prefix and memo hits cannot swallow specification-clause
+    ``cover()`` calls.
+    """
+    return get_oracle(model, cache=not collect_coverage)
+
+
 class SerialBackend(_BackendBase):
     """In-process backend with a per-name :class:`~repro.oracle.Oracle`
     cache.
 
-    The cache is what a long-lived :class:`repro.api.Session` (or a
-    survey over many configurations sharing one backend) saves compared
-    to the old free functions, which rebuilt the checker per call — the
-    oracle instance carries its prefix-memoization cache across every
-    trace the backend ever checks against that name.  Execution goes
-    through one :class:`~repro.executor.ScriptExecutor`, so each script
-    resumes from its predecessor's state at their shared prefix.
+    The oracle instance carries its prefix-memoization cache across
+    every trace the backend ever checks against that name, so a survey
+    over many configurations sharing one backend derives each
+    transition once.  Execution goes through one
+    :class:`~repro.executor.ScriptExecutor`, so each script resumes
+    from its predecessor's state at their shared prefix.
     """
 
     name = "serial"
 
     def __init__(self) -> None:
         self._executor = ScriptExecutor()
-
-    def _oracle(self, model: str,
-                collect_coverage: bool = False) -> Oracle:
-        # get_oracle memoizes per (name, cache) process-wide, so the
-        # prefix cache stays warm across calls and sessions without a
-        # second memo layer (which would serve stale instances after
-        # register_oracle(replace=True)).  Coverage collection gets an
-        # uncached oracle: prefix hits would skip clause evaluations.
-        return get_oracle(model, cache=not collect_coverage)
 
     def run_stats(self) -> Dict[str, int]:
         """Serial runs keep no engine counters: an empty map, so their
@@ -209,7 +213,7 @@ class SerialBackend(_BackendBase):
     def check_iter(self, model: str, traces: Sequence[Trace], *,
                    collect_coverage: bool = False
                    ) -> Iterator[CheckOutcome]:
-        oracle = self._oracle(model, collect_coverage)
+        oracle = _oracle(model, collect_coverage)
         for trace in traces:
             if collect_coverage:
                 REGISTRY.reset_hits()
@@ -223,7 +227,7 @@ class SerialBackend(_BackendBase):
                  scripts: Iterable[Script], *,
                  collect_coverage: bool = False
                  ) -> Iterator[RunRecord]:
-        oracle = self._oracle(model, collect_coverage)
+        oracle = _oracle(model, collect_coverage)
         for script in scripts:
             t0 = time.perf_counter()
             trace = self._executor.execute(quirks, script)
@@ -244,25 +248,10 @@ class SerialBackend(_BackendBase):
 
 # -- process-pool worker side -------------------------------------------------
 
-def _worker_oracle(model: str, collect_coverage: bool) -> Oracle:
-    """The worker-process oracle for a name.
-
-    :func:`repro.oracle.get_oracle` memoizes per process, so each
-    worker keeps one oracle per name for its whole life — and with it
-    a warm prefix cache, intern table and transition memo
-    (:mod:`repro.engine`), the per-worker reuse that replaces
-    per-trace checker construction and transition re-derivation.
-    Coverage runs resolve with ``cache=False``, which also rebuilds
-    the engine tables per trace so memo hits cannot swallow
-    specification-clause ``cover()`` calls.
-    """
-    return get_oracle(model, cache=not collect_coverage)
-
-
 @functools.lru_cache(maxsize=1)
 def _worker_executor() -> ScriptExecutor:
     """The worker-process executor, created on first use and kept for
-    the worker's life (as :func:`_worker_oracle` keeps oracles), so the
+    the worker's life (as :func:`_oracle` keeps oracles), so the
     scripts of consecutive chunks resume from each other's prefixes."""
     return ScriptExecutor()
 
@@ -277,7 +266,7 @@ def _check_worker(args: Tuple[int, str, str, bool]
     collide and nothing is reconstructed lossily in the parent.
     """
     index, model, trace_text, collect_coverage = args
-    oracle = _worker_oracle(model, collect_coverage)
+    oracle = _oracle(model, collect_coverage)
     trace = parse_trace(trace_text)
     if collect_coverage:
         REGISTRY.reset_hits()
@@ -305,7 +294,7 @@ def _run_worker(args: Tuple[int, Quirks, Script, str, bool]) -> tuple:
     t0 = time.perf_counter()
     trace = _worker_executor().execute(quirks, script)
     t1 = time.perf_counter()
-    oracle = _worker_oracle(model, collect_coverage)
+    oracle = _oracle(model, collect_coverage)
     if collect_coverage:
         REGISTRY.reset_hits()
     verdict = oracle.check(trace)
@@ -319,10 +308,9 @@ def _run_worker(args: Tuple[int, Quirks, Script, str, bool]) -> tuple:
 class ProcessPoolBackend(_BackendBase):
     """Backend fanning both phases out over a persistent worker pool.
 
-    Unlike the old ``check_traces(processes=N)``, the pool survives
-    across calls (a Session checking several models, or a survey over
-    many configurations, pays the fork cost once), and ``chunksize`` is
-    configurable with a default derived from the input size.
+    The pool survives across calls (a survey over many configurations
+    pays the fork cost once), and ``chunksize`` is configurable with a
+    default derived from the input size.
     """
 
     def __init__(self, processes: Optional[int] = None,
@@ -355,10 +343,9 @@ class ProcessPoolBackend(_BackendBase):
         pool = self._ensure_pool()
         payload = ((i, quirks, script)
                    for i, script in enumerate(scripts))
-        for index, trace_text in pool.imap(
+        for _index, trace_text in pool.imap(
                 _execute_worker, payload,
                 chunksize=self.pick_chunksize(len(scripts))):
-            assert index is not None
             yield parse_trace(trace_text)
 
     def check_iter(self, model: str, traces: Sequence[Trace], *,
@@ -606,7 +593,6 @@ class ShardedBackend(_BackendBase):
 
     def _memoize(self, model: str, trace_text: str,
                  profiles: tuple) -> None:
-        from repro.service.pool import VERDICT_MEMO_MAX
         if len(self._verdicts) >= VERDICT_MEMO_MAX:
             self._verdicts.pop(next(iter(self._verdicts)))
         self._verdicts[(model, trace_text)] = profiles
@@ -632,15 +618,12 @@ class ShardedBackend(_BackendBase):
                 stats["warmup_traces"] = index
                 self._epochs.publish(model)
             self._note_arena(stats)
-        if collect_coverage:
-            # Coverage never touches the memo: a served verdict would
-            # skip the specification clauses' cover() calls.
-            texts = {i: print_trace(traces[i])
-                     for i in range(index, len(traces))}
-            hits: Dict[int, tuple] = {}
-        else:
-            texts = {i: print_trace(traces[i])
-                     for i in range(index, len(traces))}
+        texts = {i: print_trace(traces[i])
+                 for i in range(index, len(traces))}
+        # Coverage never touches the memo: a served verdict would skip
+        # the specification clauses' cover() calls.
+        hits: Dict[int, tuple] = {}
+        if not collect_coverage:
             hits = {i: self._verdicts[(model, texts[i])]
                     for i in texts
                     if (model, texts[i]) in self._verdicts}
@@ -763,28 +746,6 @@ class ShardedBackend(_BackendBase):
             pass
 
 
-def fallback_run_iter(backend: Backend, quirks: Quirks, model: str,
-                      scripts: Iterable[Script], *,
-                      collect_coverage: bool = False
-                      ) -> Iterator[RunRecord]:
-    """``run_iter`` composed from the two-phase protocol, for custom
-    backends written against the pre-0.3 :class:`Backend` surface
-    (``execute_iter``/``check_iter`` only).  Feeds one script at a time
-    so a lazy plan stream stays lazy."""
-    for script in scripts:
-        t0 = time.perf_counter()
-        for trace in backend.execute_iter(quirks, (script,)):
-            t1 = time.perf_counter()
-            for outcome in backend.check_iter(
-                    model, (trace,),
-                    collect_coverage=collect_coverage):
-                yield RunRecord(
-                    target_function=script.target_function,
-                    outcome=outcome,
-                    exec_seconds=t1 - t0,
-                    check_seconds=time.perf_counter() - t1)
-
-
 def make_backend(processes: int = 1,
                  chunksize: Optional[int] = None,
                  backend: Optional[str] = None,
@@ -793,97 +754,46 @@ def make_backend(processes: int = 1,
 
     ``backend`` picks a family by name (``serial`` / ``process`` /
     ``sharded``); when omitted, ``shards`` selects the sharded backend
-    and otherwise ``processes > 1`` selects the process pool, exactly
-    as before.
+    and otherwise ``processes > 1`` selects the process pool.  A
+    sharded backend without ``shards`` gets ``processes`` shards.
+    Sizing the chosen family would ignore raises :class:`ValueError`
+    naming the flag: ``serial`` takes no ``processes > 1``, ``shards``
+    or ``chunksize``, and ``process`` takes no ``shards``.
     """
-    if backend == "sharded" or (backend is None and shards):
-        sharded = ShardedBackend(
-            shards or (processes if processes and processes > 1
-                       else None))
+    many = processes if processes and processes > 1 else None
+    family = backend or ("sharded" if shards else
+                         "process" if many else "serial")
+    ignored = {"serial": {"processes": many, "shards": shards,
+                          "chunksize": chunksize},
+               "process": {"shards": shards},
+               "sharded": {}}
+    if family not in ignored:
+        raise ValueError(f"unknown backend family {family!r} (expected "
+                         "serial, process or sharded)")
+    for flag, value in ignored[family].items():
+        if value:
+            raise ValueError(f"the {family} backend does not take "
+                             f"{flag}={value!r}")
+    if family == "sharded":
+        sharded = ShardedBackend(shards or many)
         if chunksize:
             sharded.chunk = max(1, chunksize)
         return sharded
-    if backend == "serial":
-        return SerialBackend()
-    if backend == "process" or (processes and processes > 1):
-        return ProcessPoolBackend(
-            processes if processes and processes > 1 else None,
-            chunksize=chunksize)
+    if family == "process":
+        return ProcessPoolBackend(many, chunksize=chunksize)
     return SerialBackend()
 
 
 @contextlib.contextmanager
-def owned_backend(backend: Optional[Backend], processes: int = 1,
-                  chunksize: Optional[int] = None):
-    """Yield ``backend``, or a default one owned by this scope.
+def owned_backend(backend: Optional[Backend]):
+    """Yield ``backend``, or a serial one owned by this scope.
 
     The shared create-if-absent/close-only-if-created pattern: an
-    explicitly supplied backend is the caller's to manage (and
-    ``processes`` must then be left at its default); a created one is
-    closed on exit.
+    explicitly supplied backend is the caller's to manage; a created
+    one is closed on exit.
     """
     if backend is not None:
-        if processes > 1:
-            raise ValueError(
-                "pass either processes or an explicit backend, not "
-                "both (the backend decides the parallelism)")
         yield backend
         return
-    created = make_backend(processes, chunksize=chunksize)
-    try:
+    with SerialBackend() as created:
         yield created
-    finally:
-        created.close()
-
-
-# -- the one-pass pipeline ----------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class PipelineRun:
-    """Raw engine output: one execute + check pass over a suite."""
-
-    model: str
-    traces: Tuple[Trace, ...]
-    outcomes: Tuple[CheckOutcome, ...]
-    exec_seconds: float
-    check_seconds: float
-
-    @property
-    def checked(self) -> Tuple[CheckedTrace, ...]:
-        return tuple(outcome.checked for outcome in self.outcomes)
-
-    @property
-    def covered_clauses(self) -> FrozenSet[str]:
-        covered: set = set()
-        for outcome in self.outcomes:
-            covered |= outcome.covered
-        return frozenset(covered)
-
-
-def run_pipeline(quirks: Quirks, scripts: Sequence[Script],
-                 model: Optional[str] = None,
-                 backend: Optional[Backend] = None,
-                 collect_coverage: bool = False,
-                 progress: Optional[ProgressFn] = None) -> PipelineRun:
-    """Execute a suite and check the traces — exactly once.
-
-    This is the engine under :class:`repro.api.Session`; the deprecated
-    free functions call it directly so old and new surfaces share one
-    implementation.
-    """
-    backend = backend or SerialBackend()
-    model = model or quirks.platform
-
-    t0 = time.perf_counter()
-    traces = list(backend.execute_iter(quirks, scripts))
-    t1 = time.perf_counter()
-    outcomes: List[CheckOutcome] = []
-    for outcome in backend.check_iter(model, traces,
-                                      collect_coverage=collect_coverage):
-        outcomes.append(outcome)
-        if progress is not None:
-            progress(len(outcomes), len(traces), outcome.checked)
-    t2 = time.perf_counter()
-    return PipelineRun(model=model, traces=tuple(traces),
-                       outcomes=tuple(outcomes),
-                       exec_seconds=t1 - t0, check_seconds=t2 - t1)

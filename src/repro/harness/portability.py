@@ -6,24 +6,21 @@ aspects of the model."  Given a trace (e.g. recorded from an
 application), :func:`portability_report` folds a multi-platform
 :class:`~repro.oracle.Verdict` — one vectored state-set pass over every
 model variant — into a report of which platforms allow the trace,
-pinpointing the first non-portable step for each rejecting platform.
+pinpointing the first non-portable step for each rejecting platform::
 
-.. deprecated::
-    :func:`analyse_portability` remains as a shim (same report, built
-    by asking the ``"all"`` oracle); new code should check once via
-    :func:`repro.oracle.get_oracle` and keep the verdict — the same
-    pass also answers the merge and survey questions.
+    report = portability_report(get_oracle("all").check(trace))
+
+Keep the verdict: the same pass also answers the merge and survey
+questions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, List, Tuple
 
 from repro.core.platform import real_platforms
-from repro.oracle import Verdict, get_oracle
-from repro.script.ast import Trace
+from repro.oracle import Verdict
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,18 +67,3 @@ def portability_report(verdict: Verdict) -> PortabilityReport:
     return PortabilityReport(trace_name=verdict.trace.name,
                              accepted_on=tuple(accepted),
                              rejected_on=rejected)
-
-
-def analyse_portability(trace: Trace) -> PortabilityReport:
-    """Check ``trace`` against all four model variants.
-
-    .. deprecated:: prefer ``portability_report(get_oracle("all")
-        .check(trace))`` — the verdict carries the full per-platform
-        profiles, not just the folded report.
-    """
-    warnings.warn(
-        "repro.harness.analyse_portability is deprecated; use "
-        "repro.oracle.get_oracle('all').check(trace) and "
-        "portability_report(verdict)",
-        DeprecationWarning, stacklevel=2)
-    return portability_report(get_oracle("all").check(trace))

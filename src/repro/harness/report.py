@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.harness.merge import DeviationRecord
-from repro.harness.run import SuiteResult
+from repro.harness.run import SuiteResult, as_suite_result
 
 
 def _table(headers: List[str], rows: List[List[str]]) -> str:
@@ -25,7 +25,9 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
 
 
 def render_suite_result(result: SuiteResult) -> str:
-    """One configuration's acceptance summary."""
+    """One configuration's acceptance summary (of a
+    :class:`SuiteResult` or a :class:`repro.api.RunArtifact`)."""
+    result = as_suite_result(result)
     lines = [
         f"configuration: {result.config}  (checked against the "
         f"{result.model} model)",
@@ -50,10 +52,11 @@ def render_suite_result(result: SuiteResult) -> str:
 
 
 def render_summary_table(results: Sequence[SuiteResult]) -> str:
-    """Acceptance counts across configurations (section 7.2's shape)."""
+    """Acceptance counts across configurations (section 7.2's shape),
+    of :class:`SuiteResult` or :class:`repro.api.RunArtifact` values."""
     rows = [[r.config, r.model, str(r.total), str(r.accepted),
              str(len(r.failing))]
-            for r in results]
+            for r in map(as_suite_result, results)]
     return _table(["configuration", "model", "traces", "accepted",
                    "failing"], rows)
 

@@ -1,32 +1,19 @@
-"""Suite execution and trace checking (the pipeline of paper Fig. 1).
+"""Suite-result shapes shared by the reports, merges and CI baselines.
 
-.. deprecated::
-    The free functions here (``run_and_check``, ``check_traces``,
-    ``execute_suite``) are thin shims kept for backwards compatibility.
-    New code should use :class:`repro.api.Session`, which runs the
-    pipeline once and shares the artifact across every consumer; the
-    actual engine lives in :mod:`repro.harness.backends`.
-
-Trace independence gives an embarrassingly parallel checking phase; with
-``processes > 1`` the checker fans traces out over worker processes, as
-the paper does with 4 processes (section 7.1).  Workers exchange trace
-*text* rather than live objects — each worker parses and checks
-independently, mirroring the paper's process-per-trace architecture.
+A :class:`SuiteResult` is the per-configuration acceptance summary that
+:mod:`repro.harness.report`, :mod:`repro.harness.merge` and
+:mod:`repro.harness.ci` render and compare.  It is a view of a
+:class:`repro.api.RunArtifact` (``artifact.suite_result``), which
+:class:`repro.api.Session` produces from its one streaming pass over
+the pipeline of paper Fig. 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.checker.checker import CheckedTrace, Deviation
-from repro.fsimpl.configs import config_by_name
-from repro.fsimpl.quirks import Quirks
-from repro.harness.backends import (Backend, PipelineRun,
-                                    ProcessPoolBackend, SerialBackend,
-                                    owned_backend, run_pipeline)
-from repro.script.ast import Script, Trace
+from repro.checker.checker import Deviation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,85 +48,7 @@ class SuiteResult:
         return self.total / self.check_seconds
 
 
-def _warn_deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.harness.{name} is deprecated; use repro.api.Session, "
-        "which runs the pipeline once and shares the RunArtifact",
-        DeprecationWarning, stacklevel=3)
-
-
 def as_suite_result(result) -> SuiteResult:
-    """Coerce a legacy :class:`SuiteResult` or anything carrying a
+    """Coerce a :class:`SuiteResult` or anything carrying a
     ``suite_result`` view (a :class:`repro.api.RunArtifact`)."""
     return getattr(result, "suite_result", result)
-
-
-def suite_result_from(quirks: Quirks, scripts: Sequence[Script],
-                      pipe: PipelineRun) -> SuiteResult:
-    """Fold a raw engine pass into the legacy :class:`SuiteResult`."""
-    failures = []
-    for script, outcome in zip(scripts, pipe.outcomes):
-        checked = outcome.checked
-        if not checked.accepted:
-            failures.append(TraceFailure(
-                trace_name=checked.trace.name,
-                target_function=script.target_function,
-                deviations=checked.deviations))
-    return SuiteResult(config=quirks.name, model=pipe.model,
-                       total=len(scripts), failing=tuple(failures),
-                       exec_seconds=pipe.exec_seconds,
-                       check_seconds=pipe.check_seconds)
-
-
-def execute_suite(quirks: Quirks,
-                  scripts: Sequence[Script]) -> List[Trace]:
-    """Execute every script on a fresh instance of the configuration.
-
-    .. deprecated:: prefer ``Session(...).traces`` or a backend's
-        ``execute_iter``.
-    """
-    _warn_deprecated("execute_suite")
-    return list(SerialBackend().execute_iter(quirks, scripts))
-
-
-def check_traces(model: str, traces: Sequence[Trace],
-                 processes: int = 1,
-                 chunksize: Optional[int] = None) -> List[CheckedTrace]:
-    """Check traces against a model variant, optionally in parallel.
-
-    .. deprecated:: prefer ``Session(...).iter_checked()`` with a
-        :class:`~repro.harness.backends.ProcessPoolBackend`.
-
-    Parallel results are returned in full from the workers and keyed by
-    index, so duplicate trace names cannot collide and every
-    :class:`CheckedTrace` field (including ``pruned``) is faithful.
-    """
-    _warn_deprecated("check_traces")
-    if processes <= 1:
-        backend: Backend = SerialBackend()
-        return [o.checked for o in backend.check_iter(model, traces)]
-    with ProcessPoolBackend(processes, chunksize=chunksize) as pool:
-        return [o.checked for o in pool.check_iter(model, traces)]
-
-
-def run_and_check(config: str | Quirks, scripts: Sequence[Script],
-                  model: Optional[str] = None,
-                  processes: int = 1,
-                  backend: Optional[Backend] = None) -> SuiteResult:
-    """The full pipeline: execute the suite, check the traces.
-
-    .. deprecated:: prefer ``Session(config, model).run()``, whose
-        :class:`~repro.api.RunArtifact` also carries the checked traces
-        and serialises for CI.
-
-    ``model`` defaults to the configuration's expected platform (the
-    matching model variant); pass e.g. ``model="posix"`` to check a
-    Linux configuration against the POSIX envelope instead.  Pass
-    either ``processes`` or ``backend``, not both.
-    """
-    _warn_deprecated("run_and_check")
-    quirks = config if isinstance(config, Quirks) else \
-        config_by_name(config)
-    with owned_backend(backend, processes) as be:
-        pipe = run_pipeline(quirks, scripts, model=model, backend=be)
-    return suite_result_from(quirks, scripts, pipe)

@@ -28,8 +28,8 @@ Model and vectored oracles memoize clean label prefixes in a
 prefixes skip re-exploring them.  The pipeline backends
 (:mod:`repro.harness.backends`), the portability / merge / differential
 analyses and :class:`repro.api.Session` (``check_on=[...]``) are all
-built on these verdicts; ``TraceChecker`` remains as a deprecated
-single-platform shim.
+built on these verdicts; ``TraceChecker`` remains as the
+single-platform reference checker their parity is tested against.
 """
 
 from repro.oracle.base import Oracle

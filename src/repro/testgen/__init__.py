@@ -18,9 +18,8 @@ strategy and composed into lazy :class:`~repro.gen.TestPlan` streams
 
     plan = default_plan().filter(tags=["two-path"]).sample(200, seed=1)
 
-The old eager entry points (``generate_suite``, ``suite_summary``) are
-deprecated shims; :func:`summarize` returns the structured
-:class:`SuiteSummary` that replaces the summary dict.
+:func:`summarize` counts a population per targeted function as a
+:class:`SuiteSummary`.
 """
 
 from repro.testgen.properties import (PathProps, Resolution,
@@ -37,8 +36,7 @@ from repro.testgen.randomized import random_script, random_suite
 from repro.testgen.scenarios import (gen_crash_recovery_tests,
                                      gen_fault_tests,
                                      gen_interleaving_tests)
-from repro.testgen.suite import (SuiteSummary, generate_suite,
-                                 suite_summary, summarize)
+from repro.testgen.suite import SuiteSummary, summarize
 
 __all__ = [
     "PathProps", "Resolution", "impossible_combination",
@@ -50,5 +48,5 @@ __all__ = [
     "gen_fault_tests", "gen_crash_recovery_tests",
     "gen_interleaving_tests",
     "random_script", "random_suite",
-    "SuiteSummary", "generate_suite", "suite_summary", "summarize",
+    "SuiteSummary", "summarize",
 ]

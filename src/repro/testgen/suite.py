@@ -1,43 +1,22 @@
-"""Suite assembly and summaries.
-
-.. deprecated::
-    ``generate_suite`` and ``suite_summary`` are thin shims kept for
-    backwards compatibility.  New code should build a
-    :class:`repro.gen.TestPlan` (``repro.gen.default_plan()`` is this
-    exact suite) and stream it through :class:`repro.api.Session`; the
-    structured summary lives in :class:`SuiteSummary`.
+"""Suite summaries.
 
 The paper's suite is 21 070 scripts; the default suite here is a few
-thousand (the same generators at a laptop-friendly scale).  ``scale``
-multiplies the population by re-instantiating the generated classes with
-fresh object names — the equivalence-partitioning assumption says these
-add no coverage, which makes them exactly the right filler for
-performance experiments (section 7.1) without distorting acceptance
-results.
+thousand (the same generators at a laptop-friendly scale), streamed by
+:func:`repro.gen.default_plan`.  :func:`summarize` counts any script
+population per targeted libc function.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, Mapping
 
 from repro.script.ast import Script
-from repro.testgen.generator import (gen_fd_tests, gen_handle_tests,
-                                     gen_handwritten_tests,
-                                     gen_one_path_tests, gen_open_tests,
-                                     gen_permission_tests,
-                                     gen_two_path_tests)
 
 
 @dataclasses.dataclass(frozen=True)
 class SuiteSummary:
-    """Script counts per targeted libc function, plus the total.
-
-    Replaces the old dict that smuggled a ``"TOTAL"`` sentinel in with
-    the per-function counts (so iterating the counts no longer yields a
-    phantom function).
-    """
+    """Script counts per targeted libc function, plus the total."""
 
     #: Per-function counts — *only* functions, no sentinel keys.
     counts: Mapping[str, int]
@@ -53,13 +32,6 @@ class SuiteSummary:
             total += 1
         return cls(counts=counts, total=total)
 
-    def as_dict(self) -> Dict[str, int]:
-        """The legacy shape: per-function counts with the ``"TOTAL"``
-        sentinel mixed in (for the deprecated ``suite_summary``)."""
-        legacy = dict(self.counts)
-        legacy["TOTAL"] = self.total
-        return legacy
-
     def render(self) -> str:
         lines = [f"{func:<14} {count:>6}"
                  for func, count in sorted(self.counts.items())]
@@ -71,56 +43,3 @@ def summarize(scripts: Iterable[Script]) -> SuiteSummary:
     """Per-function script counts (paper section 6.1 reports e.g.
     2 500 autogenerated scripts for rename alone)."""
     return SuiteSummary.from_scripts(scripts)
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.testgen.{name} is deprecated; use {replacement}",
-        DeprecationWarning, stacklevel=3)
-
-
-def generate_suite(scale: int = 1) -> List[Script]:
-    """Generate the full suite.
-
-    .. deprecated:: prefer ``repro.gen.default_plan(scale=...)``, which
-        yields the byte-identical population as a *stream* the pipeline
-        consumes without materialising it.
-
-    The body intentionally repeats the default plan's generator list
-    instead of delegating: layering forbids ``repro.testgen`` importing
-    ``repro.gen`` (even lazily — the architecture test walks every
-    import node).  Byte-parity with ``default_plan`` is enforced by
-    tests on both sides.
-    """
-    _warn_deprecated("generate_suite", "repro.gen.default_plan, which "
-                     "streams the same population")
-    scripts: List[Script] = []
-    scripts.extend(gen_one_path_tests())
-    # rename gets the full situation matrix — it is the function with
-    # the paper's largest two-path population (~2 500 scripts).
-    scripts.extend(gen_two_path_tests("rename", full=True))
-    for func in ("link", "symlink"):
-        scripts.extend(gen_two_path_tests(func))
-    scripts.extend(gen_open_tests())
-    scripts.extend(gen_fd_tests())
-    scripts.extend(gen_handle_tests())
-    scripts.extend(gen_permission_tests())
-    scripts.extend(gen_handwritten_tests())
-    if scale > 1:
-        base = list(scripts)
-        for copy in range(1, scale):
-            for script in base:
-                scripts.append(dataclasses.replace(
-                    script, name=f"{script.name}__r{copy}"))
-    return scripts
-
-
-def suite_summary(scripts: List[Script]) -> Dict[str, int]:
-    """Per-function counts with a ``"TOTAL"`` sentinel key.
-
-    .. deprecated:: prefer :func:`summarize`, whose
-        :class:`SuiteSummary` keeps the total out of the counts dict.
-    """
-    _warn_deprecated("suite_summary",
-                     "repro.testgen.summarize (SuiteSummary)")
-    return summarize(scripts).as_dict()

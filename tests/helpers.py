@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from typing import List
+
 from repro.core.combinators import Outcomes
 from repro.core.errors import Errno
 from repro.core.flags import FileKind
@@ -10,8 +13,14 @@ from repro.core.values import Err, Ok
 from repro.fsops.common import FsEnv
 from repro.pathres.resname import Follow
 from repro.pathres.resolve import PermEnv, resolve
+from repro.script.ast import Script
 from repro.state.heap import FsState, empty_fs
 from repro.state.meta import Meta
+from repro.testgen.generator import (gen_fd_tests, gen_handle_tests,
+                                     gen_handwritten_tests,
+                                     gen_one_path_tests, gen_open_tests,
+                                     gen_permission_tests,
+                                     gen_two_path_tests)
 
 META = Meta(mode=0o755, uid=0, gid=0)
 FMETA = Meta(mode=0o644, uid=0, gid=0)
@@ -76,3 +85,32 @@ def the_success(outcomes: Outcomes):
     succ = successes(outcomes)
     assert len(succ) == 1, f"expected one success, got {len(succ)}"
     return succ[0]
+
+
+def generate_suite(scale: int = 1) -> List[Script]:
+    """The classic default suite, eagerly, as the reference order.
+
+    An independent statement of what ``repro.gen.default_plan(scale)``
+    streams: the generator families in their classic order, then
+    ``scale - 1`` renamed copies (``<name>__r<copy>``).  It repeats the
+    list instead of asking the strategy registry, so the tests that
+    compare the two catch a reordered or dropped family.
+    """
+    scripts: List[Script] = []
+    scripts.extend(gen_one_path_tests())
+    # rename gets the full situation matrix — it is the function with
+    # the paper's largest two-path population (~2 500 scripts).
+    scripts.extend(gen_two_path_tests("rename", full=True))
+    for func in ("link", "symlink"):
+        scripts.extend(gen_two_path_tests(func))
+    scripts.extend(gen_open_tests())
+    scripts.extend(gen_fd_tests())
+    scripts.extend(gen_handle_tests())
+    scripts.extend(gen_permission_tests())
+    scripts.extend(gen_handwritten_tests())
+    base = list(scripts)
+    for copy in range(1, scale):
+        scripts.extend(dataclasses.replace(script,
+                                           name=f"{script.name}__r{copy}")
+                       for script in base)
+    return scripts

@@ -8,8 +8,8 @@ from repro.api import (ProcessPoolBackend, RunArtifact, SerialBackend,
                        Session, ShardedBackend, survey)
 from repro.cli import main
 from repro.fsimpl import config_by_name
-from repro.harness import (check_traces, compare_to_baseline,
-                           merge_results, run_and_check, save_baseline)
+from repro.harness import (compare_to_baseline, merge_results,
+                           save_baseline)
 from repro.script import parse_script
 
 SMALL_SUITE = [parse_script(text) for text in (
@@ -58,6 +58,36 @@ class TestSessionOnePass:
             assert first.to_json()
         assert first is second
         assert len(calls) == len(SMALL_SUITE)
+
+    def test_traces_are_a_view_of_the_single_run(self, tmp_path):
+        from repro.gen import StrategyPlan
+
+        produced = []
+
+        class Probe:
+            name = "probe"
+            tags = frozenset()
+
+            def estimate(self):
+                return len(SMALL_SUITE)
+
+            def scripts(self):
+                for script in SMALL_SUITE:
+                    produced.append(script.name)
+                    yield script
+
+        with Session("linux_sshfs_tmpfs", plan=StrategyPlan(Probe()),
+                     store=tmp_path / "campaign") as session:
+            traces = session.traces  # runs the pipeline
+            artifact = session.run()
+            assert session.run() is artifact
+            assert session.traces == traces
+            stats = session.store.stats()
+        assert produced == [s.name for s in SMALL_SUITE]
+        assert traces == tuple(c.trace for c in artifact.checked)
+        assert artifact.total == len(SMALL_SUITE)
+        assert (stats["rows"], stats["dedup_hits"]) == \
+            (len(SMALL_SUITE), 0)
 
     def test_iter_checked_streams_with_progress(self):
         seen = []
@@ -168,8 +198,9 @@ class TestBackendParity:
         backend = SerialBackend()
         traces = list(backend.execute_iter(quirks, DUP_NAME_SUITE))
         serial = [o.checked for o in backend.check_iter("linux", traces)]
-        with pytest.warns(DeprecationWarning):
-            parallel = check_traces("linux", traces, processes=2)
+        with ProcessPoolBackend(2) as pool:
+            parallel = [o.checked
+                        for o in pool.check_iter("linux", traces)]
         assert [c.accepted for c in serial] == \
             [c.accepted for c in parallel]
         assert [c.labels_checked for c in serial] == \
@@ -280,20 +311,10 @@ class TestSurveyAndIntegration:
         report = compare_to_baseline(artifact, path)
         assert not report.regressed
 
-    def test_deprecated_run_and_check_matches_session(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_and_check("linux_sshfs_tmpfs", SMALL_SUITE)
-        with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE) as s:
-            modern = s.run().suite_result
-        assert legacy.failing == modern.failing
-        assert legacy.total == modern.total
-
     def test_processes_with_explicit_backend_rejected(self):
-        backend = SerialBackend()
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="not both"):
-            run_and_check("linux_ext4", SMALL_SUITE, processes=4,
-                          backend=backend)
+        with pytest.raises(ValueError, match="backend instance"):
+            Session("linux_ext4", suite=SMALL_SUITE, processes=4,
+                    backend=SerialBackend())
 
 
 class TestCliExitCodes:

@@ -272,6 +272,30 @@ class TestShardedBackendEndToEnd:
         finally:
             backend.close()
 
+    def test_make_backend_sharded_processes_mean_shards(self):
+        from repro.harness.backends import make_backend
+
+        backend = make_backend(3, backend="sharded")
+        try:
+            assert backend.shards == 3
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(processes=4, backend="serial"), "processes=4"),
+        (dict(shards=2, backend="serial"), "shards=2"),
+        (dict(chunksize=3, backend="serial"), "chunksize=3"),
+        (dict(shards=2, backend="process"), "shards=2"),
+        (dict(backend="shard"), "family 'shard'"),
+    ], ids=["serial-processes", "serial-shards", "serial-chunksize",
+            "process-shards", "unknown-family"])
+    def test_make_backend_rejects_what_it_would_ignore(self, kwargs,
+                                                      named):
+        from repro.harness.backends import make_backend
+
+        with pytest.raises(ValueError, match=named):
+            make_backend(**kwargs).close()
+
     def test_coverage_parity_with_serial(self):
         suite = handwritten_traces  # noqa: F841 - keep import-free
         from repro.script import parse_script

@@ -1,12 +1,12 @@
 """Tests for the composable TestPlan API: strategies, registry,
-combinators, streaming generation, provenance, and the deprecation
-shims over the old eager surface."""
+combinators, streaming generation and provenance."""
 
 import dataclasses
 import itertools
 
 import pytest
 
+from helpers import generate_suite
 from repro.api import ProcessPoolBackend, RunArtifact, Session, survey
 from repro.cli import main
 from repro.fsimpl import config_by_name
@@ -14,12 +14,9 @@ from repro.gen import (EMPTY, REGISTRY, DEFAULT_STRATEGY_NAMES,
                        FunctionStrategy, RandomizedStrategy,
                        StrategyPlan, StrategyRegistry, build_plan,
                        default_plan, explicit, get_strategy, union)
-from repro.harness import (check_traces, execute_suite,
-                           measure_coverage, run_and_check)
 from repro.harness.backends import SerialBackend
 from repro.harness.differential import differential_run
 from repro.script import parse_script, print_script
-from repro.testgen import generate_suite, suite_summary, summarize
 
 SMALL_SUITE = [parse_script(text) for text in (
     '@type script\n# Test mkdir_ok\nmkdir "a" 0o755\nstat "a"\n',
@@ -67,9 +64,8 @@ class TestRegistry:
         registry.register(strategy, replace=True)  # explicit is fine
 
     def test_default_plan_matches_deprecated_generate_suite(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = generate_suite()
-        assert list(default_plan().scripts()) == legacy
+        # The reference is the classic eager suite (helpers.py).
+        assert list(default_plan().scripts()) == generate_suite()
 
 
 class TestCombinators:
@@ -259,34 +255,6 @@ class TestStreamingGeneration:
         lazy = union(FunctionStrategy("lazy", boom))
         assert lazy.cheap_estimate() is None
 
-    def test_two_phase_only_backend_still_works(self):
-        class LegacyBackend:
-            """The pre-0.3 protocol: no run_iter."""
-
-            name = "legacy"
-
-            def __init__(self):
-                self._inner = SerialBackend()
-
-            def execute_iter(self, quirks, scripts):
-                return self._inner.execute_iter(quirks, scripts)
-
-            def check_iter(self, model, traces, *,
-                           collect_coverage=False):
-                return self._inner.check_iter(
-                    model, traces, collect_coverage=collect_coverage)
-
-            def close(self):
-                self._inner.close()
-
-        plan = explicit(SMALL_SUITE)
-        with Session("linux_sshfs_tmpfs", plan=plan,
-                     backend=LegacyBackend()) as s:
-            legacy = s.run()
-        with Session("linux_sshfs_tmpfs", plan=plan) as s:
-            modern = s.run()
-        assert _strip_volatile(legacy) == _strip_volatile(modern)
-
     def test_plan_run_never_materializes_the_suite(self):
         with Session("linux_ext4",
                      plan=default_plan().take(20)) as session:
@@ -335,12 +303,15 @@ class TestStreamingGeneration:
         with Session("linux_ext4", plan=plan,
                      collect_coverage=True) as s:
             streamed = s.run()
-        with Session("linux_ext4", suite=SMALL_SUITE,
-                     collect_coverage=True) as s:
-            _ = s.traces  # force the legacy two-phase path
-            two_phase = s.run()
-        assert streamed.covered_clauses == two_phase.covered_clauses
-        assert streamed.checked == two_phase.checked
+        # The same suite executed, then checked, in two backend calls.
+        backend = SerialBackend()
+        traces = list(backend.execute_iter(config_by_name("linux_ext4"),
+                                           SMALL_SUITE))
+        outcomes = list(backend.check_iter("linux", traces,
+                                           collect_coverage=True))
+        assert set(streamed.covered_clauses) == \
+            set().union(*(o.covered for o in outcomes))
+        assert streamed.checked == tuple(o.checked for o in outcomes)
 
 
 class TestReproducibleRuns:
@@ -434,54 +405,3 @@ class TestPlanThroughApi:
         loaded = RunArtifact.from_json(json.dumps(payload))
         assert loaded.plan == "" and loaded.seeds == ()
         assert loaded.checked == artifact.checked
-
-
-class TestDeprecationShims:
-    """Every deprecated free function warns and matches the new API."""
-
-    def test_run_and_check(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_and_check("linux_sshfs_tmpfs", SMALL_SUITE)
-        with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE) as s:
-            modern = s.run().suite_result
-        assert legacy.failing == modern.failing
-        assert legacy.total == modern.total
-
-    def test_check_traces(self):
-        quirks = config_by_name("linux_sshfs_tmpfs")
-        backend = SerialBackend()
-        traces = list(backend.execute_iter(quirks, SMALL_SUITE))
-        with pytest.warns(DeprecationWarning):
-            legacy = check_traces("linux", traces)
-        modern = [o.checked
-                  for o in backend.check_iter("linux", traces)]
-        assert legacy == modern
-
-    def test_execute_suite(self):
-        quirks = config_by_name("linux_ext4")
-        with pytest.warns(DeprecationWarning):
-            legacy = execute_suite(quirks, SMALL_SUITE)
-        with Session(quirks, suite=SMALL_SUITE) as s:
-            modern = list(s.traces)
-        assert legacy == modern
-
-    def test_measure_coverage(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = measure_coverage("linux_ext4", SMALL_SUITE)
-        with Session("linux_ext4", suite=SMALL_SUITE,
-                     collect_coverage=True) as s:
-            modern = s.run().coverage_report()
-        assert legacy.covered == modern.covered
-        assert legacy.total == modern.total
-
-    def test_generate_suite(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = generate_suite()
-        assert legacy == list(default_plan().scripts())
-
-    def test_suite_summary(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = suite_summary(SMALL_SUITE)
-        modern = summarize(SMALL_SUITE)
-        assert legacy["TOTAL"] == modern.total == 3
-        assert "TOTAL" not in modern.counts

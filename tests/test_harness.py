@@ -1,11 +1,10 @@
 """Tests for the harness: run/check, coverage, merging and reports."""
 
+from repro.api import Session
 from repro.core.coverage import REGISTRY, CoverageRegistry
-from repro.harness import (DeviationRecord, measure_coverage,
-                           merge_results, render_merge,
-                           render_suite_result, render_summary_table,
-                           run_and_check)
-from repro.harness.run import check_traces, execute_suite
+from repro.harness import (DeviationRecord, ProcessPoolBackend,
+                           SerialBackend, merge_results, render_merge,
+                           render_suite_result, render_summary_table)
 from repro.fsimpl import config_by_name
 from repro.script import parse_script
 
@@ -19,15 +18,21 @@ SMALL_SUITE = [parse_script(text) for text in (
 )]
 
 
+def run_artifact(config, suite, model=None):
+    """One configuration's artifact, from a single Session pass."""
+    with Session(config, model, suite=suite) as session:
+        return session.run()
+
+
 class TestRunAndCheck:
     def test_clean_config_accepts(self):
-        result = run_and_check("linux_ext4", SMALL_SUITE)
+        result = run_artifact("linux_ext4", SMALL_SUITE)
         assert result.total == 3
         assert result.accepted == 3
         assert result.check_rate > 0
 
     def test_sshfs_fig4_detected(self):
-        result = run_and_check("linux_sshfs_tmpfs", SMALL_SUITE)
+        result = run_artifact("linux_sshfs_tmpfs", SMALL_SUITE)
         failing = {f.trace_name for f in result.failing}
         assert "fig4" in failing
 
@@ -35,15 +40,19 @@ class TestRunAndCheck:
         # A Linux config checked against the OS X model: the Linux
         # unlink/rmdir conventions surface as deviations elsewhere, but
         # this small suite stays within common behaviour.
-        result = run_and_check("linux_ext4", SMALL_SUITE, model="posix")
+        result = run_artifact("linux_ext4", SMALL_SUITE, model="posix")
         assert result.model == "posix"
         assert result.accepted == 3
 
     def test_parallel_checking_agrees_with_serial(self):
         quirks = config_by_name("linux_sshfs_tmpfs")
-        traces = execute_suite(quirks, SMALL_SUITE)
-        serial = check_traces("linux", traces, processes=1)
-        parallel = check_traces("linux", traces, processes=2)
+        serial_backend = SerialBackend()
+        traces = list(serial_backend.execute_iter(quirks, SMALL_SUITE))
+        serial = [o.checked
+                  for o in serial_backend.check_iter("linux", traces)]
+        with ProcessPoolBackend(2) as pool:
+            parallel = [o.checked
+                        for o in pool.check_iter("linux", traces)]
         assert [c.accepted for c in serial] == \
             [c.accepted for c in parallel]
         assert [c.deviations for c in serial] == \
@@ -86,14 +95,16 @@ class TestCoverageRegistry:
         assert REGISTRY.declared > 100
 
     def test_measure_coverage_small_suite(self):
-        report = measure_coverage("linux_ext4", SMALL_SUITE)
+        with Session("linux_ext4", suite=SMALL_SUITE,
+                     collect_coverage=True) as session:
+            report = session.run().coverage_report()
         assert 0 < report.fraction < 1  # a 3-script suite is partial
         assert report.total > 100
 
 
 class TestMergeAndReport:
     def _results(self):
-        return [run_and_check(name, SMALL_SUITE)
+        return [run_artifact(name, SMALL_SUITE)
                 for name in ("linux_ext4", "linux_sshfs_tmpfs",
                              "linux_btrfs")]
 
@@ -105,7 +116,7 @@ class TestMergeAndReport:
         assert any(r.trace_name == "fig4" for r in sshfs_only)
 
     def test_render_suite_result(self):
-        text = render_suite_result(run_and_check("linux_sshfs_tmpfs",
+        text = render_suite_result(run_artifact("linux_sshfs_tmpfs",
                                                  SMALL_SUITE))
         assert "linux_sshfs_tmpfs" in text
         assert "failing" in text

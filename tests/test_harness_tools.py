@@ -6,9 +6,10 @@ from repro.checker import TraceChecker, check_trace
 from repro.core.platform import LINUX_SPEC, OSX_SPEC, POSIX_SPEC
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
-from repro.harness import (analyse_portability, debug_trace,
-                           is_one_minimal, reduce_script, render_debug,
-                           render_html_report)
+from repro.harness import (debug_trace, is_one_minimal,
+                           portability_report, reduce_script,
+                           render_debug, render_html_report)
+from repro.oracle import get_oracle
 from repro.script import parse_script, parse_trace
 
 GOOD_TRACE = """\
@@ -67,9 +68,13 @@ class TestDebugTool:
         assert "|S|" in text
 
 
+def portability_of(text):
+    return portability_report(get_oracle("all").check(parse_trace(text)))
+
+
 class TestPortability:
     def test_portable_trace(self):
-        report = analyse_portability(parse_trace(GOOD_TRACE))
+        report = portability_of(GOOD_TRACE)
         assert report.portable
         assert set(report.accepted_on) == {"posix", "linux", "osx",
                                            "freebsd"}
@@ -77,7 +82,7 @@ class TestPortability:
     def test_linux_only_trace(self):
         # The §7.3.2 unlink-directory difference: an application relying
         # on EISDIR is not portable to OS X / FreeBSD.
-        report = analyse_portability(parse_trace(LINUX_ONLY_TRACE))
+        report = portability_of(LINUX_ONLY_TRACE)
         assert not report.portable
         assert "linux" in report.accepted_on
         assert "posix" in report.accepted_on  # the loose envelope
@@ -86,7 +91,7 @@ class TestPortability:
                    for msg in report.rejected_on["osx"])
 
     def test_render(self):
-        report = analyse_portability(parse_trace(LINUX_ONLY_TRACE))
+        report = portability_of(LINUX_ONLY_TRACE)
         text = report.render()
         assert "rejected on osx" in text
 

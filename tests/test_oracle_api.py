@@ -4,8 +4,8 @@ Covers: the vectored multi-platform oracle's bit-for-bit parity with
 independent ``TraceChecker`` passes (the acceptance criterion), prefix
 memoization, the determinized reference triage, the oracle registry,
 ``Session(check_on=...)`` with RunArtifact v3/v4 (exact round trips
-plus loading checked-in v1/v2/v3 fixtures), the deprecated shims, and
-the CLI surface (``repro check --platforms``, ``repro oracles``).
+plus loading checked-in v1/v2/v3 fixtures), portability and merge
+folds, and the CLI surface (``repro check --platforms``, ``repro oracles``).
 """
 
 import dataclasses
@@ -14,14 +14,14 @@ import pathlib
 
 import pytest
 
-from repro.api import ProcessPoolBackend, RunArtifact, Session
+from repro.api import (ProcessPoolBackend, RunArtifact, SerialBackend,
+                       Session)
 from repro.checker.checker import TraceChecker
 from repro.cli import main
 from repro.core.platform import SPECS, real_platforms, spec_by_name
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
-from repro.harness import (analyse_portability, merge_verdicts,
-                           portability_report)
+from repro.harness import merge_verdicts, portability_report
 from repro.oracle import (ModelOracle, PrefixCache, ReferenceOracle,
                           VectoredOracle, create_oracle, get_oracle,
                           oracle_name_for, oracle_names)
@@ -432,25 +432,19 @@ class TestRunArtifactV5:
         assert set(artifact.conformance_counts()) == set(SPECS)
         assert artifact.failing_on("posix") == ()
 
-    def test_check_on_rejects_two_phase_backend(self):
-        class LegacyBackend:
-            """Pre-0.3 surface: execute_iter/check_iter only."""
-            name = "legacy"
+    def test_check_on_rejects_backend_ignoring_the_oracle(self):
+        class PrimaryOnly(SerialBackend):
+            """Checks every script on the primary model alone."""
 
-            def execute_iter(self, quirks, scripts):
-                for script in scripts:
-                    yield execute_script(quirks, script)
-
-            def check_iter(self, model, traces, *,
-                           collect_coverage=False):
-                raise AssertionError("should not be reached")
-
-            def close(self):
-                pass
+            def run_iter(self, quirks, model, scripts, *,
+                         collect_coverage=False):
+                return super().run_iter(
+                    quirks, "linux", scripts,
+                    collect_coverage=collect_coverage)
 
         with pytest.raises(ValueError, match="oracle-aware"):
             Session("linux_ext4", check_on=["linux", "osx"],
-                    suite=SMALL_SUITE, backend=LegacyBackend()).run()
+                    suite=SMALL_SUITE, backend=PrimaryOnly()).run()
 
 
 class TestPortabilityAndMerge:
@@ -465,14 +459,6 @@ class TestPortabilityAndMerge:
         assert "linux" in report.accepted_on
         assert "posix" in report.accepted_on
         assert any("EPERM" in m for m in report.rejected_on["osx"])
-
-    def test_analyse_portability_shim_parity(self):
-        """Satellite: the deprecated shim returns the oracle report."""
-        for trace in _handwritten_traces("linux_sshfs_tmpfs")[:8]:
-            with pytest.warns(DeprecationWarning):
-                legacy = analyse_portability(trace)
-            fresh = portability_report(get_oracle("all").check(trace))
-            assert legacy == fresh
 
     def test_merge_verdicts_platform_axis(self):
         oracle = get_oracle("all")

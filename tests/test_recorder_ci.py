@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.checker import check_trace
 from repro.core.errors import Errno
 from repro.core.flags import OpenFlag
@@ -10,9 +11,9 @@ from repro.executor.recorder import RecordingFS
 from repro.fsimpl import config_by_name
 from repro.fsimpl.kernel import SpinHang
 from repro.fsimpl.modelfs import FsError
-from repro.harness import run_and_check
 from repro.harness.ci import (compare_to_baseline, save_baseline)
-from repro.harness.portability import analyse_portability
+from repro.harness.portability import portability_report
+from repro.oracle import get_oracle
 from repro.script import parse_script
 
 O = OpenFlag
@@ -66,7 +67,7 @@ class TestRecordingFS:
             fs.unlink("/d")
         except FsError:
             pass
-        report = analyse_portability(fs.trace())
+        report = portability_report(get_oracle("all").check(fs.trace()))
         assert "linux" in report.accepted_on
         assert "osx" in report.rejected_on
 
@@ -79,13 +80,19 @@ SMALL_SUITE = [parse_script(text) for text in (
 )]
 
 
+def run_artifact(config, suite):
+    """One configuration's artifact, from a single Session pass."""
+    with Session(config, suite=suite) as session:
+        return session.run()
+
+
 class TestCiBaselines:
     def test_baseline_roundtrip_clean(self, tmp_path):
-        result = run_and_check("linux_sshfs_tmpfs", SMALL_SUITE)
+        result = run_artifact("linux_sshfs_tmpfs", SMALL_SUITE)
         assert result.failing  # sshfs has known deviations
         path = tmp_path / "baseline.json"
         save_baseline(result, path)
-        again = run_and_check("linux_sshfs_tmpfs", SMALL_SUITE)
+        again = run_artifact("linux_sshfs_tmpfs", SMALL_SUITE)
         report = compare_to_baseline(again, path)
         assert not report.regressed
         assert report.fixed == ()
@@ -93,7 +100,7 @@ class TestCiBaselines:
     def test_new_failure_detected(self, tmp_path):
         import dataclasses
         base_cfg = config_by_name("linux_sshfs_tmpfs")
-        result = run_and_check(base_cfg, SMALL_SUITE)
+        result = run_artifact(base_cfg, SMALL_SUITE)
         path = tmp_path / "baseline.json"
         save_baseline(result, path)
         # A "new kernel release" introduces an extra defect.
@@ -102,7 +109,7 @@ class TestCiBaselines:
         probe = parse_script('@type script\n# Test chmod_probe\n'
                              'open "f" [O_CREAT;O_WRONLY] 0o644\n'
                              'close 3\nchmod "f" 0o600\n')
-        again = run_and_check(worse, SMALL_SUITE + [probe])
+        again = run_artifact(worse, SMALL_SUITE + [probe])
         report = compare_to_baseline(again, path)
         assert report.regressed
         assert "chmod_probe" in report.new_failures
@@ -110,28 +117,28 @@ class TestCiBaselines:
     def test_fix_reported_not_regressed(self, tmp_path):
         import dataclasses
         base_cfg = config_by_name("linux_sshfs_tmpfs")
-        result = run_and_check(base_cfg, SMALL_SUITE)
+        result = run_artifact(base_cfg, SMALL_SUITE)
         path = tmp_path / "baseline.json"
         save_baseline(result, path)
         fixed_cfg = dataclasses.replace(base_cfg,
                                         rename_nonempty_eperm=False)
-        again = run_and_check(fixed_cfg, SMALL_SUITE)
+        again = run_artifact(fixed_cfg, SMALL_SUITE)
         report = compare_to_baseline(again, path)
         assert not report.regressed
         assert "fig4" in report.fixed
 
     def test_mismatched_config_treated_as_new(self, tmp_path):
-        result = run_and_check("linux_sshfs_tmpfs", SMALL_SUITE)
+        result = run_artifact("linux_sshfs_tmpfs", SMALL_SUITE)
         path = tmp_path / "baseline.json"
         save_baseline(result, path)
-        other = run_and_check("linux_btrfs", SMALL_SUITE)
+        other = run_artifact("linux_btrfs", SMALL_SUITE)
         report = compare_to_baseline(other, path)
         assert report.regressed
 
     def test_render(self, tmp_path):
-        result = run_and_check("linux_sshfs_tmpfs", SMALL_SUITE)
+        result = run_artifact("linux_sshfs_tmpfs", SMALL_SUITE)
         path = tmp_path / "baseline.json"
         save_baseline(result, path)
         report = compare_to_baseline(
-            run_and_check("linux_sshfs_tmpfs", SMALL_SUITE), path)
+            run_artifact("linux_sshfs_tmpfs", SMALL_SUITE), path)
         assert "clean" in report.render()

@@ -2,11 +2,11 @@
 
 import pytest
 
+from helpers import generate_suite
 from repro.gen import default_plan
 from repro.script.ast import Script, ScriptStep
-from repro.testgen import (SITUATIONS, generate_suite,
-                           missing_combinations, situation_by_key,
-                           suite_summary, summarize)
+from repro.testgen import (SITUATIONS, missing_combinations,
+                           situation_by_key, summarize)
 from repro.testgen.generator import (gen_fd_tests, gen_handle_tests,
                                      gen_one_path_tests, gen_open_tests,
                                      gen_permission_tests,
@@ -119,14 +119,6 @@ class TestSuite:
         assert summary.counts["open"] > summary.counts["rmdir"]
         assert summary.counts["rename"] > summary.counts["rmdir"]
 
-    def test_summary_legacy_dict_shim(self):
-        suite = list(default_plan().take(10).scripts())
-        with pytest.warns(DeprecationWarning):
-            legacy = suite_summary(suite)
-        modern = summarize(suite)
-        assert legacy.pop("TOTAL") == modern.total
-        assert legacy == dict(modern.counts)
-
     def test_scale_multiplies(self):
         base = default_plan()
         scaled = default_plan(scale=2)
@@ -136,6 +128,6 @@ class TestSuite:
         assert len(names) == len(set(names))
 
     def test_generate_suite_shim_matches_default_plan(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = generate_suite(scale=2)
-        assert legacy == list(default_plan(scale=2).scripts())
+        # The reference is the classic eager suite (helpers.py).
+        assert list(default_plan(scale=2).scripts()) == \
+            generate_suite(scale=2)
