@@ -4,7 +4,16 @@ A *script* is a sequence of commands used to drive a file system under
 test; a *trace* interleaves the commands with the observed return values.
 Both have a line-oriented text syntax with ``@type script`` / ``@type
 trace`` headers, a parser, and a printer; ``parse . print`` is the
-identity (property-tested).
+identity (property-tested, and checked on every default-plan script and
+trace by ``benchmarks/smoke_roundtrip.py``).
+
+Lines repeat heavily (about 95% of the default plan's trace lines repeat
+an earlier one), so the parser parses each distinct line once per
+process: :func:`~repro.script.parser.parse_script_line` and
+:func:`~repro.script.parser.parse_trace_line` are memoized, each keeping
+at most :data:`~repro.script.parser.LINE_MEMO_MAX` lines.  Parsed
+commands, labels and return values are therefore shared between scripts
+and traces; they are frozen, and must stay so.
 """
 
 from repro.script.ast import (CreateEvent, DestroyEvent, Script, ScriptStep,

@@ -160,11 +160,14 @@ class CheckingService:
         return self.submit([trace])[0].result()
 
     def _store_append(self, trace: Trace,
-                      profiles: Tuple[ConformanceProfile, ...]) -> None:
+                      profiles: Tuple[ConformanceProfile, ...],
+                      text: Optional[str] = None) -> None:
+        # ``text`` is the trace printed, when the caller already has it.
         if self.store is not None:
             self.store.append(TraceRecord(
                 partition=f"serve:{self.model}", name=trace.name,
-                target_function="", trace_text=print_trace(trace),
+                target_function="",
+                trace_text=print_trace(trace) if text is None else text,
                 profiles=tuple(profiles)))
 
     def submit(self, traces: Sequence[Union[str, Trace]]
@@ -210,7 +213,7 @@ class CheckingService:
                     for offset, raw in enumerate(inner):
                         raw.add_done_callback(self._propagate(
                             futures[index + offset],
-                            parsed[index + offset]))
+                            parsed[index + offset], items[offset][1]))
             self._submitted += len(parsed)
             self._outstanding = [f for f in self._outstanding
                                  if not f.done()]
@@ -218,17 +221,18 @@ class CheckingService:
                                      if not f.done())
         return futures
 
-    def _propagate(self, outer: Future, trace: Trace):
+    def _propagate(self, outer: Future, trace: Trace, text: str):
         # Bound (not static) so pool-path verdicts reach the campaign
-        # store too; the callback runs on the pool's result thread and
-        # the store append is behind the store's own lock.
+        # store too, under the text the shard checked; the callback runs
+        # on the pool's result thread and the store append is behind the
+        # store's own lock.
         def done(inner: Future) -> None:
             error = inner.exception()
             if error is not None:
                 outer.set_exception(error)
                 return
             profiles, _covered, _seconds = inner.result()
-            self._store_append(trace, profiles)
+            self._store_append(trace, profiles, text)
             outer.set_result(CheckResult(trace.name, profiles))
         return done
 

@@ -10,11 +10,16 @@ from repro.core.flags import OpenFlag, SeekWhence
 from repro.core.labels import (OsCall, OsCreate, OsReturn, OsSignal,
                                OsSpin)
 from repro.core.values import Err, Ok, RvBytes, RvDirEntry, RvNone, RvNum
+from repro.executor import ScriptExecutor
+from repro.fsimpl import ALL_CONFIGS
+from repro.gen import RandomizedStrategy, default_plan
 from repro.script import (ParseError, parse_command, parse_return,
                           parse_script, parse_trace, print_script,
                           print_trace)
 from repro.script.ast import CreateEvent, Script, ScriptStep, Trace, \
     TraceEvent
+from repro.script.parser import (LINE_MEMO_MAX, parse_script_line,
+                                 parse_trace_line)
 
 FIG2 = '''
 @type script
@@ -132,11 +137,104 @@ class TestTraceParsing:
         trace = parse_trace(
             '@type trace\n1: p2: mkdir "a" 0o755\nRV_none\n')
         assert trace.labels()[1] == OsReturn(2, Ok(RvNone()))
+        # One RV_none line returns a p1 call, then a p2 call: the memo
+        # shares the line's value, never its pid.  Cold, then memo hot.
+        text = ('@type trace\n1: mkdir "a" 0o755\nRV_none\n'
+                '3: p2: mkdir "b" 0o755\nRV_none\n')
+        parse_trace_line.cache_clear()
+        for _ in range(2):
+            labels = parse_trace(text).labels()
+            assert labels[1] == OsReturn(1, Ok(RvNone()))
+            assert labels[3] == OsReturn(2, Ok(RvNone()))
 
     def test_roundtrip(self):
         trace = parse_trace(FIG3)
         assert parse_trace(print_trace(trace)).labels() == \
             trace.labels()
+
+
+_STAT = "RV_stat({kind=%s; size=0; nlink=1; uid=0; gid=0; mode=0o644})"
+
+
+@pytest.mark.parametrize("parse,text,line_no", [
+    (parse_script, 'mkdir "a" 0o755\n', None),
+    (parse_script, "@type trace\n", 1),
+    (parse_script, '@type script\nmkdir "a"\n', 2),
+    (parse_script, '@type script\nfrobnicate "a"\n', 2),
+    (parse_script, '@type script\n# Test t\n\nmkdir "a" 0o7z9\n', 4),
+    (parse_script, '@type script\nopen "f" [O_BOGUS]\n', 2),
+    (parse_script, '@type script\nopen "f" [O_RDONLY] 0o644 1\n', 2),
+    (parse_script, '@type script\nlseek 3 0 SEEK_NOWHERE\n', 2),
+    (parse_script, '@type script\nrmdir a\n', 2),
+    (parse_script, '@type script\nrmdir "a\n', 2),
+    (parse_trace, '@type trace\n1: mkdir "a" 0o755\nRV_whatever\n', 3),
+    (parse_trace, '@type trace\n1: stat "f"\n' + _STAT % "S_BOGUS", 3),
+    (parse_trace, "@type trace\n1: read 3 1\nRV_bytes('a)\n", 3),
+    (parse_trace, "@type trace\n1: read 3 1\nRV_num(x)\n", 3),
+    (parse_trace, '@type trace\n7: frobnicate "a"\n', 2),
+], ids=["no-header", "wrong-header", "arity", "unknown-command",
+        "integer", "open-flag", "open-arity", "whence", "unquoted",
+        "untokenizable", "return-value", "file-kind", "string-literal",
+        "rv-num", "trace-command"])
+def test_malformed_input_raises_parse_error_naming_the_line(
+        parse, text, line_no):
+    # Twice: a failure the line memo kept would show on the second.
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert type(info.value) is ParseError
+        assert info.value.line_no == line_no
+
+
+# -- the line memos: bounded, and never change a parse ------------------------
+
+def _novel_trace_line(i: int) -> str:
+    return f'{i}: mkdir "d" 0o755' if i % 2 else f"RV_num({i})"
+
+
+@pytest.mark.parametrize("memo,novel", [
+    (parse_script_line, lambda i: f'p{i % 3 + 1}: mkdir "d{i}" 0o755'),
+    (parse_trace_line, _novel_trace_line),
+], ids=["script", "trace"])
+@pytest.mark.parametrize("stream", ["all-novel", "all-repeat",
+                                    "alternating"])
+def test_line_memo_is_bounded_and_exact(memo, novel, stream):
+    count = LINE_MEMO_MAX + 512
+    hot = novel(count)
+    lines = {"all-novel": (novel(i) for i in range(count)),
+             "all-repeat": (hot for _ in range(count)),
+             "alternating": (line for i in range(count)
+                             for line in (novel(i), hot))}[stream]
+    memo.cache_clear()
+    for line in lines:
+        assert memo(line) == memo.__wrapped__(line)
+        assert memo.cache_info().currsize <= LINE_MEMO_MAX
+    assert memo.cache_info().currsize == (
+        1 if stream == "all-repeat" else LINE_MEMO_MAX)
+
+
+# -- the round-trip contract at plan scale ------------------------------------
+
+def test_round_trip_at_plan_scale():
+    """Every 50th default-plan script and 50 randomized scripts, on all
+    43 configurations: print and parse are inverse both ways, for the
+    scripts and for their traces.  (``benchmarks/smoke_roundtrip.py``
+    checks the whole plan and 300 randomized scripts in CI.)"""
+    scripts = list(default_plan().scripts())[::50] + list(
+        RandomizedStrategy(count=50, seed=0, length=25,
+                           multi_process=True).scripts())
+    for script in scripts:
+        text = print_script(script)
+        assert parse_script(text) == script, script.name
+        assert print_script(parse_script(text)) == text, script.name
+    for quirks in ALL_CONFIGS:
+        executor = ScriptExecutor()
+        for script in scripts:
+            trace = executor.execute(quirks, script)
+            text = print_trace(trace)
+            where = f"{trace.name} on {quirks.name}"
+            assert parse_trace(text) == trace, where
+            assert print_trace(parse_trace(text)) == text, where
 
 
 # -- property tests: parse . print == id over generated commands ----------

@@ -218,6 +218,30 @@ class TestCheckingService:
              for f in service.submit(_traces(4, prefix="u"))]
             assert service.stats()["resolved_in_parent"] == 4
 
+    def test_pool_path_prints_each_trace_once_with_a_store(
+            self, tmp_path, monkeypatch):
+        from repro.service import service as service_mod
+        from repro.store import CampaignStore
+
+        printed = []
+
+        def counting_print(trace):
+            printed.append(trace.name)
+            return print_trace(trace)
+
+        monkeypatch.setattr(service_mod, "print_trace", counting_print)
+        traces = _traces(6)
+        path = tmp_path / "served"
+        with CheckingService("linux", shards=2, warmup=0,
+                             store=str(path)) as service:
+            [f.result(timeout=120) for f in service.submit(traces)]
+            assert service.stats()["resolved_in_parent"] == 0
+        # One print per served trace: the shard's text is the row's.
+        assert sorted(printed) == sorted(t.name for t in traces)
+        with CampaignStore(path, create=False) as store:
+            rows = {r.name: r.trace_text for _c, r in store.records()}
+        assert rows == {t.name: print_trace(t) for t in traces}
+
     def test_parent_only_mode_checks_synchronously(self):
         traces = _traces(5)
         with CheckingService("all", shards=0) as service:
