@@ -20,8 +20,9 @@ clean and a quirky configuration:
   everywhere regardless);
 * **amortization** — the persistent-pool story: one backend, many
   ``check_iter`` calls.  The first call pays the cold start (spawn +
-  warmup + arena publish); later calls re-use the standing workers and
-  epoch.  Recorded per call: ``cold_call_s``, the mean
+  cold oracles); later calls re-use the standing workers, their warm
+  oracles and verdict memos.  Recorded per call: ``cold_call_s``, the
+  mean
   ``amortized_call_s`` of the repeat calls, the serial per-call
   baseline, and ``repeat_sharded_vs_serial`` (>= 1.0 means the warm
   pool beats serial on repeat calls even on one CPU).
@@ -72,13 +73,12 @@ def check_profiles(backend, traces):
 
 
 def measure_amortization(config: str, sample: int, seed: int,
-                         warmup: int, calls: int = 5,
-                         shards: int = 2) -> dict:
+                         calls: int = 5, shards: int = 2) -> dict:
     """Cold-start vs amortized per-call cost of a persistent backend.
 
     One suite, ``calls`` sequential ``check_iter`` calls against the
-    *same* backend: call 1 pays spawn + warmup + publish; the rest ride
-    the standing pool (and its verdict memos).  The serial baseline is
+    *same* backend: call 1 pays the spawn and the cold oracles; the rest
+    ride the standing pool (and its verdict memos).  The serial baseline is
     measured per call over the same repeats.
     """
     traces = build_traces(config, sample, repeats=1, seed=seed)
@@ -91,7 +91,7 @@ def measure_amortization(config: str, sample: int, seed: int,
         want = got if want is None else want
     serial_call_s = sum(serial_times[1:]) / max(1, calls - 1)
 
-    backend = ShardedBackend(shards, warmup=warmup)
+    backend = ShardedBackend(shards)
     mismatches = 0
     try:
         cold_call_s, got = check_profiles(backend, traces)
@@ -119,7 +119,6 @@ def measure_amortization(config: str, sample: int, seed: int,
             serial_call_s / amortized_call_s, 3)
         if amortized_call_s else 0.0,
         "pool_cold_starts": stats.get("pool_cold_starts", 0),
-        "epochs_published": stats.get("epochs_published", 0),
         "verdict_hits": stats.get("verdict_hits", 0),
         "profile_mismatches": mismatches,
     }
@@ -136,9 +135,6 @@ def main(argv=None) -> int:
                         help="times the sampled suite is re-checked "
                              "(the repeat-heavy shape)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--warmup", type=int, default=16,
-                        help="traces checked in-parent to warm the "
-                             "shared memo arena")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the result as JSON")
     parser.add_argument("--strict", action="store_true",
@@ -156,7 +152,6 @@ def main(argv=None) -> int:
         "model": MODEL,
         "sample": sample,
         "repeats": args.repeats,
-        "warmup": args.warmup,
         "cpus": cpus,
         "target_speedup_4_shards": TARGET_SPEEDUP,
         "configs": {},
@@ -172,7 +167,7 @@ def main(argv=None) -> int:
                "shards": {}}
         times = {}
         for shards in SHARD_COUNTS:
-            backend = ShardedBackend(shards, warmup=args.warmup)
+            backend = ShardedBackend(shards)
             try:
                 shard_s, got = check_profiles(backend, traces)
                 stats = backend.run_stats()
@@ -185,9 +180,7 @@ def main(argv=None) -> int:
                 "seconds": round(shard_s, 3),
                 "traces_per_s": round(len(traces) / shard_s, 1),
                 "profile_mismatches": bad,
-                "arena_rows": stats.get("arena_rows", 0),
-                "arena_hits": stats.get("arena_hits", 0),
-                "arena_misses": stats.get("arena_misses", 0),
+                "verdict_hits": stats.get("verdict_hits", 0),
             }
         for shards in SHARD_COUNTS[1:]:
             row["shards"][str(shards)]["speedup_vs_1_shard"] = round(
@@ -207,19 +200,18 @@ def main(argv=None) -> int:
             extra = f"  ({speedup:.2f}x vs 1 shard)" if speedup else ""
             print(f"  {shards} shard(s): {shard_row['seconds']:7.2f} s "
                   f"({shard_row['traces_per_s']:8.1f} traces/s)"
-                  f"{extra}  [arena {shard_row['arena_hits']} hits / "
-                  f"{shard_row['arena_misses']} misses]")
+                  f"{extra}  [{shard_row['verdict_hits']} verdict "
+                  f"memo hits]")
 
     amortization = measure_amortization(
-        CONFIGS[1], sample=min(sample, 60), seed=args.seed,
-        warmup=args.warmup)
+        CONFIGS[1], sample=min(sample, 60), seed=args.seed)
     mismatches += amortization["profile_mismatches"]
     result["amortization"] = amortization
     print(f"\namortization ({amortization['config']}, "
           f"{amortization['shards']} shards, "
           f"{amortization['traces_per_call']} traces/call):")
     print(f"  cold call : {amortization['cold_call_s']:7.3f} s "
-          f"(spawn + warmup + publish)")
+          f"(spawn + cold oracles)")
     print(f"  warm call : {amortization['amortized_call_s']:7.3f} s "
           f"(mean of {amortization['calls'] - 1} repeats)")
     print(f"  serial    : {amortization['serial_call_s']:7.3f} s "

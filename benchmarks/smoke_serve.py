@@ -6,9 +6,11 @@ shard workers), submits the handwritten suite over the line-JSON
 socket through :class:`~repro.service.ServiceClient`, and asserts every
 served per-platform conformance profile is **bit-for-bit** identical to
 what an in-process :class:`~repro.api.SerialBackend` computes for the
-same traces.  Also exercises ``status`` and the clean ``shutdown``
-path, and checks the server wrote its final stats JSON (uploaded as a
-CI artifact).
+same traces.  Between the suite's two halves it sends a trace whose
+check raises (``OverflowError``): that one request must get the only
+error reply, and the second half must still be served exactly.  Also
+exercises ``status`` and the clean ``shutdown`` path, and checks the
+server wrote its final stats JSON (uploaded as a CI artifact).
 
 Usage::
 
@@ -41,6 +43,11 @@ from repro.testgen.generator import gen_handwritten_tests  # noqa: E402
 MODEL = "all"
 CONFIG = "linux_sshfs_tmpfs"  # quirky: served deviations under test
 READY_RE = re.compile(r"repro serve: listening on (\S+)")
+#: Parses, but checking it raises: the model stores file content
+#: densely, so a truncate past index size overflows.
+OVERFLOWING = ('@type trace\n# Test overflowing\n'
+               'open "f" [O_CREAT;O_RDWR] 0o644\nRV_num(3)\n'
+               'truncate "f" 999999999999999999999999\nRV_none\n')
 
 
 def start_server(shards: int, stats_json: pathlib.Path):
@@ -49,7 +56,7 @@ def start_server(shards: int, stats_json: pathlib.Path):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--model", MODEL, "--shards", str(shards), "--warmup", "4",
+         "--model", MODEL, "--shards", str(shards),
          "--stats-json", str(stats_json)],
         stdout=subprocess.PIPE, text=True, env=env)
     deadline = time.monotonic() + 60
@@ -84,12 +91,20 @@ def main(argv=None) -> int:
     want = [outcome.profiles
             for outcome in SerialBackend().check_iter(MODEL, traces)]
 
+    texts = [print_trace(t) for t in traces]
+    half = len(texts) // 2
     proc, address = start_server(args.shards, stats_json)
     mismatches = 0
+    errors = []
     try:
         with ServiceClient(address) as client:
-            verdicts, done = client.check_batch(
-                [print_trace(t) for t in traces])
+            verdicts, done = client.check_batch(texts[:half])
+            try:
+                client.check(OVERFLOWING)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+            rest, done = client.check_batch(texts[half:])
+            verdicts += rest
             for trace, verdict, profiles in zip(traces, verdicts,
                                                 want):
                 got = tuple(ConformanceProfile.from_dict(row)
@@ -107,19 +122,26 @@ def main(argv=None) -> int:
     print(f"\nserved {len(traces)} traces from {CONFIG} "
           f"(model={MODEL}, {args.shards} shards) via {address}")
     print(f"parity vs SerialBackend: {mismatches} mismatches")
+    print(f"error replies: {errors}")
     print(f"server stats: submitted={status.get('traces_submitted')}, "
-          f"in-parent={status.get('resolved_in_parent')}, "
-          f"epochs={status.get('epochs_published')}, "
-          f"batch_done count={done.get('count')}")
+          f"cold starts={status.get('pool_cold_starts')}, "
+          f"last batch_done count={done.get('count')}")
 
     failed = False
-    if mismatches:
+    if mismatches or len(verdicts) != len(traces):
         print("FAIL: served profiles differ from the serial backend")
+        failed = True
+    if len(errors) != 1 or "OverflowError" not in errors[0]:
+        print("FAIL: the raising trace must get exactly one error "
+              "reply, naming OverflowError")
         failed = True
     if returncode != 0:
         print(f"FAIL: server exited with {returncode}")
         failed = True
-    if status.get("traces_submitted") != len(traces):
+    if status.get("pool_cold_starts") != 1:
+        print("FAIL: the shard pool was restarted")
+        failed = True
+    if status.get("traces_submitted") != len(traces) + 1:
         print("FAIL: server did not account for every submitted trace")
         failed = True
     if not stats_json.exists():

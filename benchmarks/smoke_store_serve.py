@@ -3,7 +3,7 @@
 server restart.
 
 A campaign bigger than one process's lifetime is the store's reason to
-exist, so this smoke drives one through two server epochs:
+exist, so this smoke drives one through two server processes:
 
 1. start ``repro serve --store DIR``, submit *half* the handwritten
    suite, terminate the server;
@@ -57,7 +57,7 @@ def start_server(shards: int, store: pathlib.Path):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--model", MODEL, "--shards", str(shards), "--warmup", "4",
+         "--model", MODEL, "--shards", str(shards),
          "--store", str(store)],
         stdout=subprocess.PIPE, text=True, env=env)
     deadline = time.monotonic() + 60
@@ -74,7 +74,7 @@ def start_server(shards: int, store: pathlib.Path):
     raise RuntimeError("server never printed its listening address")
 
 
-def serve_epoch(shards: int, store: pathlib.Path, texts) -> None:
+def serve_once(shards: int, store: pathlib.Path, texts) -> None:
     proc, address = start_server(shards, store)
     try:
         with ServiceClient(address) as client:
@@ -121,12 +121,12 @@ def main(argv=None) -> int:
         store_dir = pathlib.Path(args.store)
 
     try:
-        print(f"epoch 1: serving {half} of {len(texts)} traces into "
+        print(f"server 1: serving {half} of {len(texts)} traces into "
               f"{store_dir}")
-        serve_epoch(args.shards, store_dir, texts[:half])
-        print(f"epoch 2: restarted server, serving all {len(texts)} "
+        serve_once(args.shards, store_dir, texts[:half])
+        print(f"server 2: restarted, serving all {len(texts)} "
               f"traces (first {half} must dedup)")
-        serve_epoch(args.shards, store_dir, texts)
+        serve_once(args.shards, store_dir, texts)
 
         with CampaignStore(store_dir, create=False) as store:
             survey = store.refresh_view("survey")
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
         if tmp is not None:
             tmp.cleanup()
 
-    print(f"\ncampaign: {rows} rows after 2 server epochs "
+    print(f"\ncampaign: {rows} rows after 2 server processes "
           f"({len(texts)} distinct traces served, "
           f"{half} re-submitted)")
     print(f"single-shot : total={expected['total']} "

@@ -21,9 +21,12 @@ reported by backends with a ``run_stats`` method; v5 extends
 marks that identical inputs now produce different (richer) stats
 dictionaries than a v4 writer would; v6 extended them again with a
 compiled checking engine's fast-path counters (``compiled_hits`` /
-``compiled_misses``).  That engine has since been removed, so writers
-no longer report those keys, but ``engine_stats`` is an open map and
-v6 files that carry them still load, as do v1–v5 artifacts.
+``compiled_misses``).  That engine has since been removed, and so has
+the shared-memory memo arena behind the warmup, arena and epoch keys:
+the sharded backend now reports ``shards``, ``warmup_traces`` (always
+0), ``verdict_hits`` and ``pool_cold_starts``.  ``engine_stats`` is an
+open map, so files that carry the old keys still load, as do v1–v5
+artifacts.
 """
 
 from __future__ import annotations
@@ -88,9 +91,9 @@ class RunArtifact:
     #: runs, whose only profile *is* ``checked``.
     profiles: Tuple[Tuple[ConformanceProfile, ...], ...] = ()
     #: Execution-engine counters as sorted ``(key, value)`` pairs —
-    #: the sharded backend reports shard count, warmup size, arena
-    #: rows/states and pool-wide memo hit/miss totals here.  Empty for
-    #: backends without ``run_stats``.
+    #: the sharded backend reports its shard count, verdict-memo hits
+    #: and pool cold starts here.  Empty for backends without
+    #: ``run_stats``.
     engine_stats: Tuple[Tuple[str, int], ...] = ()
 
     # -- derived views --------------------------------------------------------

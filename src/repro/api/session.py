@@ -77,9 +77,8 @@ class Session:
         :func:`~repro.harness.backends.make_backend` (``processes`` /
         ``shards`` / ``chunksize`` configure it), **owned** by the
         session, and deterministically released by :meth:`close` —
-        shard worker processes and shared-memory arenas included, so a
-        ``with Session(...)`` block cannot leak segments that warn at
-        interpreter exit.  A backend *instance* passed in explicitly is
+        shard worker processes included, so a ``with Session(...)``
+        block leaves no worker running past it.  A backend *instance* passed in explicitly is
         shared — the session will not close it (use the backend's own
         context manager).  Defaults to a private, owned
         :class:`~repro.harness.backends.SerialBackend`.
@@ -296,9 +295,9 @@ class Session:
         covered: set = set()
         for record in records:
             covered |= record.outcome.covered
-        # Backends exposing run_stats (the sharded backend's shard /
-        # warmup / arena hit-miss counters) get them recorded in the
-        # artifact (format v4) as sorted (key, value) pairs.
+        # Backends exposing run_stats (the sharded backend's shard and
+        # verdict-memo counters) get them recorded in the artifact
+        # (format v4 on) as sorted (key, value) pairs.
         stats_fn = getattr(self.backend, "run_stats", None)
         engine_stats = (tuple(sorted(
             (str(k), int(v)) for k, v in stats_fn().items()))
@@ -351,9 +350,8 @@ class Session:
         (idempotent); shared instances are left untouched.
 
         For an owned sharded backend this is the deterministic
-        teardown: shard worker processes are joined and the published
-        shared-memory arena is unlinked *now*, not whenever the
-        interpreter's finalizers get around to it.
+        teardown: shard worker processes are joined *now*, not whenever
+        the interpreter's finalizers get around to it.
         """
         if not self._closed:
             self._closed = True

@@ -183,10 +183,7 @@ def _cmd_serve(args) -> int:
     model = (oracle_name_for(_parse_platforms(args.platforms))
              if args.platforms else args.model)
     shards = 0 if args.backend == "serial" else args.shards
-    service = CheckingService(model, shards=shards,
-                              warmup=args.warmup,
-                              miss_watermark=args.watermark,
-                              store=args.store)
+    service = CheckingService(model, shards=shards, store=args.store)
     service.start()
 
     def ready(server) -> None:
@@ -663,12 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "oracle")
     p.add_argument("--shards", type=int, default=None,
                    help="shard workers (default: CPU count, min 2)")
-    p.add_argument("--warmup", type=int, default=16,
-                   help="traces checked in the parent before each "
-                        "arena epoch is published")
-    p.add_argument("--watermark", type=int, default=256,
-                   help="pool arena misses that trigger an epoch "
-                        "republish (<=0: first epoch only)")
     p.add_argument("--stats-json", default=None, metavar="PATH",
                    help="write the service's cumulative stats as JSON "
                         "— periodically, on SIGTERM and on shutdown "

@@ -22,12 +22,9 @@ This package is the engine both checking front ends share:
 * Compact id-set operations (:meth:`TransitionMemo.apply`,
   :meth:`TransitionMemo.closure`, :meth:`TransitionMemo.recover`,
   :meth:`TransitionMemo.prune`) replace frozenset-of-dataclass unions.
-* :mod:`repro.engine.shard` packs a warmed table + memo set into a
-  read-mostly shared-memory arena (:class:`MemoArena` /
-  :class:`ArenaReader`) so a pool of checking workers shares one memo
-  instead of re-deriving it per worker;
-  :class:`SharedTransitionMemo` falls back to local derivation on
-  arena misses, with identical results.
+
+Tables and memos live in one process: each checking worker keeps its
+own, warm for its whole life.
 
 Layering (``tests/test_architecture.py``): the package sits directly
 above ``repro.osapi`` and *below* ``repro.checker``, so both the
@@ -47,8 +44,5 @@ as it already runs oracles with prefix caching disabled.
 
 from repro.engine.intern import InternTable
 from repro.engine.memo import TransitionMemo, recover_states
-from repro.engine.shard import (ArenaReader, MemoArena,
-                                SharedTransitionMemo)
 
-__all__ = ["ArenaReader", "InternTable", "MemoArena",
-           "SharedTransitionMemo", "TransitionMemo", "recover_states"]
+__all__ = ["InternTable", "TransitionMemo", "recover_states"]

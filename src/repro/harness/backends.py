@@ -18,13 +18,9 @@ backends implement it:
   *text*, mirroring the paper's process-per-trace architecture.
 * :class:`ShardedBackend` executes every script in the parent and
   partitions the *checking* across *persistent* shard processes (a
-  :class:`~repro.service.pool.ShardPool` that outlives the call), which
-  share **one** read-mostly transition memo: a parent-side warmup pass
-  packs the interned engine's tables into a shared-memory
-  :class:`~repro.engine.shard.MemoArena` that every worker re-attaches
-  per published epoch, falling back to local memoization on miss
-  (hit/miss and amortization counters surface in RunArtifact v5
-  ``engine_stats``).
+  :class:`~repro.service.pool.ShardPool` that outlives the call), each
+  checking on its own warm oracle (verdict-memo and pool counters
+  surface in RunArtifact ``engine_stats``).
 
 Checking is oracle-driven: the ``model`` parameter is an oracle name
 resolved through :mod:`repro.oracle` — a plain platform (``"linux"``)
@@ -65,7 +61,7 @@ from repro.executor.executor import (  # noqa: F401
 from repro.fsimpl.quirks import Quirks
 from repro.oracle import ConformanceProfile, Oracle, get_oracle
 from repro.script.ast import Script, Trace
-from repro.service.pool import VERDICT_MEMO_MAX, ArenaEpochs, ShardPool
+from repro.service.pool import ShardPool, memoize_verdict
 from repro.script.parser import parse_trace
 from repro.script.printer import print_trace
 from repro.store import CampaignStore, TraceRecord
@@ -438,10 +434,10 @@ class ProcessPoolBackend(_BackendBase):
 # -- sharded backend ----------------------------------------------------------
 
 class ShardedBackend(_BackendBase):
-    """Sharded checking over a shared read-mostly transition memo.
+    """Sharded checking on a standing pool of warm shard processes.
 
     A drop-in for :class:`ProcessPoolBackend` built on the persistent
-    :class:`~repro.service.pool.ShardPool`, with four differences in
+    :class:`~repro.service.pool.ShardPool`, with three differences in
     how the work runs:
 
     * **Execute in the parent, check on the shards.**  As in the paper
@@ -449,40 +445,30 @@ class ShardedBackend(_BackendBase):
       executes on the pool's feeder thread with a per-call
       :class:`~repro.executor.ScriptExecutor` (an abandoned call's
       feeder may still be running), keeps each :class:`Trace` and ships
-      its text once; a shard parses and checks it.  A script that
-      raises fails its call, not the pool.  That one thread bounds the
-      call's throughput: cheap on prefix-sharing streams, it becomes
-      the limit at a few shards when scripts share little.
+      its text once; a shard parses and checks it.  A script or a check
+      that raises fails its call at that item, not the pool.  That one
+      thread bounds the call's throughput: cheap on prefix-sharing
+      streams, it becomes the limit at a few shards when scripts share
+      little.
     * **Persistent workers.**  Shard processes are spawned on the first
-      call and *reused* across calls — the re-fork cost that used to be
-      paid per ``check_iter``/``run_iter`` call is paid once per
-      backend (``pool_cold_starts`` in :meth:`run_stats` counts it).
-    * **Warmup + arena epochs.**  When an epoch must be (re)published,
-      the first ``warmup`` items of the call are checked in the parent
-      on a persistent warm oracle; the engine tables that pass
-      populates are packed into a
-      :class:`~repro.engine.shard.MemoArena` (shared memory where
-      available) which every worker re-attaches by handle — one memo
-      for the whole pool, no re-fork.  Workers fall back to local
-      memoization on any arena miss, with identical results (parity is
-      test-enforced).  Republishing is driven by an **arena-miss
-      watermark** (:class:`~repro.service.pool.ArenaEpochs`): a later
-      call skips warmup and publication entirely until the pool has
-      drifted ``miss_watermark`` misses away from the published rows —
-      this is what makes repeat-call sharding beat serial.
+      call and *reused* across calls, each keeping one warm oracle per
+      model (prefix cache, intern table, transition memos) for its whole
+      life — the spawn cost is paid once per backend
+      (``pool_cold_starts`` in :meth:`run_stats` counts it).
     * **Partitioned feeding.**  Items are routed to shards by a stable
       hash of the configuration-partition key and the item name, so
       repeats of a trace (and families sharing its name) always land on
       the shard whose prefix cache — and bounded verdict memo — already
       knows them.
 
-    Hit/miss and amortization counters come back in :meth:`run_stats`
-    (surfaced as RunArtifact v5 ``engine_stats``).
+    ``check_iter`` also keeps a parent-side verdict memo, so an exact
+    repeat costs a dict lookup instead of a round trip.  Counters come
+    back in :meth:`run_stats` (surfaced as RunArtifact
+    ``engine_stats``).
     """
 
     def __init__(self, shards: Optional[int] = None, *,
-                 warmup: int = 16, window: int = 16, chunk: int = 16,
-                 reclaim: bool = True, miss_watermark: int = 512,
+                 window: int = 16, chunk: int = 16,
                  store: Optional[Union[CampaignStore, str]] = None
                  ) -> None:
         self.shards = shards or max(2, multiprocessing.cpu_count())
@@ -497,18 +483,11 @@ class ShardedBackend(_BackendBase):
         else:
             self.store = CampaignStore(store)
             self._owns_store = True
-        self.warmup = max(0, warmup)
-        self.reclaim = reclaim
-        self.epoch = 0
         self._pool = ShardPool(self.shards, window=window, chunk=chunk)
-        self._epochs = ArenaEpochs(self._pool, reclaim=reclaim,
-                                   miss_watermark=miss_watermark)
         self._last_stats: Dict[str, int] = {}
-        # Parent-side bounded verdict memo, keyed by exact trace text.
-        # The oracle is deterministic, so a memoized profile tuple is
-        # bit-for-bit what a re-check would produce — an exact repeat
-        # costs a dict lookup instead of an IPC round trip, which is
-        # what drives the amortized per-call overhead to ~zero on
+        # Parent-side bounded verdict memo, keyed by exact trace text:
+        # an exact repeat costs a dict lookup instead of an IPC round
+        # trip, which is what drives the per-call overhead to ~zero on
         # repeat-heavy campaigns (CI re-runs, watch loops).
         self._verdicts: Dict[Tuple[str, str], tuple] = {}
 
@@ -538,35 +517,20 @@ class ShardedBackend(_BackendBase):
         self._pool.chunk = max(1, value)
 
     def run_stats(self) -> Dict[str, int]:
-        """Counters from the most recent pass (RunArtifact v5
-        ``engine_stats``): shard/warmup/arena sizes, the per-call
-        arena hit/miss and verdict-memo deltas, and the cumulative
-        amortization counters (``epochs_published``,
-        ``pool_cold_starts``, ``epochs_adopted``)."""
+        """Counters from the most recent pass (RunArtifact
+        ``engine_stats``): the shard count, the pass's verdict-memo hits
+        (parent and shards) and the cumulative ``pool_cold_starts``.
+        ``warmup_traces`` is always 0: no trace is checked in the parent
+        (perfbench reads the key)."""
         return dict(self._last_stats)
 
-    def _begin_epoch(self) -> Dict[str, int]:
-        # The epoch counter itself stays off the stats: it would make
-        # otherwise-identical runs on a reused backend produce
-        # different artifacts (they are CI-diffed byte for byte).
-        self.epoch += 1
+    def _new_stats(self) -> Dict[str, int]:
         return {"shards": self.shards, "warmup_traces": 0,
-                "arena_states": 0, "arena_rows": 0,
-                "arena_hits": 0, "arena_misses": 0,
-                "verdict_hits": 0, "epochs_adopted": 0}
-
-    def _note_arena(self, stats: Dict[str, int]) -> None:
-        arena = self._epochs.arena
-        if arena is not None:
-            stats["arena_states"] = arena.n_states
-            stats["arena_rows"] = arena.rows
+                "verdict_hits": 0}
 
     def _finish_call(self, stats: Dict[str, int], call) -> None:
         if call is not None:
-            for key in ("arena_hits", "arena_misses", "verdict_hits",
-                        "epochs_adopted"):
-                stats[key] = stats.get(key, 0) + call.stats.get(key, 0)
-        stats["epochs_published"] = self._epochs.epochs_published
+            stats["verdict_hits"] += call.stats.get("verdict_hits", 0)
         stats["pool_cold_starts"] = self._pool.cold_starts
         self._last_stats = stats
 
@@ -591,44 +555,21 @@ class ShardedBackend(_BackendBase):
             covered=tuple(sorted(covered)),
             exec_seconds=exec_seconds, check_seconds=check_seconds))
 
-    def _memoize(self, model: str, trace_text: str,
-                 profiles: tuple) -> None:
-        if len(self._verdicts) >= VERDICT_MEMO_MAX:
-            self._verdicts.pop(next(iter(self._verdicts)))
-        self._verdicts[(model, trace_text)] = profiles
-
     def check_iter(self, model: str, traces: Sequence[Trace], *,
                    collect_coverage: bool = False
                    ) -> Iterator[CheckOutcome]:
         traces = list(traces)
-        stats = self._begin_epoch()
-        index = 0
-        if not collect_coverage:
-            if self._epochs.needs_publish(model):
-                oracle = self._epochs.warm_oracle(model)
-                for trace in traces[:self.warmup]:
-                    verdict = oracle.check(trace)
-                    text = print_trace(trace)
-                    self._memoize(model, text, verdict.profiles)
-                    self._store_append(f"check:{model}", trace.name,
-                                       text, verdict.profiles)
-                    yield CheckOutcome(verdict.primary_checked,
-                                       frozenset(), verdict.profiles)
-                    index += 1
-                stats["warmup_traces"] = index
-                self._epochs.publish(model)
-            self._note_arena(stats)
-        texts = {i: print_trace(traces[i])
-                 for i in range(index, len(traces))}
+        stats = self._new_stats()
+        texts = [print_trace(trace) for trace in traces]
         # Coverage never touches the memo: a served verdict would skip
         # the specification clauses' cover() calls.
         hits: Dict[int, tuple] = {}
         if not collect_coverage:
-            hits = {i: self._verdicts[(model, texts[i])]
-                    for i in texts
-                    if (model, texts[i]) in self._verdicts}
+            hits = {i: self._verdicts[(model, text)]
+                    for i, text in enumerate(texts)
+                    if (model, text) in self._verdicts}
             stats["verdict_hits"] += len(hits)
-        misses = [i for i in sorted(texts) if i not in hits]
+        misses = [i for i in range(len(traces)) if i not in hits]
         call = None
         pool_iter = None
         try:
@@ -638,18 +579,22 @@ class ShardedBackend(_BackendBase):
                     items, model=model,
                     collect_coverage=collect_coverage, partition=model)
                 pool_iter = call.results()
-            for i in range(index, len(traces)):
+            for i, (trace, text) in enumerate(zip(traces, texts)):
                 memoized = hits.get(i)
                 if memoized is not None:
                     profiles, covered = memoized, ()
                 else:
                     assert pool_iter is not None
-                    _got, (profiles, covered, _seconds) = next(pool_iter)
+                    _got, payload = next(pool_iter)
+                    if isinstance(payload, BaseException):
+                        raise payload
+                    profiles, covered, _seconds = payload
                     if not collect_coverage:
-                        self._memoize(model, texts[i], profiles)
-                self._store_append(f"check:{model}", traces[i].name,
-                                   texts[i], profiles, covered)
-                yield CheckOutcome(profiles[0].as_checked(traces[i]),
+                        memoize_verdict(self._verdicts, model, text,
+                                        profiles)
+                self._store_append(f"check:{model}", trace.name, text,
+                                   profiles, covered)
+                yield CheckOutcome(profiles[0].as_checked(trace),
                                    frozenset(covered), profiles)
             if pool_iter is not None:
                 # Drain to the call barrier: the per-call counter
@@ -667,55 +612,36 @@ class ShardedBackend(_BackendBase):
                  collect_coverage: bool = False
                  ) -> Iterator[RunRecord]:
         stream = iter(scripts)
+        stats = self._new_stats()
+        first = next(stream, None)
+        if first is None:  # nothing to run: leave the pool unspawned
+            self._finish_call(stats, None)
+            return
         executor = ScriptExecutor()
         # Store rows and shard routing share the Session partition.
         partition = f"{quirks.name}:{model}"
-        stats = self._begin_epoch()
-        index = 0
-        if not collect_coverage and self._epochs.needs_publish(model):
-            oracle = self._epochs.warm_oracle(model)
-            for script in itertools.islice(stream, self.warmup):
+        # Filled on the pool's feeder thread, emptied here: an index's
+        # result can only arrive after its item was yielded.
+        held: Dict[int, Tuple[str, Trace, str, float]] = {}
+
+        def items() -> Iterator[Tuple[str, str]]:
+            for i, script in enumerate(itertools.chain([first], stream)):
                 t0 = time.perf_counter()
                 trace = executor.execute(quirks, script)
-                t1 = time.perf_counter()
-                verdict = oracle.check(trace)
-                t2 = time.perf_counter()
-                self._store_append(partition, trace.name,
-                                   print_trace(trace), verdict.profiles,
-                                   target=script.target_function,
-                                   exec_seconds=t1 - t0,
-                                   check_seconds=t2 - t1)
-                yield RunRecord(
-                    target_function=script.target_function,
-                    outcome=CheckOutcome(verdict.primary_checked,
-                                         frozenset(), verdict.profiles),
-                    exec_seconds=t1 - t0, check_seconds=t2 - t1)
-                index += 1
-            stats["warmup_traces"] = index
-            self._epochs.publish(model)
-        if not collect_coverage:
-            self._note_arena(stats)
-        call = None
-        first = next(stream, None)
-        if first is not None:
-            # Filled on the pool's feeder thread, emptied here: an
-            # index's result can only arrive after its item was yielded.
-            held: Dict[int, Tuple[str, Trace, str, float]] = {}
+                text = print_trace(trace)
+                held[i] = (script.target_function, trace, text,
+                           time.perf_counter() - t0)
+                yield (script.name, text)
 
-            def items() -> Iterator[Tuple[str, str]]:
-                for i, script in enumerate(
-                        itertools.chain([first], stream), index):
-                    t0 = time.perf_counter()
-                    trace = executor.execute(quirks, script)
-                    text = print_trace(trace)
-                    held[i] = (script.target_function, trace, text,
-                               time.perf_counter() - t0)
-                    yield (script.name, text)
-
-            call = self._pool.submit_stream(
-                items(), model=model, collect_coverage=collect_coverage,
-                partition=partition, start_index=index)
-            for i, (profiles, covered, check_s) in call.results():
+        call = self._pool.submit_stream(
+            items(), model=model, collect_coverage=collect_coverage,
+            partition=partition)
+        results = call.results()
+        try:
+            for i, payload in results:
+                if isinstance(payload, BaseException):
+                    raise payload
+                profiles, covered, check_s = payload
                 target, trace, trace_text, exec_s = held.pop(i)
                 self._store_append(partition, trace.name,
                                    trace_text, profiles, covered,
@@ -728,10 +654,14 @@ class ShardedBackend(_BackendBase):
                         profiles[0].as_checked(trace),
                         frozenset(covered), profiles),
                     exec_seconds=exec_s, check_seconds=check_s)
+        finally:
+            # Stop the feeder now, also when an item raised: the
+            # exception's traceback keeps this frame (and an unclosed
+            # ``results``) alive.
+            results.close()
         self._finish_call(stats, call)
 
     def close(self) -> None:
-        self._epochs.close()
         self._pool.close()
         if self.store is not None:
             if self._owns_store:

@@ -37,7 +37,7 @@ first place.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.engine import InternTable
 
@@ -114,10 +114,9 @@ class PrefixCache:
 
         The snapshot is materialised *here*, before anything is
         published: a caller handing over a live view (``dict.items()``
-        of a mask table the checking loop keeps updating — observable
-        under the pool's bounded-feed window, where a feeder thread
-        overlaps the parent's warmup checking) would otherwise store
-        rows whose masks are still being applied.  A fresh child is
+        of a mask table the checking loop keeps updating, while another
+        thread checks on the same cache) would otherwise store rows
+        whose masks are still being applied.  A fresh child is
         fully built before it is linked into ``children``, so a
         concurrent ``lookup`` can never see a half-initialised node.
         """
@@ -141,25 +140,6 @@ class PrefixCache:
         else:
             child.snapshot = snapshot
         return child
-
-    def live_state_ids(self, key: Hashable = ()) -> FrozenSet[int]:
-        """Every state id referenced by a live snapshot of a partition.
-
-        This is the epoch-reclamation input for the shared memo arena
-        (:mod:`repro.engine.shard`): memo rows for these ids must
-        survive reclamation, because a prefix hit can resume checking
-        from any of them; everything else may be dropped and re-derived
-        on demand.
-        """
-        ids: set = set()
-        root = self._roots.get(key)
-        stack = [root] if root is not None else []
-        while stack:
-            node = stack.pop()
-            if node.snapshot is not None:
-                ids.update(sid for sid, _mask in node.snapshot[0])
-            stack.extend(node.children.values())
-        return frozenset(ids)
 
     def stats(self) -> Dict[str, int]:
         return {"nodes": self._nodes, "hits": self.hits,

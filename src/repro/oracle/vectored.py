@@ -35,8 +35,7 @@ not re-fire specification-clause ``cover()`` calls.
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checker.checker import (Deviation, TraceChecker,
                                    implicit_creates)
@@ -44,7 +43,6 @@ from repro.core.labels import OsLabel, OsReturn, OsSignal, OsSpin
 from repro.core.platform import PlatformSpec, spec_by_name
 from repro.core.values import render_return
 from repro.engine import InternTable, TransitionMemo
-from repro.engine.shard import ArenaReader, SharedTransitionMemo
 from repro.oracle.cache import PrefixCache
 from repro.oracle.verdict import ConformanceProfile, Verdict
 from repro.osapi.os_state import initial_os_state
@@ -103,10 +101,6 @@ class VectoredOracle:
                          for gid, members in self.groups.items())))
         self._table: Optional[InternTable] = None
         self._memos: Tuple[TransitionMemo, ...] = ()
-        #: How per-spec memos are built when the engine (re)binds; the
-        #: sharded backend swaps in arena-backed memos via
-        #: :meth:`adopt_shared_memo`.
-        self._memo_factory = TransitionMemo
 
     @property
     def name(self) -> str:
@@ -147,60 +141,13 @@ class VectoredOracle:
             table = self._cache.table(self._cache_key)
             if table is not self._table:
                 self._table = table
-                self._memos = tuple(self._memo_factory(spec, table)
+                self._memos = tuple(TransitionMemo(spec, table)
                                     for spec in self.specs)
         else:
             self._table = table = InternTable()
-            self._memos = tuple(self._memo_factory(spec, table)
+            self._memos = tuple(TransitionMemo(spec, table)
                                 for spec in self.specs)
         return self._table, self._memos
-
-    def engine_snapshot(self) -> Tuple[InternTable,
-                                       Tuple[TransitionMemo, ...]]:
-        """The bound intern table + per-spec memos (binding them if
-        needed) — what the sharded backend packs into a
-        :class:`~repro.engine.shard.MemoArena` after a warmup pass."""
-        return self._bind_engine()
-
-    def live_state_ids(self) -> FrozenSet[int]:
-        """The state ids a future check can resume from: every id
-        referenced by a live prefix-cache snapshot of this oracle's
-        partition, plus the interned initial state (every check starts
-        there, but no snapshot ever stores it — snapshots are taken
-        *after* labels).  This is the ``keep_sids`` set for epoch
-        reclamation of a shared memo arena.
-        """
-        if self._cache is None:
-            raise ValueError("an uncached oracle has no live snapshots")
-        table, _ = self._bind_engine()
-        live = set(self._cache.live_state_ids(self._cache_key))
-        live.add(table.intern(initial_os_state(self.groups)))
-        return frozenset(live)
-
-    def adopt_shared_memo(self, reader: ArenaReader) -> None:
-        """Serve transitions from a shared memo arena.
-
-        The reader's states are interned into this oracle's cache
-        partition table so local ids equal arena ids (the partition
-        must be fresh, or the very table the arena was packed from —
-        misalignment raises rather than serving wrong rows), and the
-        per-spec memos are rebuilt as
-        :class:`~repro.engine.shard.SharedTransitionMemo`, which fall
-        back to local derivation on every arena miss.  Uncached oracles
-        refuse: the coverage path needs transition bodies re-executed,
-        which arena hits would skip.
-        """
-        if self._cache is None:
-            raise ValueError(
-                "cannot adopt a shared memo without a prefix cache "
-                "(the coverage path must derive transitions locally)")
-        for name in self.platforms:
-            reader.spec_index(name)  # every spec must have rows packed
-        table = self._cache.table(self._cache_key)
-        reader.seed_table(table)
-        self._memo_factory = (
-            lambda spec, tbl: SharedTransitionMemo(spec, tbl, reader))
-        self._table = None  # force _bind_engine to rebuild the memos
 
     def _apply_shared(self, memo: TransitionMemo, states: MaskedStates,
                       label: OsLabel) -> MaskedStates:

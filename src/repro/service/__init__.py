@@ -4,12 +4,11 @@ This package is the subsystem behind ``repro serve``.  Layering, bottom
 up:
 
 * :mod:`repro.service.pool` — :class:`ShardPool`, shard worker
-  processes that outlive individual calls and re-attach to republished
-  arena epochs (:class:`ArenaEpochs` owns the parent side);
-  :class:`repro.harness.backends.ShardedBackend` is built on it, so
-  batch runs share the amortization.
+  processes that outlive individual calls, each checking on its own
+  warm oracle; :class:`repro.harness.backends.ShardedBackend` is built
+  on it, so batch runs keep the workers warm across calls too.
 * :mod:`repro.service.service` — :class:`CheckingService`, the
-  long-lived warm oracle + pool session with an explicit
+  long-lived pool session with an explicit
   ``start/submit/drain/stats/shutdown`` lifecycle.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   stdlib-``asyncio`` line-JSON front door and its blocking client
@@ -23,7 +22,6 @@ touching the front-door modules above it.
 import importlib
 
 _EXPORTS = {
-    "ArenaEpochs": "repro.service.pool",
     "ShardCall": "repro.service.pool",
     "ShardPool": "repro.service.pool",
     "ShardWorkerState": "repro.service.pool",

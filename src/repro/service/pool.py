@@ -1,40 +1,30 @@
 """Persistent shard workers: the pool that outlives the call.
 
-``ShardedBackend`` used to fork a fresh set of shard processes for
-every ``check_iter``/``run_iter`` call and hand each a one-shot arena
-handle — which is why ``bench_shard_scaling`` showed sharding *losing*
-to serial on small repeated calls: the fork + re-warm cost was paid per
-call.  This module factors the worker lifetime out of the call:
+:class:`ShardPool` spawns shard processes **once** and reuses them
+across calls.  Shards only check (the caller executes, §7.1): work is
+``(name, trace_text)`` items, each answered with ``(profiles, covered,
+parse_and_check_seconds)``, either streamed
+(:meth:`ShardPool.submit_stream`, bounded backpressure, results
+re-sequenced in input order) or as a materialised list returning one
+future per item (:meth:`ShardPool.submit`).  Cumulative counters come
+back on every call barrier and surface through
+:meth:`ShardPool.run_stats`.
 
-* :class:`ShardPool` spawns shard processes **once** and reuses them
-  across calls.  Shards only check (the caller executes, §7.1): work
-  is ``(name, trace_text)`` items, each answered with
-  ``(profiles, covered, parse_and_check_seconds)``, either streamed
-  (:meth:`ShardPool.submit_stream`, bounded backpressure, results
-  re-sequenced in input order) or as a materialised list returning one
-  future per item (:meth:`ShardPool.submit`).  Cumulative counters
-  come back on every call barrier and surface through
-  :meth:`ShardPool.run_stats`.
-* Arena epochs are **republished, not re-forked**: the parent
-  broadcasts an ``("epoch", model, handle)`` message and each worker
-  re-attaches by :data:`~repro.engine.shard.ArenaHandle`, rebuilding a
-  fresh oracle around the new epoch's rows.  A worker that cannot
-  attach (the segment is gone, the payload is torn) keeps its previous
-  oracle — stale rows only ever describe transitions that are still
-  correct, so the fallback is soundness-preserving and merely misses
-  the new epoch's sharing (the parity harness enforces bit-for-bit
-  identical verdicts either way).
-* :class:`ArenaEpochs` owns the parent side of that story: the warm
-  packing oracles, the current :class:`~repro.engine.shard.MemoArena`,
-  and the *miss-watermark* republish policy — a new epoch is cut when
-  the pool has accumulated enough arena misses to suggest the published
-  rows no longer cover the workload, instead of unconditionally per
-  call.
+What a shard keeps (:class:`ShardWorkerState`) is one warm
+``create_oracle(model, cache=True)`` per model, whose prefix cache,
+intern table and transition memos grow over the shard's whole life,
+plus a verdict memo bounded at :data:`VERDICT_MEMO_MAX` traces.  Items
+are routed by :meth:`ShardPool.shard_of`, so repeats of a name land on
+the shard whose caches already know it.  Nothing is shared between
+shards.
 
-Shared-memory segments and worker processes are released by
-``close()``; a ``weakref.finalize`` safety net unlinks/terminates at
-garbage collection so an abandoned pool cannot leak OS resources past
-interpreter exit.
+A check that raises fails only its own item: the worker sends the
+exception back as that item's result, with a note naming the trace and
+the shard, and goes on serving.
+
+Worker processes are released by ``close()``; a ``weakref.finalize``
+safety net terminates them at garbage collection so an abandoned pool
+cannot outlive the interpreter.
 """
 
 from __future__ import annotations
@@ -50,59 +40,45 @@ from concurrent.futures import Future
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.coverage import REGISTRY
-from repro.engine.shard import ArenaHandle, ArenaReader, MemoArena
-from repro.oracle import (Oracle, VectoredOracle, create_oracle,
-                          get_oracle)
+from repro.oracle import Oracle, create_oracle, get_oracle
 from repro.script.parser import parse_trace
 
 #: Stats keys each worker accumulates and reports on call barriers.
-_WORKER_COUNTERS = ("arena_hits", "arena_misses", "epochs_adopted",
-                    "epoch_attach_failures", "verdict_hits")
+_WORKER_COUNTERS = ("verdict_hits",)
 
-#: Bound on the per-worker verdict memo (entries, FIFO eviction).
+#: Bound on a verdict memo (entries, FIFO eviction): each shard's, and
+#: the sharded backend's parent-side one.
 VERDICT_MEMO_MAX = 4096
 
 
-def _add_arena_counts(totals: Dict[str, int],
-                      oracle: Optional[Oracle]) -> None:
-    """Add a cached engine oracle's arena hit/miss counts to
-    ``totals`` (nothing for other oracles, or None)."""
-    if isinstance(oracle, VectoredOracle) and oracle.cache is not None:
-        for memo in oracle.engine_snapshot()[1]:
-            totals["arena_hits"] += getattr(memo, "arena_hits", 0)
-            totals["arena_misses"] += getattr(memo, "arena_misses", 0)
+def memoize_verdict(memo: Dict[Tuple[str, str], tuple], model: str,
+                    trace_text: str, profiles: tuple) -> None:
+    """Remember a verdict under its exact trace text, evicting the
+    oldest entry once ``memo`` holds :data:`VERDICT_MEMO_MAX`.  The
+    oracle is deterministic, so a memoized profile tuple is bit-for-bit
+    the answer a re-check would produce."""
+    if len(memo) >= VERDICT_MEMO_MAX:
+        memo.pop(next(iter(memo)))
+    memo[(model, trace_text)] = profiles
 
 
 class ShardWorkerState:
-    """Everything a shard worker keeps warm across calls and epochs.
+    """Everything a shard worker keeps warm across calls.
 
-    Factored out of the worker loop so epoch re-attachment is testable
-    in-process: ``adopt_epoch`` is exactly what a worker does on an
-    ``("epoch", ...)`` message, and ``check`` is its one task path (the
-    worker loop adds the timing).  A shard never executes scripts.
+    Factored out of the worker loop so the task path is testable
+    in-process: ``check`` is what a worker does per item (the loop adds
+    the timing and sends a raised exception back as the item's
+    result).  A shard never executes scripts.
 
     Oracles are built fresh *inside* the worker (never inherited from
-    the parent) and kept per model; on each adopted epoch the model's
-    oracle is rebuilt around the new :class:`ArenaReader` — a worker
-    that derived transitions locally has grown its intern table past
-    the parent's, so re-seeding the new arena into the old table could
-    misalign ids (``seed_table`` raises); rebuilding fresh sidesteps
-    that entirely.  A bounded verdict memo keyed by exact trace text
-    short-circuits repeat checks — the oracle is deterministic, so a
-    memoized profile tuple is bit-for-bit the answer a re-check would
-    produce (and it survives epoch swaps for the same reason).
+    the parent) and kept per model for the worker's life.  A verdict
+    memo keyed by exact trace text short-circuits repeat checks.
     """
 
     def __init__(self) -> None:
         self._oracles: Dict[str, Oracle] = {}
-        self._readers: Dict[str, ArenaReader] = {}
-        self._verdicts: "Dict[Tuple[str, str], tuple]" = {}
-        self._banked = {"arena_hits": 0, "arena_misses": 0}
-        self.epochs_adopted = 0
-        self.epoch_attach_failures = 0
+        self._verdicts: Dict[Tuple[str, str], tuple] = {}
         self.verdict_hits = 0
-
-    # -- oracles / epochs -----------------------------------------------------
 
     def oracle(self, model: str, collect_coverage: bool) -> Oracle:
         if collect_coverage:
@@ -115,42 +91,6 @@ class ShardWorkerState:
             oracle = create_oracle(model, cache=True)
             self._oracles[model] = oracle
         return oracle
-
-    def adopt_epoch(self, model: str, handle: ArenaHandle) -> bool:
-        """Re-attach to a republished arena epoch.
-
-        Returns True when the new epoch was adopted; on any failure the
-        previous oracle (and its reader, if any) keeps serving — stale
-        arena rows are still-correct transitions, so falling back costs
-        sharing, never soundness.
-        """
-        try:
-            reader = ArenaReader.attach(handle)
-        except Exception:
-            self.epoch_attach_failures += 1
-            return False
-        try:
-            oracle = create_oracle(model, cache=True)
-            if not isinstance(oracle, VectoredOracle):
-                reader.close()
-                return False
-            oracle.adopt_shared_memo(reader)
-        except Exception:
-            reader.close()
-            self.epoch_attach_failures += 1
-            return False
-        # A replaced oracle's hit/miss history must survive into the
-        # cumulative stats even though the oracle itself is dropped.
-        _add_arena_counts(self._banked, self._oracles.get(model))
-        previous = self._readers.pop(model, None)
-        self._oracles[model] = oracle
-        self._readers[model] = reader
-        if previous is not None:
-            previous.close()
-        self.epochs_adopted += 1
-        return True
-
-    # -- tasks ----------------------------------------------------------------
 
     def check(self, model: str, collect_coverage: bool,
               trace_text: str) -> Tuple[tuple, tuple]:
@@ -168,27 +108,12 @@ class ShardWorkerState:
         covered = (tuple(sorted(REGISTRY.hit_names()))
                    if collect_coverage else ())
         if not collect_coverage:
-            if len(self._verdicts) >= VERDICT_MEMO_MAX:
-                self._verdicts.pop(next(iter(self._verdicts)))
-            self._verdicts[(model, trace_text)] = verdict.profiles
+            memoize_verdict(self._verdicts, model, trace_text,
+                            verdict.profiles)
         return verdict.profiles, covered
 
-    # -- stats / teardown -----------------------------------------------------
-
     def stats(self) -> Dict[str, int]:
-        totals = dict(self._banked)
-        for oracle in self._oracles.values():
-            _add_arena_counts(totals, oracle)
-        totals["epochs_adopted"] = self.epochs_adopted
-        totals["epoch_attach_failures"] = self.epoch_attach_failures
-        totals["verdict_hits"] = self.verdict_hits
-        return totals
-
-    def close(self) -> None:
-        for reader in self._readers.values():
-            reader.close()
-        self._readers = {}
-        self._oracles = {}
+        return {"verdict_hits": self.verdict_hits}
 
 
 def _pool_worker(shard_index: int, in_q, out_q) -> None:
@@ -196,16 +121,19 @@ def _pool_worker(shard_index: int, in_q, out_q) -> None:
 
     Messages from the parent:
 
-    * ``("epoch", model, handle)`` — re-attach to a republished arena.
     * ``("task", call_id, model, coverage, batch)`` — a chunk of
-      ``(index, trace_text)`` items to check; results go back as
-      ``("ok", call_id, [(index, (profiles, covered, seconds)), ...])``,
-      the seconds timing the parse plus the check.
+      ``(index, name, trace_text)`` items to check; results go back as
+      ``("ok", call_id, [(index, payload), ...])``, where ``payload``
+      is ``(profiles, covered, seconds)``, the seconds timing the parse
+      plus the check, or the exception the item raised.
     * ``("end", call_id)`` — call barrier; the worker answers
       ``("done", call_id, shard_index, cumulative_stats)``.  Because
       each worker's messages are FIFO, the parent seeing ``done`` knows
       every ``ok`` of that call from this shard already arrived.
     * ``None`` — shut down.
+
+    Anything that fails outside an item's check posts ``("fatal",
+    shard_index, traceback)`` and ends the worker.
     """
     state = ShardWorkerState()
     try:
@@ -213,28 +141,29 @@ def _pool_worker(shard_index: int, in_q, out_q) -> None:
             message = in_q.get()
             if message is None:
                 break
-            kind = message[0]
-            if kind == "epoch":
-                _, model, handle = message
-                state.adopt_epoch(model, handle)
-                continue
-            if kind == "end":
+            if message[0] == "end":
                 out_q.put(("done", message[1], shard_index,
                            state.stats()))
                 continue
             _, call_id, model, coverage, batch = message
             results = []
-            for index, trace_text in batch:
+            for index, name, trace_text in batch:
                 t0 = time.perf_counter()
-                profiles, covered = state.check(model, coverage,
-                                                trace_text)
+                try:
+                    profiles, covered = state.check(model, coverage,
+                                                    trace_text)
+                except Exception as exc:
+                    exc.add_note(f"raised by shard {shard_index} "
+                                 f"checking trace {name!r}:\n"
+                                 + "".join(traceback.format_exception(
+                                     exc)).rstrip())
+                    results.append((index, exc))
+                    continue
                 results.append((index, (profiles, covered,
                                         time.perf_counter() - t0)))
             out_q.put(("ok", call_id, results))
     except Exception:
         out_q.put(("fatal", shard_index, traceback.format_exc()))
-    finally:
-        state.close()
 
 
 class ShardCall:
@@ -250,11 +179,11 @@ class ShardCall:
     _SENTINEL = object()
 
     def __init__(self, pool: "ShardPool", call_id: int,
-                 start_index: int, window_items: int) -> None:
+                 window_items: int) -> None:
         self.call_id = call_id
         self.stats: Dict[str, int] = {}
         self._pool = pool
-        self._next = start_index
+        self._next = 0
         self._buffered: Dict[int, object] = {}
         self._out: "queue_mod.Queue" = queue_mod.Queue()
         self._in_flight = threading.Semaphore(window_items)
@@ -313,7 +242,13 @@ class ShardCall:
     # -- consumer side --------------------------------------------------------
 
     def results(self) -> Iterator[Tuple[int, object]]:
-        """Yield ``(index, result)`` in input order as they complete."""
+        """Yield ``(index, result)`` in input order as they complete.
+
+        ``result`` is ``(profiles, covered, seconds)``, or the exception
+        the item's check raised: the consumer decides whether one item
+        fails the call (the backends raise it) or only its own future
+        (:meth:`ShardPool.submit`).
+        """
         try:
             while True:
                 try:
@@ -338,11 +273,9 @@ class ShardPool:
     """Shard worker processes that outlive individual calls.
 
     The pool spawns lazily on first use and keeps its workers across
-    calls; arena epochs are pushed to the *running* workers with
-    :meth:`publish` (and replayed to newly spawned ones), so a new
-    epoch costs one attach per worker instead of a pool re-fork.
-    ``close()`` is a full stop — a later call restarts the pool (the
-    ``cold_starts`` counter in :meth:`run_stats` makes that visible).
+    calls.  ``close()`` is a full stop — a later call restarts the pool
+    (the ``cold_starts`` counter in :meth:`run_stats` makes that
+    visible).
     """
 
     def __init__(self, shards: int, *, window: int = 16,
@@ -363,7 +296,6 @@ class ShardPool:
         self._calls: Dict[int, ShardCall] = {}
         self._call_ids = iter(range(1, 1 << 62)).__next__
         self._shard_stats: Dict[int, Dict[str, int]] = {}
-        self._epoch_handles: Dict[str, ArenaHandle] = {}
         self._broken: Optional[str] = None
         self.cold_starts = 0
         self.calls_started = 0
@@ -404,22 +336,9 @@ class ShardPool:
                 proc.start()
             self._shard_stats = {}
             self.cold_starts += 1
-            # Replay the standing epochs so late-spawned workers see
-            # the same arenas the running ones adopted.
-            for model, handle in self._epoch_handles.items():
-                for in_q in self._in_qs:
-                    in_q.put(("epoch", model, handle))
             self._collector = threading.Thread(target=self._collect,
                                                daemon=True)
             self._collector.start()
-
-    def publish(self, model: str, handle: ArenaHandle) -> None:
-        """Broadcast a republished arena epoch to every worker."""
-        self._epoch_handles[model] = handle
-        if not self.alive:
-            return  # replayed by start()
-        for in_q in self._in_qs:
-            self._put_blocking(in_q, ("epoch", model, handle))
 
     def close(self) -> None:
         with self._lock:
@@ -464,23 +383,22 @@ class ShardPool:
     def submit_stream(self, items: Iterable[Tuple[str, str]],
                       *, model: Optional[str] = None,
                       collect_coverage: bool = False,
-                      partition: str = "",
-                      start_index: int = 0) -> ShardCall:
+                      partition: str = "") -> ShardCall:
         """Feed ``(name, trace_text)`` items to the pool.
 
-        ``name`` routes the item (:meth:`shard_of`); only the text
-        travels to the shard.  ``items`` may be a lazy generator: a
-        feeder thread pulls it only ``window * chunk`` items ahead of
-        consumption (the in-flight semaphore is released as
-        :meth:`ShardCall.results` yields), so a generating plan stream
-        stays lazy.  A stream that
-        raises mid-generation fails the call with that exception rather
-        than truncating it; the pool stays usable.
+        ``name`` routes the item (:meth:`shard_of`) and travels with the
+        text, so an error can name its trace.  ``items`` may be a lazy
+        generator: a feeder thread pulls it only ``window * chunk``
+        items ahead of consumption (the in-flight semaphore is released
+        as :meth:`ShardCall.results` yields), so a generating plan
+        stream stays lazy.  A stream that raises mid-generation fails
+        the call with that exception rather than truncating it; the
+        pool stays usable.
         """
         if self._broken is not None:
             raise RuntimeError(self._broken)
         self.start()
-        call = ShardCall(self, self._call_ids(), start_index,
+        call = ShardCall(self, self._call_ids(),
                          window_items=self.window * self.chunk
                          * self.shards)
         with self._lock:
@@ -488,20 +406,20 @@ class ShardPool:
             self.calls_started += 1
         feeder = threading.Thread(
             target=self._feed,
-            args=(call, items, model, collect_coverage, partition,
-                  start_index),
+            args=(call, items, model, collect_coverage, partition),
             daemon=True)
         feeder.start()
         return call
 
     def submit(self, items: Iterable[Tuple[str, str]], *,
                model: Optional[str] = None,
-               collect_coverage: bool = False, partition: str = "",
-               start_index: int = 0) -> List[Future]:
+               collect_coverage: bool = False,
+               partition: str = "") -> List[Future]:
         """Submit a materialised item list; one future per item.
 
-        A drainer thread resolves the futures as results stream back;
-        a pool failure rejects every still-pending future.
+        A drainer thread resolves the futures as results stream back.
+        An item whose check raised fails only its own future, with that
+        exception; a pool failure rejects every still-pending future.
         """
         items = list(items)
         futures: List[Future] = [Future() for _ in items]
@@ -509,13 +427,16 @@ class ShardPool:
             return futures
         call = self.submit_stream(items, model=model,
                                   collect_coverage=collect_coverage,
-                                  partition=partition,
-                                  start_index=start_index)
+                                  partition=partition)
 
         def drain() -> None:
             try:
                 for index, payload in call.results():
-                    futures[index - start_index].set_result(payload)
+                    future = futures[index]
+                    if isinstance(payload, BaseException):
+                        future.set_exception(payload)
+                    else:
+                        future.set_result(payload)
             except BaseException as exc:
                 for future in futures:
                     if not future.done():
@@ -525,8 +446,7 @@ class ShardPool:
         return futures
 
     def _feed(self, call: ShardCall, items, model,
-              collect_coverage: bool, partition: str,
-              start_index: int) -> None:
+              collect_coverage: bool, partition: str) -> None:
         buffers: List[list] = [[] for _ in range(self.shards)]
         fed = 0
 
@@ -543,13 +463,12 @@ class ShardPool:
             return True
 
         try:
-            for index, (name, trace_text) in enumerate(
-                    items, start_index):
+            for index, (name, trace_text) in enumerate(items):
                 while not call._in_flight.acquire(timeout=0.1):
                     if call._stop.is_set() or self._stop.is_set():
                         return
                 shard = self.shard_of(partition, name)
-                buffers[shard].append((index, trace_text))
+                buffers[shard].append((index, name, trace_text))
                 fed += 1
                 if len(buffers[shard]) >= self.chunk:
                     if not flush(shard):
@@ -660,90 +579,8 @@ class ShardPool:
         return totals
 
 
+# ``ArenaEpochs`` is unused here but stays importable with its
+# ``warm_oracle`` method: perfbench/spans.py wraps that name.
 class ArenaEpochs:
-    """The parent half of epoch republishing: warm oracles, the current
-    arena, and the miss-watermark policy.
-
-    One arena is live at a time (matching the one-model-per-campaign
-    shape the sharded backend always had); cutting an epoch for a model
-    drops the previous segment first so a stale handle can never reach
-    a worker after its memory is gone — workers that already adopted it
-    keep their (still-correct) mapped copy until the next epoch
-    arrives.
-
-    ``needs_publish`` is the amortization knob: a model is published
-    once, then *re*published only after the pool reports at least
-    ``miss_watermark`` arena misses since the last cut — i.e. when the
-    workload has drifted far enough from the published rows to be worth
-    a new pack-and-attach round trip.  ``miss_watermark <= 0`` disables
-    republishing entirely (first epoch only).
-    """
-
-    def __init__(self, pool: ShardPool, *, reclaim: bool = True,
-                 miss_watermark: int = 512) -> None:
-        self.pool = pool
-        self.reclaim = reclaim
-        self.miss_watermark = miss_watermark
-        self.epochs_published = 0
-        self._warm: Dict[str, Oracle] = {}
-        self._arena: Optional[MemoArena] = None
-        self._published: set = set()
-        self._miss_floor: Dict[str, int] = {}
-        self._finalizer = weakref.finalize(self, ArenaEpochs._atexit,
-                                           weakref.ref(self))
-
-    @staticmethod
-    def _atexit(epochs_ref) -> None:  # pragma: no cover - GC timing
-        epochs = epochs_ref()
-        if epochs is not None:
-            try:
-                epochs.close()
-            except Exception:
-                pass
-
-    @property
-    def arena(self) -> Optional[MemoArena]:
-        return self._arena
-
     def warm_oracle(self, model: str) -> Oracle:
-        oracle = self._warm.get(model)
-        if oracle is None:
-            oracle = create_oracle(model, cache=True)
-            self._warm[model] = oracle
-        return oracle
-
-    def needs_publish(self, model: str) -> bool:
-        if model not in self._published:
-            return True
-        if self.miss_watermark <= 0:
-            return False
-        misses = self.pool.run_stats().get("arena_misses", 0)
-        return (misses - self._miss_floor.get(model, 0)
-                >= self.miss_watermark)
-
-    def publish(self, model: str) -> Optional[MemoArena]:
-        """Cut a new epoch from the warm oracle and broadcast it."""
-        oracle = self._warm.get(model)
-        self._drop_arena()
-        self._published.add(model)
-        self._miss_floor[model] = \
-            self.pool.run_stats().get("arena_misses", 0)
-        if not isinstance(oracle, VectoredOracle):
-            return None  # reference/custom oracles: no engine tables
-        table, memos = oracle.engine_snapshot()
-        keep = oracle.live_state_ids() if self.reclaim else None
-        self._arena = MemoArena.create(table, memos, keep_sids=keep)
-        self.epochs_published += 1
-        self.pool.publish(model, self._arena.handle())
-        return self._arena
-
-    def _drop_arena(self) -> None:
-        if self._arena is not None:
-            self._arena.close()
-            self._arena.unlink()
-            self._arena = None
-
-    def close(self) -> None:
-        self._drop_arena()
-        self._warm = {}
-        self._published = set()
+        return create_oracle(model, cache=True)

@@ -33,7 +33,8 @@ error naming the limit, and then that connection is closed.
 
 Checking is delegated to a :class:`~repro.service.service
 .CheckingService`: ``submit`` runs on the default executor (it may
-block on warmup), and each verdict future is awaited with
+block: the parent-only mode checks there, and the first call spawns
+the pool), and each verdict future is awaited with
 ``asyncio.wrap_future`` so many connections interleave on one loop.
 """
 
@@ -162,8 +163,9 @@ class ServiceServer:
                            request_id, traces, *,
                            batch: bool) -> None:
         loop = asyncio.get_running_loop()
-        # submit() may block (parent warmup, parent-only mode): keep
-        # the loop responsive by running it on the default executor.
+        # submit() may block (parent-only mode, the pool's first
+        # spawn): keep the loop responsive by running it on the default
+        # executor.
         futures = await loop.run_in_executor(
             None, self.service.submit, traces)
         for future in futures:

@@ -1,24 +1,17 @@
 """The long-lived checking session behind ``repro serve``.
 
-A :class:`CheckingService` is a warm
-:class:`~repro.oracle.VectoredOracle` plus a persistent
+A :class:`CheckingService` is a persistent
 :class:`~repro.service.pool.ShardPool` with an explicit lifecycle:
 ``start`` / ``submit`` / ``drain`` / ``stats`` / ``shutdown``.  It is
 the paper's oracle offered as a standing facility — traces arrive over
-its lifetime and are checked against state that stays warm, instead of
-each batch paying the fork + warmup + arena-publish cost from scratch.
-
-Epoch policy: the first ``warmup`` traces of a *new* epoch are checked
-in the parent (their verdicts resolve immediately, and the pass
-populates the warm oracle's tables), then the arena is published and
-everything else fans out to the pool.  Later submissions skip the
-warmup entirely — a new epoch is cut only when the pool's cumulative
-arena misses cross ``miss_watermark`` (the workload drifted), which is
-what drives the amortized per-call overhead toward zero.
+its lifetime and are checked by shards whose oracles stay warm, instead
+of each batch paying the spawn and the cold caches from scratch.  Every
+submitted trace goes to the pool; a trace whose check raises fails only
+its own future.
 
 ``shards=0`` selects the parent-only mode (``repro serve --backend
 serial``): every trace is checked synchronously in the submitting
-thread on the warm oracle — no processes, same verdicts.
+thread on one warm oracle — no processes, same verdicts.
 """
 
 from __future__ import annotations
@@ -29,11 +22,11 @@ import threading
 from concurrent.futures import Future, wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.oracle import ConformanceProfile
+from repro.oracle import ConformanceProfile, Oracle, create_oracle
 from repro.script.ast import Trace
 from repro.script.parser import parse_trace
 from repro.script.printer import print_trace
-from repro.service.pool import ArenaEpochs, ShardPool
+from repro.service.pool import ShardPool
 from repro.store import CampaignStore, TraceRecord
 
 
@@ -69,12 +62,12 @@ class CheckResult:
 
 
 class CheckingService:
-    """A persistent warm oracle + shard pool with explicit lifecycle."""
+    """A persistent shard pool (or one warm parent oracle, with
+    ``shards=0``) with explicit lifecycle."""
 
     def __init__(self, model: str = "all", *,
-                 shards: Optional[int] = None, warmup: int = 16,
-                 miss_watermark: int = 256, window: int = 16,
-                 chunk: int = 16, reclaim: bool = True,
+                 shards: Optional[int] = None, window: int = 16,
+                 chunk: int = 16,
                  store: Optional[Union[CampaignStore, str]] = None
                  ) -> None:
         self.model = model
@@ -90,32 +83,29 @@ class CheckingService:
         else:
             self.store = CampaignStore(store)
             self._owns_store = True
-        self.warmup = max(0, warmup)
+        #: The parent-only mode's one warm oracle.
+        self._oracle: Optional[Oracle] = None
+        self._pool: Optional[ShardPool] = None
         if shards == 0:
             self.shards = 0
-            self._pool: Optional[ShardPool] = None
-            pool = ShardPool(1)  # never started: stats source only
+            self._oracle = create_oracle(model, cache=True)
         else:
             self.shards = shards or max(
                 2, multiprocessing.cpu_count())
-            self._pool = pool = ShardPool(self.shards, window=window,
-                                          chunk=chunk)
-        self._epochs = ArenaEpochs(pool, reclaim=reclaim,
-                                   miss_watermark=miss_watermark)
+            self._pool = ShardPool(self.shards, window=window,
+                                   chunk=chunk)
         self._lock = threading.Lock()
         self._outstanding: List[Future] = []
         self._submitted = 0
-        self._resolved_in_parent = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Warm up eagerly (idempotent): spawn the pool and build the
-        parent oracle so the first ``submit`` pays less."""
+        """Spawn the pool eagerly (idempotent), so the first ``submit``
+        pays less."""
         if self._closed:
             raise RuntimeError("service is shut down")
-        self._epochs.warm_oracle(self.model)
         if self._pool is not None:
             self._pool.start()
 
@@ -131,13 +121,12 @@ class CheckingService:
         return not not_done
 
     def shutdown(self) -> None:
-        """Drain nothing, release everything: shard processes, shared
-        arenas, warm oracles.  Idempotent."""
+        """Drain nothing, release everything: shard processes, the
+        store.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self._epochs.close()
         if self._pool is not None:
             self._pool.close()
         if self.store is not None:
@@ -183,37 +172,22 @@ class CheckingService:
         if not parsed:
             return futures
         with self._lock:
-            index = 0
-            if self._pool is None:
+            if self._oracle is not None:
                 # Parent-only mode: check synchronously, warm oracle.
-                oracle = self._epochs.warm_oracle(self.model)
                 for future, trace in zip(futures, parsed):
-                    verdict = oracle.check(trace)
+                    verdict = self._oracle.check(trace)
                     self._store_append(trace, verdict.profiles)
                     future.set_result(CheckResult(trace.name,
                                                   verdict.profiles))
-                self._resolved_in_parent += len(parsed)
             else:
-                if self._epochs.needs_publish(self.model):
-                    oracle = self._epochs.warm_oracle(self.model)
-                    for trace in parsed[:self.warmup]:
-                        verdict = oracle.check(trace)
-                        self._store_append(trace, verdict.profiles)
-                        futures[index].set_result(
-                            CheckResult(trace.name, verdict.profiles))
-                        index += 1
-                    self._resolved_in_parent += index
-                    self._epochs.publish(self.model)
-                if index < len(parsed):
-                    items = [(trace.name, print_trace(trace))
-                             for trace in parsed[index:]]
-                    inner = self._pool.submit(
-                        items, model=self.model, partition=self.model,
-                        start_index=index)
-                    for offset, raw in enumerate(inner):
-                        raw.add_done_callback(self._propagate(
-                            futures[index + offset],
-                            parsed[index + offset], items[offset][1]))
+                items = [(trace.name, print_trace(trace))
+                         for trace in parsed]
+                inner = self._pool.submit(items, model=self.model,
+                                          partition=self.model)
+                for future, trace, raw, (_name, text) in zip(
+                        futures, parsed, inner, items):
+                    raw.add_done_callback(
+                        self._propagate(future, trace, text))
             self._submitted += len(parsed)
             self._outstanding = [f for f in self._outstanding
                                  if not f.done()]
@@ -239,17 +213,12 @@ class CheckingService:
     # -- stats ----------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Cumulative service counters: pool worker totals plus the
-        epoch/warmup amortization story."""
+        """Cumulative service counters: the pool's (shards, verdict-memo
+        hits, cold starts, calls) plus the traces submitted."""
         totals: Dict[str, int] = (
             self._pool.run_stats() if self._pool is not None
             else {"shards": 0})
-        arena = self._epochs.arena
-        totals["epochs_published"] = self._epochs.epochs_published
-        totals["arena_states"] = arena.n_states if arena else 0
-        totals["arena_rows"] = arena.rows if arena else 0
         totals["traces_submitted"] = self._submitted
-        totals["resolved_in_parent"] = self._resolved_in_parent
         if self.store is not None:
             store_stats = self.store.stats()
             totals["store_rows"] = store_stats["rows"]

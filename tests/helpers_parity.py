@@ -31,7 +31,6 @@ import functools
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.checker.checker import TraceChecker
-from repro.engine import ArenaReader, MemoArena
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
 from repro.gen import RandomizedStrategy
@@ -106,26 +105,24 @@ def _make_vectored(platforms: Tuple[str, ...]) -> CheckFn:
 
 
 def _make_sharded(platforms: Tuple[str, ...]) -> CheckFn:
-    """The sharded backend's worker engine: check through a fresh
-    oracle that adopted a shared memo arena packed by a warm one.
-
-    A quarter of the traces warm the packing oracle (so the arena holds
-    genuinely shared rows *and* genuine gaps — both the hit path and
-    the local-derivation fallback are exercised), then every trace is
-    checked through the adopting oracle.
+    """The path the sharded backend and ``repro serve`` run: printed
+    traces travel through a real two-shard
+    :class:`~repro.service.ShardPool`, each shard parses and checks them
+    on its own warm oracle, and the profiles come back re-sequenced in
+    input order.
     """
+    from repro.oracle import oracle_name_for
+    from repro.script.printer import print_trace
+    from repro.service import ShardPool
+
     def check(traces):
-        warm = VectoredOracle(platforms)
-        for trace in traces[:max(1, len(traces) // 4)]:
-            warm.check(trace)
-        table, memos = warm.engine_snapshot()
-        with MemoArena.create(table, memos) as arena:
-            with ArenaReader.attach(arena.handle()) as reader:
-                oracle = VectoredOracle(platforms)
-                oracle.adopt_shared_memo(reader)
-                return [{profile.platform: profile_row(profile)
-                         for profile in oracle.check(trace).profiles}
-                        for trace in traces]
+        with ShardPool(2) as pool:
+            futures = pool.submit(
+                [(trace.name, print_trace(trace)) for trace in traces],
+                model=oracle_name_for(platforms), partition="parity")
+            return [{profile.platform: profile_row(profile)
+                     for profile in future.result(timeout=120)[0]}
+                    for future in futures]
     return check
 
 

@@ -182,7 +182,7 @@ def _strip_volatile(artifact):
 
 
 class TestShardedBackendEndToEnd:
-    """The sharded pool itself (warmup + arena + shard processes)
+    """The sharded pool itself (parent execution + shard processes)
     against the serial backend, through the public Session surface."""
 
     SUITE_CONFIGS = ("linux_ext4", "linux_sshfs_tmpfs")
@@ -196,13 +196,13 @@ class TestShardedBackendEndToEnd:
                      backend=SerialBackend()) as session:
             serial = session.run()
         with Session(config, suite=suite,
-                     backend=ShardedBackend(2, warmup=4)) as session:
+                     backend=ShardedBackend(2)) as session:
             sharded = session.run()
         assert _strip_volatile(serial) == _strip_volatile(sharded)
         stats = dict(sharded.engine_stats)
         assert stats["shards"] == 2
-        assert stats["warmup_traces"] == 4
-        assert stats["arena_hits"] > 0  # the pool really shared rows
+        assert stats["warmup_traces"] == 0  # nothing checked in-parent
+        assert stats["pool_cold_starts"] == 1
 
     def test_check_on_parity_with_serial(self):
         from repro.testgen.generator import gen_handwritten_tests
@@ -213,7 +213,7 @@ class TestShardedBackendEndToEnd:
                      **kwargs) as session:
             serial = session.run()
         with Session("linux_sshfs_tmpfs",
-                     backend=ShardedBackend(2, warmup=2),
+                     backend=ShardedBackend(2),
                      **kwargs) as session:
             sharded = session.run()
         assert serial.profiles == sharded.profiles
@@ -232,7 +232,7 @@ class TestShardedBackendEndToEnd:
             os._exit(3)
 
         monkeypatch.setattr(pool_mod, "_pool_worker", dying_worker)
-        backend = ShardedBackend(2, warmup=0)
+        backend = ShardedBackend(2)
         traces = handwritten_traces("linux_ext4")[:4]
         try:
             with pytest.raises(RuntimeError, match="died"):
@@ -252,7 +252,7 @@ class TestShardedBackendEndToEnd:
             yield from scripts
             raise ValueError("generation failed")
 
-        backend = ShardedBackend(2, warmup=2)
+        backend = ShardedBackend(2)
         quirks = config_by_name("linux_ext4")
         try:
             with pytest.raises(ValueError, match="generation failed"):
@@ -307,7 +307,7 @@ class TestShardedBackendEndToEnd:
                      collect_coverage=True) as session:
             serial = session.run()
         with Session("linux_ext4", suite=small,
-                     backend=ShardedBackend(2, warmup=2),
+                     backend=ShardedBackend(2),
                      collect_coverage=True) as session:
             sharded = session.run()
         assert serial.covered_clauses == sharded.covered_clauses
@@ -324,7 +324,7 @@ class TestShardedBackendEndToEnd:
         raising = parse_script(head % "raises"
                                + "@process create p1 uid=0 gid=0\n")
         suite = gen_handwritten_tests()[:12]
-        backend = ShardedBackend(2, warmup=0)
+        backend = ShardedBackend(2)
         try:
             with pytest.raises(ValueError, match="cannot create process"):
                 list(backend.run_iter(quirks, "linux",
@@ -336,22 +336,13 @@ class TestShardedBackendEndToEnd:
         assert got == [record.outcome.profiles for record in
                        SerialBackend().run_iter(quirks, "linux", suite)]
 
-    def test_warmup_only_stream_never_starts_the_pool(self):
-        """A suite the parent's warmup consumes entirely is executed and
-        checked there: no shard process is spawned for it."""
-        from repro.testgen.generator import gen_handwritten_tests
-
+    def test_empty_stream_never_starts_the_pool(self):
+        """A suite with nothing to run spawns no shard process."""
         quirks = config_by_name("linux_ext4")
-        for n in (3, 4):
-            suite = gen_handwritten_tests()[:n]
-            with ShardedBackend(2, warmup=4) as backend:
-                got = [record.outcome.profiles for record in
-                       backend.run_iter(quirks, "linux", suite)]
-                assert not backend._pool.alive
-                assert backend.run_stats()["pool_cold_starts"] == 0
-            assert got == [record.outcome.profiles for record in
-                           SerialBackend().run_iter(quirks, "linux",
-                                                    suite)]
+        with ShardedBackend(2) as backend:
+            assert list(backend.run_iter(quirks, "linux", [])) == []
+            assert not backend._pool.alive
+            assert backend.run_stats()["pool_cold_starts"] == 0
 
     def test_feeder_and_consumer_under_forced_switching(self):
         """Executed traces are held on the pool's feeder thread and
@@ -369,7 +360,7 @@ class TestShardedBackendEndToEnd:
         quirks = config_by_name("linux_ext4")
         scripts = list(default_plan().take(150).scripts())
         want = rows(SerialBackend().run_iter(quirks, "all", scripts))
-        backend = ShardedBackend(4, warmup=2)
+        backend = ShardedBackend(4)
         got, errors = {}, []
 
         def stress():

@@ -313,28 +313,21 @@ class TestSessionCheckOn:
 
 class TestRunArtifactV5:
     def test_engine_stats_round_trip(self):
-        """RunArtifact v5/v6: shard counts, memo hit/miss stats and
-        the persistent-pool amortization counters from the sharded
-        backend survive an exact JSON round trip."""
+        """RunArtifact v6: the sharded backend's shard count, verdict
+        memo hits and persistent-pool counters survive an exact JSON
+        round trip."""
         from repro.api import ShardedBackend
 
-        with ShardedBackend(2, warmup=2) as backend, \
+        with ShardedBackend(2) as backend, \
                 Session("linux_sshfs_tmpfs", model="posix",
                         check_on=list(SPECS), suite=SMALL_SUITE * 3,
                         backend=backend) as s:
             artifact = s.run()
-        stats = dict(artifact.engine_stats)
-        assert stats["shards"] == 2
-        assert stats["warmup_traces"] == 2
-        assert stats["arena_rows"] > 0
-        assert "arena_hits" in stats and "arena_misses" in stats
-        # v5: the amortization counters of the persistent pool.
-        assert stats["pool_cold_starts"] == 1
-        assert stats["epochs_published"] == 1
-        assert stats["epochs_adopted"] == 2  # one adoption per worker
-        # v6's compiled-engine keys: that engine is gone, so no
-        # writer reports them.
-        assert "compiled_hits" not in stats
+        # Each repeat of the suite lands on the shard that already
+        # memoized its text.
+        assert dict(artifact.engine_stats) == {
+            "shards": 2, "warmup_traces": 0, "pool_cold_starts": 1,
+            "verdict_hits": 2 * len(SMALL_SUITE)}
         assert artifact.failing  # deviations must survive the trip too
         assert RunArtifact.from_json(artifact.to_json()) == artifact
         payload = json.loads(artifact.to_json())

@@ -159,10 +159,10 @@ class TestInternedSnapshots:
 
 class TestExtendSnapshotInterleaving:
     """Regression: a snapshot handed to ``extend`` as a *live view* of
-    a mask table the checking loop keeps updating (observable under
-    the pool's bounded-feed window, where a feeder thread overlaps the
-    parent's warmup checking) must be materialised at store time — a
-    later mask update may never leak into the stored snapshot."""
+    a mask table the checking loop keeps updating (observable when
+    another thread checks on the same cache) must be materialised at
+    store time — a later mask update may never leak into the stored
+    snapshot."""
 
     def test_extend_materialises_live_views(self):
         cache = PrefixCache()

@@ -3,9 +3,11 @@
 The service stack has four layers, tested here bottom-up:
 
 * :class:`ShardPool` — workers that outlive calls: futures, restart
-  after close, epoch replay to late-spawned workers, stats.
+  after close, a raising check failing only its own item (also through
+  ``ShardedBackend.check_iter``), the bounded verdict memos (each
+  shard's and the backend's parent-side one), stats.
 * :class:`CheckingService` — lifecycle (start/submit/drain/stats/
-  shutdown), the warmup-then-publish epoch policy, parent-only mode.
+  shutdown), every trace served by the pool, parent-only mode.
 * The asyncio front door + blocking client — protocol round trips,
   error replies, shutdown, the request line limit, and bit-for-bit
   verdict parity with :class:`~repro.api.SerialBackend` through the
@@ -23,16 +25,24 @@ import threading
 
 import pytest
 
-from repro.api import SerialBackend
+from repro.api import SerialBackend, ShardedBackend
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
-from repro.oracle import ConformanceProfile
-from repro.script import parse_script, print_trace
-from repro.service import (ArenaEpochs, CheckingService, CheckResult,
-                           ServiceClient, ShardPool, run_server)
+from repro.oracle import ConformanceProfile, create_oracle
+from repro.script import (ParseError, parse_script, parse_trace,
+                          print_trace)
+from repro.service import (CheckingService, CheckResult, ServiceClient,
+                           ShardPool, ShardWorkerState, run_server)
 from repro.service.client import LINE_TOO_LONG, MAX_LINE_BYTES
+from repro.service.pool import VERDICT_MEMO_MAX
 
 CONFIG = "linux_sshfs_tmpfs"
+
+#: A trace that parses but whose check raises: the model stores file
+#: content densely, so a truncate past index size overflows.
+OVERFLOWING = ('@type trace\n# Test overflowing\n'
+               'open "f" [O_CREAT;O_RDWR] 0o644\nRV_num(3)\n'
+               'truncate "f" 999999999999999999999999\nRV_none\n')
 
 
 def _traces(n=6, prefix="t"):
@@ -41,6 +51,12 @@ def _traces(n=6, prefix="t"):
         '@type script\n# Test %s%d\nmkdir "d%d" 0o755\nrmdir "d%d"\n'
         % (prefix, i, i, i)) for i in range(n)]
     return [execute_script(quirks, s) for s in scripts]
+
+
+def _profiles(verdict):
+    """The profile tuple of a served ``verdict`` message."""
+    return tuple(ConformanceProfile.from_dict(row)
+                 for row in verdict["profiles"])
 
 
 def _serial_rows(traces, model="all"):
@@ -82,18 +98,23 @@ class _Server:
             self.service.shutdown()
 
 
+def _after(pool, shard):
+    """A trace sharing :data:`OVERFLOWING`'s first call, named to land
+    on ``shard``."""
+    name = next(f"after{i}" for i in itertools.count()
+                if pool.shard_of("all", f"after{i}") == shard)
+    return execute_script(config_by_name(CONFIG), parse_script(
+        f'@type script\n# Test {name}\n'
+        'open "f" [O_CREAT;O_RDWR] 0o644\nclose 3\n'))
+
+
 class TestShardPool:
     def test_submit_resolves_futures_in_order(self):
         traces = _traces(8)
         with ShardPool(2) as pool:
-            epochs = ArenaEpochs(pool)
-            oracle = epochs.warm_oracle("all")
-            oracle.check(traces[0])
-            epochs.publish("all")
             items = [(t.name, print_trace(t)) for t in traces]
             futures = pool.submit(items, model="all", partition="all")
             got = [f.result(timeout=60)[0] for f in futures]
-            epochs.close()
         assert got == _serial_rows(traces)
 
     def test_pool_restarts_after_close(self):
@@ -114,31 +135,32 @@ class TestShardPool:
         finally:
             pool.close()
 
-    def test_epoch_replayed_to_restarted_workers(self):
-        """``publish`` before ``start`` (or after a close) is not lost:
-        the standing epoch is replayed to freshly spawned workers."""
-        traces = _traces(6)
-        pool = ShardPool(2)
-        epochs = ArenaEpochs(pool)
-        try:
-            oracle = epochs.warm_oracle("all")
-            for trace in traces:
-                oracle.check(trace)
-            epochs.publish("all")  # pool not started: stored only
-            assert not pool.alive
+    @pytest.mark.parametrize("text, raised", [
+        (OVERFLOWING, OverflowError),
+        ("@type trace\nmangled", ParseError),
+    ], ids=["raising-check", "unparseable"])
+    def test_raising_item_fails_only_its_future(self, text, raised):
+        """A check that raises (or text that does not parse) fails its
+        own future with that exception, named after the trace; the other
+        items, and the next call on the same shard, get the serial
+        verdict, and the workers are never restarted."""
+        traces = _traces(4)
+        with ShardPool(2) as pool:
             items = [(t.name, print_trace(t)) for t in traces]
-            call = pool.submit_stream(items, model="all",
-                                      partition="all")
-            got = [payload[0] for _i, payload in call.results()]
+            items.insert(2, ("bad", text))
+            futures = pool.submit(items, model="all", partition="all")
+            error = futures[2].exception(timeout=60)
+            assert type(error) is raised
+            assert any("'bad'" in note for note in error.__notes__)
+            got = [f.result(timeout=60)[0]
+                   for i, f in enumerate(futures) if i != 2]
             assert got == _serial_rows(traces)
-            # results() only returns after every shard's call barrier,
-            # so the cumulative worker stats are in.
-            stats = pool.run_stats()
-            assert stats["epochs_adopted"] == 2  # both workers attached
-            assert stats["arena_hits"] > 0       # ...and used the rows
-        finally:
-            epochs.close()
-            pool.close()
+            after = _after(pool, pool.shard_of("all", "bad"))
+            again = pool.submit([(after.name, print_trace(after))],
+                                model="all", partition="all")
+            assert again[0].result(timeout=60)[0] == \
+                _serial_rows([after])[0]
+            assert pool.run_stats()["pool_cold_starts"] == 1
 
     def test_abandoned_call_pulls_no_further_items(self):
         """Pulling an item can be costly (the sharded backend executes a
@@ -189,11 +211,89 @@ class TestShardPool:
             assert pool.run_stats()["verdict_hits"] == len(traces)
 
 
+class TestShardedBackendErrors:
+    def test_raising_check_fails_check_iter_at_that_item(self):
+        """``check_iter`` yields the verdicts before a raising check,
+        raises the shard's exception at it, and the same backend then
+        checks like the serial backend on the same workers."""
+        traces = _traces(4)
+        want = _serial_rows(traces)
+        got = []
+        with ShardedBackend(2) as backend:
+            stream = backend.check_iter(
+                "all", traces[:2] + [parse_trace(OVERFLOWING)]
+                + traces[2:])
+            with pytest.raises(OverflowError) as excinfo:
+                for outcome in stream:
+                    got.append(outcome.profiles)
+            assert any("'overflowing'" in note
+                       for note in excinfo.value.__notes__)
+            assert got == want[:2]
+            after = _after(backend._pool, backend._pool.shard_of(
+                "all", "overflowing"))
+            assert [o.profiles for o in backend.check_iter(
+                "all", [after, *traces])] == \
+                _serial_rows([after, *traces])
+            assert backend.run_stats()["pool_cold_starts"] == 1
+
+
+#: Adversarial streams for the bounded verdict memos, each longer than
+#: the bound: every text new, a few texts repeated, and one text
+#: repeated between new ones (so it is evicted and checked again).
+#: Three bodies, one of them deviating, so a memo that answered with
+#: the wrong entry would show.
+_MEMO_BODIES = ('mkdir "d" 0o755\nRV_none\nrmdir "d"\nRV_none\n',
+                'mkdir "d" 0o755\nRV_none\nmkdir "d" 0o755\nRV_none\n',
+                'rmdir "e"\nENOENT\n')
+_MEMO_STREAM_LEN = VERDICT_MEMO_MAX + 512
+_MEMO_STREAMS = {
+    "all-novel": range(_MEMO_STREAM_LEN),
+    "all-repeat": [i % 3 for i in range(_MEMO_STREAM_LEN)],
+    "alternating": [0 if i % 2 else i for i in range(
+        1, 2 * _MEMO_STREAM_LEN)],
+}
+
+
+def _memo_text(i):
+    return f"@type trace\n# Test m{i}\n" + _MEMO_BODIES[i % 3]
+
+
+class TestVerdictMemoBound:
+    """``VERDICT_MEMO_MAX`` bounds each shard's verdict memo and the
+    sharded backend's parent-side one on every stream shape, and a
+    memoized verdict is always what a fresh oracle computes."""
+
+    @pytest.mark.parametrize("stream", sorted(_MEMO_STREAMS))
+    def test_worker_memo(self, stream):
+        state = ShardWorkerState()
+        fresh = create_oracle("all", cache=True)
+        for i in _MEMO_STREAMS[stream]:
+            text = _memo_text(i)
+            profiles, _covered = state.check("all", False, text)
+            assert len(state._verdicts) <= VERDICT_MEMO_MAX
+            assert profiles == fresh.check(parse_trace(text)).profiles
+        assert (state.verdict_hits > 0) == (stream != "all-novel")
+
+    @pytest.mark.parametrize("stream", sorted(_MEMO_STREAMS))
+    def test_parent_memo(self, stream):
+        traces = [parse_trace(_memo_text(i))
+                  for i in _MEMO_STREAMS[stream]]
+        fresh = create_oracle("all", cache=True)
+        with ShardedBackend(2) as backend:
+            for start in range(0, len(traces), 512):
+                calls = traces[start:start + 512]
+                for trace, outcome in zip(
+                        calls, backend.check_iter("all", calls)):
+                    assert outcome.profiles == fresh.check(
+                        trace).profiles
+                assert len(backend._verdicts) <= VERDICT_MEMO_MAX
+
+
 class TestCheckingService:
     def test_lifecycle_and_verdict_parity(self):
         traces = _traces(8)
         want = _serial_rows(traces)
-        with CheckingService("all", shards=2, warmup=2) as service:
+        with CheckingService("all", shards=2) as service:
             futures = service.submit(traces)
             assert service.drain(timeout=120)
             results = [f.result(timeout=1) for f in futures]
@@ -204,19 +304,20 @@ class TestCheckingService:
             assert result.accepted_on == tuple(
                 p.platform for p in profiles if p.accepted)
 
-    def test_warmup_resolves_in_parent_then_pool_serves(self):
-        traces = _traces(10)
-        with CheckingService("all", shards=2, warmup=4) as service:
-            [f.result(timeout=120) for f in service.submit(traces)]
+    def test_every_trace_is_served_by_the_pool(self):
+        """No trace is checked in the parent: the first batch goes to
+        the pool like every later one, on workers spawned once."""
+        traces, later = _traces(10), _traces(4, prefix="u")
+        with CheckingService("all", shards=2) as service:
+            got = [f.result(timeout=120).profiles
+                   for f in service.submit(traces)]
+            got += [f.result(timeout=120).profiles
+                    for f in service.submit(later)]
             stats = service.stats()
-            assert stats["resolved_in_parent"] == 4
-            assert stats["traces_submitted"] == 10
-            assert stats["epochs_published"] == 1
-            assert stats["arena_rows"] > 0
-            # Later batches skip the warmup: the epoch is standing.
-            [f.result(timeout=120)
-             for f in service.submit(_traces(4, prefix="u"))]
-            assert service.stats()["resolved_in_parent"] == 4
+        assert got == _serial_rows(traces + later)
+        assert stats["traces_submitted"] == 14
+        assert stats["pool_calls"] == 2
+        assert stats["pool_cold_starts"] == 1
 
     def test_pool_path_prints_each_trace_once_with_a_store(
             self, tmp_path, monkeypatch):
@@ -232,10 +333,9 @@ class TestCheckingService:
         monkeypatch.setattr(service_mod, "print_trace", counting_print)
         traces = _traces(6)
         path = tmp_path / "served"
-        with CheckingService("linux", shards=2, warmup=0,
+        with CheckingService("linux", shards=2,
                              store=str(path)) as service:
             [f.result(timeout=120) for f in service.submit(traces)]
-            assert service.stats()["resolved_in_parent"] == 0
         # One print per served trace: the shard's text is the row's.
         assert sorted(printed) == sorted(t.name for t in traces)
         with CampaignStore(path, create=False) as store:
@@ -251,7 +351,7 @@ class TestCheckingService:
             assert [f.result() for f in futures] and service.drain(0)
             stats = service.stats()
             assert stats["shards"] == 0
-            assert stats["resolved_in_parent"] == len(traces)
+            assert stats["traces_submitted"] == len(traces)
         assert [f.result().profiles for f in futures] == \
             _serial_rows(traces)
 
@@ -336,17 +436,37 @@ class TestServerProtocol:
         service serves bit-for-bit what the serial backend computes."""
         traces = _traces(12)
         want = _serial_rows(traces)
-        service = CheckingService("all", shards=2, warmup=3)
+        service = CheckingService("all", shards=2)
         with _Server(service) as server:
             with ServiceClient(server.address) as client:
                 verdicts, done = client.check_batch(
                     [print_trace(t) for t in traces])
-                got = [tuple(ConformanceProfile.from_dict(row)
-                             for row in v["profiles"])
-                       for v in verdicts]
+                got = [_profiles(v) for v in verdicts]
                 assert got == want
-                assert done["engine_stats"]["epochs_published"] == 1
-                assert done["engine_stats"]["resolved_in_parent"] == 3
+                assert done["engine_stats"]["traces_submitted"] == 12
+                assert done["engine_stats"]["pool_cold_starts"] == 1
+
+    def test_served_raising_check_gets_one_error_reply(self):
+        """A trace whose check raises gets one error reply naming the
+        exception; the connection stays up, the next trace on the same
+        shard gets the serial verdict, and the pool is not restarted."""
+        traces = _traces(3)
+        service = CheckingService("all", shards=2)
+        with _Server(service) as server:
+            with ServiceClient(server.address) as client:
+                first = client.check(print_trace(traces[0]))
+                with pytest.raises(RuntimeError,
+                                   match="server error: OverflowError"):
+                    client.check(OVERFLOWING)
+                after = _after(service._pool,
+                               service._pool.shard_of("all",
+                                                      "overflowing"))
+                rest = [client.check(print_trace(t))
+                        for t in [after, *traces[1:]]]
+                stats = client.status()["engine_stats"]
+        assert [_profiles(v) for v in [first, *rest]] == \
+            _serial_rows([traces[0], after, *traces[1:]])
+        assert stats["pool_cold_starts"] == 1
 
 
 class TestLineLimit:
