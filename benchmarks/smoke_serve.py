@@ -8,9 +8,13 @@ served per-platform conformance profile is **bit-for-bit** identical to
 what an in-process :class:`~repro.api.SerialBackend` computes for the
 same traces.  Between the suite's two halves it sends a trace whose
 check raises (``OverflowError``): that one request must get the only
-error reply, and the second half must still be served exactly.  Also
-exercises ``status`` and the clean ``shutdown`` path, and checks the
-server wrote its final stats JSON (uploaded as a CI artifact).
+error reply, and the second half must still be served exactly.  Then
+it sends the whole suite again: every repeat must get the first pass's
+verdict from the pool's verdict memo (``verdict_hits`` rises by the
+suite's size), with both passes counted in ``traces_submitted`` and no
+restart of the pool.  Also exercises ``status`` and the clean
+``shutdown`` path, and checks the server wrote its final stats JSON
+(uploaded as a CI artifact).
 
 Usage::
 
@@ -94,7 +98,7 @@ def main(argv=None) -> int:
     texts = [print_trace(t) for t in traces]
     half = len(texts) // 2
     proc, address = start_server(args.shards, stats_json)
-    mismatches = 0
+    mismatches = repeat_mismatches = 0
     errors = []
     try:
         with ServiceClient(address) as client:
@@ -112,6 +116,12 @@ def main(argv=None) -> int:
                 if got != profiles or verdict["name"] != trace.name:
                     mismatches += 1
                     print(f"MISMATCH: {trace.name}")
+            first = client.status()["engine_stats"]
+            repeats, done = client.check_batch(texts)
+            for trace, verdict, again in zip(traces, verdicts, repeats):
+                if again != dict(verdict, id=again["id"]):
+                    repeat_mismatches += 1
+                    print(f"REPEAT MISMATCH: {trace.name}")
             status = client.status()["engine_stats"]
             client.shutdown()
         returncode = proc.wait(timeout=60)
@@ -122,9 +132,12 @@ def main(argv=None) -> int:
     print(f"\nserved {len(traces)} traces from {CONFIG} "
           f"(model={MODEL}, {args.shards} shards) via {address}")
     print(f"parity vs SerialBackend: {mismatches} mismatches")
+    print(f"second pass vs first: {repeat_mismatches} mismatches")
     print(f"error replies: {errors}")
+    memo_hits = status.get("verdict_hits", 0) - first.get("verdict_hits", 0)
     print(f"server stats: submitted={status.get('traces_submitted')}, "
           f"cold starts={status.get('pool_cold_starts')}, "
+          f"second-pass memo hits={memo_hits}, "
           f"last batch_done count={done.get('count')}")
 
     failed = False
@@ -141,7 +154,14 @@ def main(argv=None) -> int:
     if status.get("pool_cold_starts") != 1:
         print("FAIL: the shard pool was restarted")
         failed = True
-    if status.get("traces_submitted") != len(traces) + 1:
+    if repeat_mismatches or len(repeats) != len(traces):
+        print("FAIL: a repeated trace got a different verdict")
+        failed = True
+    if memo_hits != len(traces):
+        print(f"FAIL: the second pass made {memo_hits} verdict-memo "
+              f"hits, not {len(traces)}")
+        failed = True
+    if status.get("traces_submitted") != 2 * len(traces) + 1:
         print("FAIL: server did not account for every submitted trace")
         failed = True
     if not stats_json.exists():

@@ -191,7 +191,8 @@ class Session:
             partition=self.store_partition,
             name=outcome.checked.trace.name,
             target_function=record.target_function,
-            trace_text=print_trace(outcome.checked.trace),
+            trace_text=(record.trace_text
+                        or print_trace(outcome.checked.trace)),
             profiles=tuple(outcome.profiles),
             covered=tuple(sorted(outcome.covered)),
             exec_seconds=record.exec_seconds,

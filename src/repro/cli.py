@@ -580,9 +580,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
                         choices=["serial", "process", "sharded"],
                         help="backend family (default: derived from "
                              "--processes/--shards); 'sharded' "
-                             "partitions the suite across shard "
-                             "workers sharing one read-mostly "
-                             "transition memo")
+                             "executes in this process and checks on "
+                             "persistent shard workers")
     parser.add_argument("--shards", type=int, default=None,
                         help="shard workers for the sharded backend "
                              "(default: --processes, else CPU count); "

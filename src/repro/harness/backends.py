@@ -19,8 +19,9 @@ backends implement it:
 * :class:`ShardedBackend` executes every script in the parent and
   partitions the *checking* across *persistent* shard processes (a
   :class:`~repro.service.pool.ShardPool` that outlives the call), each
-  checking on its own warm oracle (verdict-memo and pool counters
-  surface in RunArtifact ``engine_stats``).
+  checking on its own warm oracle; the pool answers exact repeats from
+  its verdict memo in the parent (memo and pool counters surface in
+  RunArtifact ``engine_stats``).
 
 Checking is oracle-driven: the ``model`` parameter is an oracle name
 resolved through :mod:`repro.oracle` — a plain platform (``"linux"``)
@@ -61,7 +62,7 @@ from repro.executor.executor import (  # noqa: F401
 from repro.fsimpl.quirks import Quirks
 from repro.oracle import ConformanceProfile, Oracle, get_oracle
 from repro.script.ast import Script, Trace
-from repro.service.pool import ShardPool, memoize_verdict
+from repro.service.pool import ShardPool
 from repro.script.parser import parse_trace
 from repro.script.printer import print_trace
 from repro.store import CampaignStore, TraceRecord
@@ -95,13 +96,16 @@ class RunRecord:
     function travels with the outcome (a streamed suite is never held,
     so the consumer cannot look it up later), and the per-phase seconds
     are as measured where the work ran (summed worker time under a
-    process pool).
+    process pool).  ``trace_text`` is the trace as the backend printed
+    it, or empty when the backend printed nothing (a consumer that needs
+    the text prints the trace itself).
     """
 
     target_function: str
     outcome: CheckOutcome
     exec_seconds: float = 0.0
     check_seconds: float = 0.0
+    trace_text: str = ""
 
 
 @runtime_checkable
@@ -414,7 +418,8 @@ class ProcessPoolBackend(_BackendBase):
                     outcome=CheckOutcome(
                         profiles[0].as_checked(parse_trace(trace_text)),
                         frozenset(covered), profiles),
-                    exec_seconds=exec_s, check_seconds=check_s)
+                    exec_seconds=exec_s, check_seconds=check_s,
+                    trace_text=trace_text)
         finally:
             stop.set()
 
@@ -442,7 +447,7 @@ class ShardedBackend(_BackendBase):
 
     * **Execute in the parent, check on the shards.**  As in the paper
       (§7.1), only checking runs on worker processes.  ``run_iter``
-      executes on the pool's feeder thread with a per-call
+      executes on the call's feeder thread with a per-call
       :class:`~repro.executor.ScriptExecutor` (an abandoned call's
       feeder may still be running), keeps each :class:`Trace` and ships
       its text once; a shard parses and checks it.  A script or a check
@@ -458,17 +463,16 @@ class ShardedBackend(_BackendBase):
     * **Partitioned feeding.**  Items are routed to shards by a stable
       hash of the configuration-partition key and the item name, so
       repeats of a trace (and families sharing its name) always land on
-      the shard whose prefix cache — and bounded verdict memo — already
-      knows them.
+      the shard whose prefix cache already knows them.
 
-    ``check_iter`` also keeps a parent-side verdict memo, so an exact
-    repeat costs a dict lookup instead of a round trip.  Counters come
-    back in :meth:`run_stats` (surfaced as RunArtifact
-    ``engine_stats``).
+    The pool keeps one bounded verdict memo in the parent, so an exact
+    repeat (in ``run_iter`` and ``check_iter`` alike) costs a dict
+    lookup instead of a round trip.  Counters come back in
+    :meth:`run_stats` (surfaced as RunArtifact ``engine_stats``).
     """
 
     def __init__(self, shards: Optional[int] = None, *,
-                 window: int = 16, chunk: int = 16,
+                 chunk: int = 16,
                  store: Optional[Union[CampaignStore, str]] = None
                  ) -> None:
         self.shards = shards or max(2, multiprocessing.cpu_count())
@@ -483,31 +487,16 @@ class ShardedBackend(_BackendBase):
         else:
             self.store = CampaignStore(store)
             self._owns_store = True
-        self._pool = ShardPool(self.shards, window=window, chunk=chunk)
+        self._pool = ShardPool(self.shards, chunk=chunk)
         self._last_stats: Dict[str, int] = {}
-        # Parent-side bounded verdict memo, keyed by exact trace text:
-        # an exact repeat costs a dict lookup instead of an IPC round
-        # trip, which is what drives the per-call overhead to ~zero on
-        # repeat-heavy campaigns (CI re-runs, watch loops).
-        self._verdicts: Dict[Tuple[str, str], tuple] = {}
 
     @property
     def name(self) -> str:
         return f"sharded[{self.shards}]"
 
     @property
-    def window(self) -> int:
-        """Bounded per-shard queue depth, in *batches* — the
-        backpressure window a lazy plan stream is pulled ahead by."""
-        return self._pool.window
-
-    @window.setter
-    def window(self, value: int) -> None:
-        self._pool.window = max(1, value)
-
-    @property
     def chunk(self) -> int:
-        """Items per queue message: repeat-heavy checking is fast
+        """Items per task message: repeat-heavy checking is fast
         enough that per-item IPC would dominate, so items travel (and
         results return) in chunks."""
         return self._pool.chunk
@@ -519,20 +508,18 @@ class ShardedBackend(_BackendBase):
     def run_stats(self) -> Dict[str, int]:
         """Counters from the most recent pass (RunArtifact
         ``engine_stats``): the shard count, the pass's verdict-memo hits
-        (parent and shards) and the cumulative ``pool_cold_starts``.
-        ``warmup_traces`` is always 0: no trace is checked in the parent
-        (perfbench reads the key)."""
+        and the cumulative ``pool_cold_starts``.  ``warmup_traces`` is
+        always 0: no trace is checked in the parent (perfbench reads the
+        key)."""
         return dict(self._last_stats)
 
-    def _new_stats(self) -> Dict[str, int]:
-        return {"shards": self.shards, "warmup_traces": 0,
-                "verdict_hits": 0}
-
-    def _finish_call(self, stats: Dict[str, int], call) -> None:
-        if call is not None:
-            stats["verdict_hits"] += call.stats.get("verdict_hits", 0)
-        stats["pool_cold_starts"] = self._pool.cold_starts
-        self._last_stats = stats
+    def _finish_call(self, hits_before: int) -> None:
+        # The pool's counters are cumulative: a pass's hits are its
+        # delta (exact for sequential passes).
+        self._last_stats = {
+            "shards": self.shards, "warmup_traces": 0,
+            "verdict_hits": self._pool.verdict_hits - hits_before,
+            "pool_cold_starts": self._pool.cold_starts}
 
     # -- the Backend protocol -------------------------------------------------
 
@@ -559,68 +546,36 @@ class ShardedBackend(_BackendBase):
                    collect_coverage: bool = False
                    ) -> Iterator[CheckOutcome]:
         traces = list(traces)
-        stats = self._new_stats()
         texts = [print_trace(trace) for trace in traces]
-        # Coverage never touches the memo: a served verdict would skip
-        # the specification clauses' cover() calls.
-        hits: Dict[int, tuple] = {}
-        if not collect_coverage:
-            hits = {i: self._verdicts[(model, text)]
-                    for i, text in enumerate(texts)
-                    if (model, text) in self._verdicts}
-            stats["verdict_hits"] += len(hits)
-        misses = [i for i in range(len(traces)) if i not in hits]
-        call = None
-        pool_iter = None
-        try:
-            if misses:
-                items = [(traces[i].name, texts[i]) for i in misses]
-                call = self._pool.submit_stream(
-                    items, model=model,
-                    collect_coverage=collect_coverage, partition=model)
-                pool_iter = call.results()
-            for i, (trace, text) in enumerate(zip(traces, texts)):
-                memoized = hits.get(i)
-                if memoized is not None:
-                    profiles, covered = memoized, ()
-                else:
-                    assert pool_iter is not None
-                    _got, payload = next(pool_iter)
-                    if isinstance(payload, BaseException):
-                        raise payload
-                    profiles, covered, _seconds = payload
-                    if not collect_coverage:
-                        memoize_verdict(self._verdicts, model, text,
-                                        profiles)
-                self._store_append(f"check:{model}", trace.name, text,
-                                   profiles, covered)
-                yield CheckOutcome(profiles[0].as_checked(trace),
-                                   frozenset(covered), profiles)
-            if pool_iter is not None:
-                # Drain to the call barrier: the per-call counter
-                # deltas in ``call.stats`` only land once every shard
-                # has answered ``done``, which the last *result* does
-                # not wait for.
-                next(pool_iter, None)
-        finally:
-            if pool_iter is not None:
-                pool_iter.close()
-        self._finish_call(stats, call)
+        hits_before = self._pool.verdict_hits
+        futures = self._pool.submit(
+            [(trace.name, text) for trace, text in zip(traces, texts)],
+            model=model, collect_coverage=collect_coverage,
+            partition=model)
+        for trace, text, future in zip(traces, texts, futures):
+            # An item whose check raised (or that a dead shard lost)
+            # raises here, at that item.
+            profiles, covered, _seconds = future.result()
+            self._store_append(f"check:{model}", trace.name, text,
+                               profiles, covered)
+            yield CheckOutcome(profiles[0].as_checked(trace),
+                               frozenset(covered), profiles)
+        self._finish_call(hits_before)
 
     def run_iter(self, quirks: Quirks, model: str,
                  scripts: Iterable[Script], *,
                  collect_coverage: bool = False
                  ) -> Iterator[RunRecord]:
         stream = iter(scripts)
-        stats = self._new_stats()
+        hits_before = self._pool.verdict_hits
         first = next(stream, None)
         if first is None:  # nothing to run: leave the pool unspawned
-            self._finish_call(stats, None)
+            self._finish_call(hits_before)
             return
         executor = ScriptExecutor()
         # Store rows and shard routing share the Session partition.
         partition = f"{quirks.name}:{model}"
-        # Filled on the pool's feeder thread, emptied here: an index's
+        # Filled on the call's feeder thread, emptied here: an index's
         # result can only arrive after its item was yielded.
         held: Dict[int, Tuple[str, Trace, str, float]] = {}
 
@@ -633,10 +588,9 @@ class ShardedBackend(_BackendBase):
                            time.perf_counter() - t0)
                 yield (script.name, text)
 
-        call = self._pool.submit_stream(
+        results = self._pool.submit_stream(
             items(), model=model, collect_coverage=collect_coverage,
-            partition=partition)
-        results = call.results()
+            partition=partition).results()
         try:
             for i, payload in results:
                 if isinstance(payload, BaseException):
@@ -653,13 +607,14 @@ class ShardedBackend(_BackendBase):
                     outcome=CheckOutcome(
                         profiles[0].as_checked(trace),
                         frozenset(covered), profiles),
-                    exec_seconds=exec_s, check_seconds=check_s)
+                    exec_seconds=exec_s, check_seconds=check_s,
+                    trace_text=trace_text)
         finally:
             # Stop the feeder now, also when an item raised: the
             # exception's traceback keeps this frame (and an unclosed
             # ``results``) alive.
             results.close()
-        self._finish_call(stats, call)
+        self._finish_call(hits_before)
 
     def close(self) -> None:
         self._pool.close()

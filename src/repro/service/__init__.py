@@ -5,8 +5,10 @@ up:
 
 * :mod:`repro.service.pool` — :class:`ShardPool`, shard worker
   processes that outlive individual calls, each checking on its own
-  warm oracle; :class:`repro.harness.backends.ShardedBackend` is built
-  on it, so batch runs keep the workers warm across calls too.
+  warm oracle, with one future per item and one verdict memo in the
+  parent that answers exact repeats without a round trip;
+  :class:`repro.harness.backends.ShardedBackend` is built on it, so
+  batch runs keep the workers warm across calls too.
 * :mod:`repro.service.service` — :class:`CheckingService`, the
   long-lived pool session with an explicit
   ``start/submit/drain/stats/shutdown`` lifecycle.

@@ -3,32 +3,48 @@
 :class:`ShardPool` spawns shard processes **once** and reuses them
 across calls.  Shards only check (the caller executes, §7.1): work is
 ``(name, trace_text)`` items, each answered with ``(profiles, covered,
-parse_and_check_seconds)``, either streamed
-(:meth:`ShardPool.submit_stream`, bounded backpressure, results
-re-sequenced in input order) or as a materialised list returning one
-future per item (:meth:`ShardPool.submit`).  Cumulative counters come
-back on every call barrier and surface through
-:meth:`ShardPool.run_stats`.
+parse_and_check_seconds)`` through **one future per item**.
+:meth:`ShardPool.submit` routes a materialised list and sends it on the
+caller's thread; :meth:`ShardPool.submit_stream` has one feeder thread
+pull a lazy stream under a bounded in-flight window, and
+:meth:`ShardCall.results` yields the same futures' results in input
+order.  One reader thread per shard resolves each future as its result
+arrives.
+
+The verdict memo lives in the parent, here: an exact ``(model,
+trace_text)`` repeat of a verdict the pool already computed, or of an
+item still in flight, is answered before routing, without a round trip.
+The memo keeps at most :data:`VERDICT_MEMO_MAX` verdicts (FIFO
+eviction); coverage runs bypass it, so no memo hit can swallow a
+clause's ``cover()`` call.
 
 What a shard keeps (:class:`ShardWorkerState`) is one warm
 ``create_oracle(model, cache=True)`` per model, whose prefix cache,
-intern table and transition memos grow over the shard's whole life,
-plus a verdict memo bounded at :data:`VERDICT_MEMO_MAX` traces.  Items
-are routed by :meth:`ShardPool.shard_of`, so repeats of a name land on
-the shard whose caches already know it.  Nothing is shared between
-shards.
+intern table and transition memos grow over the shard's whole life.
+Items are routed by :meth:`ShardPool.shard_of`, so repeats of a name
+land on the shard whose caches already know it.  Nothing is shared
+between shards.
 
-A check that raises fails only its own item: the worker sends the
-exception back as that item's result, with a note naming the trace and
-the shard, and goes on serving.
+No result is dropped silently:
+
+* a check that raises fails only its own item: the worker sends the
+  exception back as that item's result, with a note naming the trace
+  and the shard (an exception that would not survive the pipe is
+  replaced by a ``RuntimeError`` carrying its traceback);
+* a shard that dies fails the items it held with a ``RuntimeError``
+  naming the shard and the trace; items on the other shards finish,
+  and the next submission runs on a fresh worker (``pool_cold_starts``
+  counts it).
 
 Worker processes are released by ``close()``; a ``weakref.finalize``
-safety net terminates them at garbage collection so an abandoned pool
+safety net terminates them at interpreter exit so an abandoned pool
 cannot outlive the interpreter.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 import queue as queue_mod
 import threading
@@ -37,29 +53,18 @@ import traceback
 import weakref
 import zlib
 from concurrent.futures import Future
+from multiprocessing.reduction import ForkingPickler
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.coverage import REGISTRY
 from repro.oracle import Oracle, create_oracle, get_oracle
 from repro.script.parser import parse_trace
 
-#: Stats keys each worker accumulates and reports on call barriers.
-_WORKER_COUNTERS = ("verdict_hits",)
-
-#: Bound on a verdict memo (entries, FIFO eviction): each shard's, and
-#: the sharded backend's parent-side one.
+#: Bound on the pool's verdict memo (entries, FIFO eviction).
 VERDICT_MEMO_MAX = 4096
 
-
-def memoize_verdict(memo: Dict[Tuple[str, str], tuple], model: str,
-                    trace_text: str, profiles: tuple) -> None:
-    """Remember a verdict under its exact trace text, evicting the
-    oldest entry once ``memo`` holds :data:`VERDICT_MEMO_MAX`.  The
-    oracle is deterministic, so a memoized profile tuple is bit-for-bit
-    the answer a re-check would produce."""
-    if len(memo) >= VERDICT_MEMO_MAX:
-        memo.pop(next(iter(memo)))
-    memo[(model, trace_text)] = profiles
+#: Chunks per shard a lazy stream is pulled ahead of its consumer.
+WINDOW = 16
 
 
 class ShardWorkerState:
@@ -71,20 +76,17 @@ class ShardWorkerState:
     result).  A shard never executes scripts.
 
     Oracles are built fresh *inside* the worker (never inherited from
-    the parent) and kept per model for the worker's life.  A verdict
-    memo keyed by exact trace text short-circuits repeat checks.
+    the parent) and kept per model for the worker's life.
     """
 
     def __init__(self) -> None:
         self._oracles: Dict[str, Oracle] = {}
-        self._verdicts: Dict[Tuple[str, str], tuple] = {}
-        self.verdict_hits = 0
 
     def oracle(self, model: str, collect_coverage: bool) -> Oracle:
         if collect_coverage:
             # Coverage keeps the old per-call policy: fresh engine
-            # tables per check and no memo reuse, so prefix/memo hits
-            # cannot swallow specification-clause cover() calls.
+            # tables per check, so prefix/memo hits cannot swallow
+            # specification-clause cover() calls.
             return get_oracle(model, cache=False)
         oracle = self._oracles.get(model)
         if oracle is None:
@@ -95,11 +97,6 @@ class ShardWorkerState:
     def check(self, model: str, collect_coverage: bool,
               trace_text: str) -> Tuple[tuple, tuple]:
         """Check one trace (text form); return (profiles, covered)."""
-        if not collect_coverage:
-            memoized = self._verdicts.get((model, trace_text))
-            if memoized is not None:
-                self.verdict_hits += 1
-                return memoized, ()
         oracle = self.oracle(model, collect_coverage)
         trace = parse_trace(trace_text)
         if collect_coverage:
@@ -107,196 +104,180 @@ class ShardWorkerState:
         verdict = oracle.check(trace)
         covered = (tuple(sorted(REGISTRY.hit_names()))
                    if collect_coverage else ())
-        if not collect_coverage:
-            memoize_verdict(self._verdicts, model, trace_text,
-                            verdict.profiles)
         return verdict.profiles, covered
 
-    def stats(self) -> Dict[str, int]:
-        return {"verdict_hits": self.verdict_hits}
+
+def _sendable(exc: Exception, shard_index: int,
+              name: str) -> Exception:
+    """``exc``, noted with the trace and the shard, if it survives the
+    pipe; otherwise a ``RuntimeError`` carrying its traceback."""
+    detail = "".join(traceback.format_exception(exc)).rstrip()
+    exc.add_note(f"raised by shard {shard_index} checking trace "
+                 f"{name!r}:\n{detail}")
+    try:
+        ForkingPickler.loads(ForkingPickler.dumps(exc))
+    except Exception as error:
+        return RuntimeError(
+            f"shard {shard_index} cannot send back the "
+            f"{type(exc).__name__} that checking trace {name!r} raised "
+            f"({error!r}):\n{detail}")
+    return exc
 
 
-def _pool_worker(shard_index: int, in_q, out_q) -> None:
-    """One persistent shard process: drain messages until the sentinel.
+def _pool_worker(shard_index: int, tasks, results) -> None:
+    """One persistent shard process: answer task messages until the
+    pool terminates it.
 
-    Messages from the parent:
-
-    * ``("task", call_id, model, coverage, batch)`` — a chunk of
-      ``(index, name, trace_text)`` items to check; results go back as
-      ``("ok", call_id, [(index, payload), ...])``, where ``payload``
-      is ``(profiles, covered, seconds)``, the seconds timing the parse
-      plus the check, or the exception the item raised.
-    * ``("end", call_id)`` — call barrier; the worker answers
-      ``("done", call_id, shard_index, cumulative_stats)``.  Because
-      each worker's messages are FIFO, the parent seeing ``done`` knows
-      every ``ok`` of that call from this shard already arrived.
-    * ``None`` — shut down.
-
-    Anything that fails outside an item's check posts ``("fatal",
-    shard_index, traceback)`` and ends the worker.
+    A task message is ``(model, coverage, batch)``, a chunk of
+    ``(item_id, name, trace_text)`` items.  Its answer is ``("ok",
+    [(item_id, payload), ...])``, where ``payload`` is ``(profiles,
+    covered, seconds)``, the seconds timing the parse plus the check, or
+    the exception the item raised.  ``Connection.send`` pickles in this
+    thread, so a reply that cannot be sent raises here, never in a
+    background thread.  Anything that fails outside an item's check
+    sends ``("fatal", traceback)`` and ends the worker.
     """
     state = ShardWorkerState()
     try:
         while True:
-            message = in_q.get()
-            if message is None:
-                break
-            if message[0] == "end":
-                out_q.put(("done", message[1], shard_index,
-                           state.stats()))
-                continue
-            _, call_id, model, coverage, batch = message
-            results = []
-            for index, name, trace_text in batch:
+            model, coverage, batch = tasks.recv()
+            replies = []
+            for item_id, name, trace_text in batch:
                 t0 = time.perf_counter()
                 try:
                     profiles, covered = state.check(model, coverage,
                                                     trace_text)
                 except Exception as exc:
-                    exc.add_note(f"raised by shard {shard_index} "
-                                 f"checking trace {name!r}:\n"
-                                 + "".join(traceback.format_exception(
-                                     exc)).rstrip())
-                    results.append((index, exc))
+                    replies.append((item_id,
+                                    _sendable(exc, shard_index, name)))
                     continue
-                results.append((index, (profiles, covered,
-                                        time.perf_counter() - t0)))
-            out_q.put(("ok", call_id, results))
+                replies.append((item_id, (profiles, covered,
+                                          time.perf_counter() - t0)))
+            results.send(("ok", replies))
     except Exception:
-        out_q.put(("fatal", shard_index, traceback.format_exc()))
+        results.send(("fatal", traceback.format_exc()))
+
+
+def _future() -> Future:
+    """A pool future: never cancelled, so its result, or its error,
+    always arrives."""
+    future: Future = Future()
+    future.set_running_or_notify_cancel()
+    return future
+
+
+class _Shard:
+    """One worker process and the two pipes to it, plus the items it
+    holds: ``pending`` maps an item id to ``(name, memo key, futures)``
+    (the pool's lock guards it)."""
+
+    def __init__(self, ctx, index: int) -> None:
+        self.index = index
+        task_reader, self.tasks = ctx.Pipe(duplex=False)
+        self.results, result_writer = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=_pool_worker,
+                                args=(index, task_reader, result_writer),
+                                daemon=True)
+        self.proc.start()
+        # Only the worker holds its ends, so its death reads as EOF.
+        task_reader.close()
+        result_writer.close()
+        self.send_lock = threading.Lock()
+        self.pending: Dict[int, tuple] = {}
+        self.retired = False
+
+    def send(self, message) -> None:
+        try:
+            with self.send_lock:
+                self.tasks.send(message)
+        except OSError:
+            pass  # the worker is gone: its reader fails what it held
 
 
 class ShardCall:
-    """One submitted batch: re-sequenced results plus per-call stats.
+    """One lazily fed stream: :meth:`results` yields its items' results
+    in input order, each as soon as it and every earlier item resolved.
 
-    Results stream through :meth:`results` in input-index order as the
-    shards complete them.  ``stats`` holds the per-call *delta* of the
-    pool's cumulative worker counters once the call barrier completes
-    (exact for sequential calls, approximate under concurrent ones —
-    the counters are pool-wide).
+    The feeder thread puts ``(index, future)`` entries, then the end
+    marker or the exception the stream raised; ``_window`` bounds the
+    items fed but not yet consumed.  Fed items wait in ``_buffer`` until
+    a flush dispatches them as one batch: the feeder flushes a full
+    buffer and the stream's end, and the consumer flushes before it
+    waits on an item still buffered, so a stream that blocks can never
+    hold back the item its consumer waits for.
     """
 
-    _SENTINEL = object()
+    _END = object()
 
-    def __init__(self, pool: "ShardPool", call_id: int,
-                 window_items: int) -> None:
-        self.call_id = call_id
-        self.stats: Dict[str, int] = {}
-        self._pool = pool
-        self._next = 0
-        self._buffered: Dict[int, object] = {}
-        self._out: "queue_mod.Queue" = queue_mod.Queue()
-        self._in_flight = threading.Semaphore(window_items)
+    def __init__(self, window_items: int, dispatch) -> None:
+        self._entries: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
+        self._window = threading.Semaphore(window_items)
         self._stop = threading.Event()
-        self._finished = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._feeder_error: Optional[BaseException] = None
-        self._fed: Optional[int] = None
-        self._delivered = 0
-        self._done_shards: set = set()
-        self._stats_before = pool._worker_totals()
+        self._dispatch = dispatch
+        self._lock = threading.Lock()
+        self._buffer: List[Tuple[Future, str, str]] = []
+        self._flushed = 0  # items dispatched: indices below are sent
 
-    # -- collector side (pool's collector thread) -----------------------------
-
-    def _deliver(self, index: int, payload: object) -> None:
-        self._buffered[index] = payload
-        while self._next in self._buffered:
-            self._out.put((self._next, self._buffered.pop(self._next)))
-            self._delivered += 1
-            self._next += 1
-
-    def _shard_done(self, shard_index: int,
-                    n_shards: int) -> None:
-        self._done_shards.add(shard_index)
-        if len(self._done_shards) < n_shards:
-            return
-        # Per-worker FIFO: every ok of this call already arrived, so a
-        # shortfall here means a result message was lost (e.g. an
-        # unpicklable payload dropped by a child's queue feeder).
-        if self._feeder_error is not None:
-            self._fail(self._feeder_error)
-        elif self._fed is not None and self._delivered < self._fed:
-            self._fail(RuntimeError(
-                f"sharded run lost results: fed {self._fed}, "
-                f"received {self._delivered}"))
-        else:
-            self._finish()
-
-    def _finish(self) -> None:
-        if self._finished.is_set():
-            return
-        after = self._pool._worker_totals()
-        self.stats = {key: after.get(key, 0)
-                      - self._stats_before.get(key, 0)
-                      for key in _WORKER_COUNTERS}
-        self._finished.set()
-        self._out.put(ShardCall._SENTINEL)
-
-    def _fail(self, error: BaseException) -> None:
-        if self._finished.is_set():
-            return
-        self._error = error
-        self._finished.set()
-        self._out.put(ShardCall._SENTINEL)
-
-    # -- consumer side --------------------------------------------------------
+    def _flush(self) -> None:
+        with self._lock:
+            batch, self._buffer = self._buffer, []
+            self._flushed += len(batch)
+        if batch and not self._stop.is_set():  # no one waits if stopped
+            self._dispatch(batch)
 
     def results(self) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, result)`` in input order as they complete.
 
         ``result`` is ``(profiles, covered, seconds)``, or the exception
-        the item's check raised: the consumer decides whether one item
-        fails the call (the backends raise it) or only its own future
-        (:meth:`ShardPool.submit`).
+        the item's check raised (or that lost it): the consumer decides
+        whether one item fails the call (the backends raise it) or only
+        its own future.  A stream that raised mid-generation raises
+        here after its last item.
         """
         try:
             while True:
-                try:
-                    item = self._out.get(timeout=0.5)
-                except queue_mod.Empty:
-                    self._pool._check_health()
-                    continue
-                if item is ShardCall._SENTINEL:
-                    if self._error is not None:
-                        raise self._error
+                entry = self._entries.get()
+                if entry is ShardCall._END:
                     return
-                self._in_flight.release()
-                yield item
+                if isinstance(entry, BaseException):
+                    raise entry
+                index, future = entry
+                if index >= self._flushed:
+                    self._flush()
+                error = future.exception()
+                self._window.release()
+                yield index, (future.result() if error is None
+                              else error)
         finally:
-            # Abandonment (or error): stop the feeder; queued work
-            # drains in the background, as under ProcessPoolBackend.
+            # Abandonment (or error): the feeder stops pulling; items
+            # already sent finish in the background.
             self._stop.set()
-            self._pool._retire_call(self)
+            self._window.release()  # wake a feeder waiting for room
 
 
 class ShardPool:
     """Shard worker processes that outlive individual calls.
 
     The pool spawns lazily on first use and keeps its workers across
-    calls.  ``close()`` is a full stop — a later call restarts the pool
-    (the ``cold_starts`` counter in :meth:`run_stats` makes that
-    visible).
+    calls; a worker that died is replaced at the next submission.
+    ``close()`` is a full stop — a later call restarts the pool (the
+    ``cold_starts`` counter in :meth:`run_stats` makes both visible).
     """
 
-    def __init__(self, shards: int, *, window: int = 16,
-                 chunk: int = 16) -> None:
+    def __init__(self, shards: int, *, chunk: int = 16) -> None:
         self.shards = max(1, shards)
-        #: Bounded per-shard queue depth, in batches — the backpressure
-        #: window a lazy stream is pulled ahead by.
-        self.window = max(1, window)
-        #: Items per queue message (per-item IPC would dominate).
+        #: Items per task message (per-item IPC would dominate).
         self.chunk = max(1, chunk)
         self._ctx = multiprocessing.get_context()
-        self._procs: Optional[list] = None
-        self._in_qs: list = []
-        self._out_q = None
-        self._collector: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._lock = threading.Lock()
-        self._calls: Dict[int, ShardCall] = {}
-        self._call_ids = iter(range(1, 1 << 62)).__next__
-        self._shard_stats: Dict[int, Dict[str, int]] = {}
-        self._broken: Optional[str] = None
+        self._shards: List[Optional[_Shard]] = [None] * self.shards
+        self._readers: List[threading.Thread] = []
+        self._item_ids = itertools.count()
+        # (model, trace_text) -> profiles, and -> the futures waiting
+        # on the one item in flight for that key.
+        self._verdicts: Dict[Tuple[str, str], tuple] = {}
+        self._inflight: Dict[Tuple[str, str], List[Future]] = {}
+        self.verdict_hits = 0
         self.cold_starts = 0
         self.calls_started = 0
         self._finalizer = weakref.finalize(self, ShardPool._atexit,
@@ -314,58 +295,56 @@ class ShardPool:
     # -- lifecycle ------------------------------------------------------------
 
     @property
+    def _procs(self) -> list:
+        """The live workers' processes."""
+        return [shard.proc for shard in self._shards if shard is not None]
+
+    @property
     def alive(self) -> bool:
-        return self._procs is not None
+        return bool(self._procs)
 
     def start(self) -> None:
-        """Spawn the workers (idempotent; restarts after ``close``)."""
+        """Spawn the missing workers (idempotent; restarts after
+        ``close`` or a worker's death)."""
         with self._lock:
-            if self._procs is not None:
-                return
-            self._stop.clear()
-            self._broken = None
-            self._out_q = self._ctx.Queue()
-            self._in_qs = [self._ctx.Queue(self.window)
-                           for _ in range(self.shards)]
-            self._procs = [
-                self._ctx.Process(target=_pool_worker,
-                                  args=(i, self._in_qs[i], self._out_q),
-                                  daemon=True)
-                for i in range(self.shards)]
-            for proc in self._procs:
-                proc.start()
-            self._shard_stats = {}
-            self.cold_starts += 1
-            self._collector = threading.Thread(target=self._collect,
-                                               daemon=True)
-            self._collector.start()
+            self._spawn_missing()
+
+    def _spawn_missing(self) -> None:
+        # Called with the lock held, on a submitting caller's thread
+        # only: forking while another thread of the call may hold a
+        # lock (the feeder executing a script) would hand the child
+        # that lock held.
+        missing = [i for i, shard in enumerate(self._shards)
+                   if shard is None]
+        if not missing:
+            return
+        self._readers = [r for r in self._readers if r.is_alive()]
+        for i in missing:
+            shard = _Shard(self._ctx, i)
+            self._shards[i] = shard
+            reader = threading.Thread(target=self._read, args=(shard,),
+                                      daemon=True,
+                                      name=f"repro-shard-{i}-reader")
+            reader.start()
+            self._readers.append(reader)
+        self.cold_starts += 1
 
     def close(self) -> None:
+        """Stop every worker now and drop the verdict memo; items still
+        in flight fail with ``shard pool closed``, and a stream still
+        feeding fails its later items."""
         with self._lock:
-            procs, self._procs = self._procs, None
-            in_qs, self._in_qs = self._in_qs, []
-            out_q, self._out_q = self._out_q, None
-            collector, self._collector = self._collector, None
-            calls, self._calls = dict(self._calls), {}
-        for call in calls.values():
-            call._fail(RuntimeError("shard pool closed"))
-        self._stop.set()
-        if procs is None:
-            return
-        for in_q in in_qs:
-            try:
-                in_q.put_nowait(None)
-            except queue_mod.Full:
-                pass
-        if out_q is not None:
-            out_q.cancel_join_thread()
-        for proc in procs:
-            proc.join(timeout=2)
-            if proc.is_alive():  # pragma: no cover - abandonment
-                proc.terminate()
-                proc.join()
-        if collector is not None:
-            collector.join(timeout=2)
+            shards = [s for s in self._shards if s is not None]
+            self._shards = [None] * self.shards
+            readers, self._readers = self._readers, []
+            self._verdicts = {}
+            for shard in shards:
+                shard.retired = True
+                shard.proc.terminate()
+        current = threading.current_thread()
+        for reader in readers:
+            if reader is not current:
+                reader.join()
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -380,36 +359,50 @@ class ShardPool:
         whose caches already know it."""
         return zlib.crc32(f"{partition}:{name}".encode()) % self.shards
 
-    def submit_stream(self, items: Iterable[Tuple[str, str]],
-                      *, model: Optional[str] = None,
-                      collect_coverage: bool = False,
-                      partition: str = "") -> ShardCall:
-        """Feed ``(name, trace_text)`` items to the pool.
-
-        ``name`` routes the item (:meth:`shard_of`) and travels with the
-        text, so an error can name its trace.  ``items`` may be a lazy
-        generator: a feeder thread pulls it only ``window * chunk``
-        items ahead of consumption (the in-flight semaphore is released
-        as :meth:`ShardCall.results` yields), so a generating plan
-        stream stays lazy.  A stream that raises mid-generation fails
-        the call with that exception rather than truncating it; the
-        pool stays usable.
-        """
-        if self._broken is not None:
-            raise RuntimeError(self._broken)
-        self.start()
-        call = ShardCall(self, self._call_ids(),
-                         window_items=self.window * self.chunk
-                         * self.shards)
+    def _dispatch(self, model: Optional[str], coverage: bool,
+                  partition: str,
+                  batch: List[Tuple[Future, str, str]]) -> None:
+        """Answer each ``(future, name, text)`` item from the memo when
+        it can be, else route it to its shard and send it there."""
+        answered = []
+        tasks: Dict[_Shard, list] = {}
         with self._lock:
-            self._calls[call.call_id] = call
-            self.calls_started += 1
-        feeder = threading.Thread(
-            target=self._feed,
-            args=(call, items, model, collect_coverage, partition),
-            daemon=True)
-        feeder.start()
-        return call
+            for future, name, text in batch:
+                key = None if coverage else (model, text)
+                if key is not None:
+                    profiles = self._verdicts.get(key)
+                    waiting = self._inflight.get(key)
+                    if profiles is not None:
+                        self.verdict_hits += 1
+                        answered.append((future, (profiles, (), 0.0)))
+                        continue
+                    if waiting is not None:
+                        self.verdict_hits += 1
+                        waiting.append(future)
+                        continue
+                index = self.shard_of(partition, name)
+                shard = self._shards[index]
+                if shard is None:  # gone since the call began
+                    answered.append((future, RuntimeError(
+                        f"shard {index} died (or the pool closed) before "
+                        f"trace {name!r} was sent; the next call starts "
+                        "a fresh worker")))
+                    continue
+                item_id = next(self._item_ids)
+                waiting = [future]
+                shard.pending[item_id] = (name, key, waiting)
+                if key is not None:
+                    self._inflight[key] = waiting
+                tasks.setdefault(shard, []).append((item_id, name, text))
+        for future, payload in answered:
+            if isinstance(payload, BaseException):
+                future.set_exception(payload)
+            else:
+                future.set_result(payload)
+        for shard, items in tasks.items():
+            for start in range(0, len(items), self.chunk):
+                shard.send((model, coverage,
+                            items[start:start + self.chunk]))
 
     def submit(self, items: Iterable[Tuple[str, str]], *,
                model: Optional[str] = None,
@@ -417,166 +410,138 @@ class ShardPool:
                partition: str = "") -> List[Future]:
         """Submit a materialised item list; one future per item.
 
-        A drainer thread resolves the futures as results stream back.
-        An item whose check raised fails only its own future, with that
-        exception; a pool failure rejects every still-pending future.
+        ``name`` routes the item (:meth:`shard_of`) and travels with the
+        text, so an error can name its trace.  Routing and sending run
+        on the caller's thread.  An item whose check raised fails only
+        its own future, with that exception; a dead shard fails the
+        futures of the items it held.
         """
-        items = list(items)
-        futures: List[Future] = [Future() for _ in items]
-        if not items:
-            return futures
-        call = self.submit_stream(items, model=model,
-                                  collect_coverage=collect_coverage,
-                                  partition=partition)
+        batch = [(_future(), name, text) for name, text in items]
+        if not batch:
+            return []
+        with self._lock:
+            self._spawn_missing()
+            self.calls_started += 1
+        self._dispatch(model, collect_coverage, partition, batch)
+        return [future for future, _name, _text in batch]
 
-        def drain() -> None:
-            try:
-                for index, payload in call.results():
-                    future = futures[index]
-                    if isinstance(payload, BaseException):
-                        future.set_exception(payload)
-                    else:
-                        future.set_result(payload)
-            except BaseException as exc:
-                for future in futures:
-                    if not future.done():
-                        future.set_exception(exc)
+    def submit_stream(self, items: Iterable[Tuple[str, str]],
+                      *, model: Optional[str] = None,
+                      collect_coverage: bool = False,
+                      partition: str = "") -> ShardCall:
+        """Feed ``(name, trace_text)`` items to the pool lazily.
 
-        threading.Thread(target=drain, daemon=True).start()
-        return futures
+        ``items`` may be a lazy generator: one feeder thread pulls it
+        only ``WINDOW * chunk`` items per shard ahead of consumption
+        (the window is released as :meth:`ShardCall.results` yields),
+        so a generating plan stream stays lazy.  A stream that raises
+        mid-generation fails the call with that exception rather than
+        truncating it; the pool stays usable.
+        """
+        call = ShardCall(WINDOW * self.chunk * self.shards,
+                         functools.partial(self._dispatch, model,
+                                           collect_coverage, partition))
+        with self._lock:
+            self._spawn_missing()
+            self.calls_started += 1
+        threading.Thread(target=self._feed, args=(call, items),
+                         daemon=True, name="repro-shard-feeder").start()
+        return call
 
-    def _feed(self, call: ShardCall, items, model,
-              collect_coverage: bool, partition: str) -> None:
-        buffers: List[list] = [[] for _ in range(self.shards)]
-        fed = 0
-
-        def flush(shard: int) -> bool:
-            batch = buffers[shard]
-            if not batch:
-                return True
-            message = ("task", call.call_id, model, collect_coverage,
-                       batch)
-            if not self._put_blocking(self._in_qs[shard], message,
-                                      stop=call._stop):
-                return False
-            buffers[shard] = []
-            return True
-
+    def _feed(self, call: ShardCall, items) -> None:
+        end: object = ShardCall._END
         try:
-            for index, (name, trace_text) in enumerate(items):
-                while not call._in_flight.acquire(timeout=0.1):
-                    if call._stop.is_set() or self._stop.is_set():
-                        return
-                shard = self.shard_of(partition, name)
-                buffers[shard].append((index, name, trace_text))
-                fed += 1
-                if len(buffers[shard]) >= self.chunk:
-                    if not flush(shard):
-                        return
+            for index, (name, text) in enumerate(items):
+                call._window.acquire()
                 # Pulling an item can be costly (the caller may execute
                 # a script to make it): an abandoned call pulls no more.
-                if call._stop.is_set() or self._stop.is_set():
-                    return
-            for shard in range(self.shards):
-                if not flush(shard):
-                    return
+                if call._stop.is_set():
+                    break
+                future = _future()
+                call._entries.put((index, future))
+                with call._lock:
+                    call._buffer.append((future, name, text))
+                    full = len(call._buffer) >= self.chunk * self.shards
+                if full:
+                    call._flush()
+            else:
+                call._flush()
         except BaseException as exc:
-            # The lazy stream raised mid-generation: record it so the
-            # consumer re-raises instead of reading a short pass.
-            call._feeder_error = exc
-        finally:
-            call._fed = fed
-            in_qs = self._in_qs
-            for in_q in in_qs:
-                self._put_blocking(in_q, ("end", call.call_id))
-
-    def _put_blocking(self, in_q, message, *,
-                      stop: Optional[threading.Event] = None) -> bool:
-        while True:
-            if self._stop.is_set() or (stop is not None
-                                       and stop.is_set()):
-                return False
-            try:
-                in_q.put(message, timeout=0.1)
-                return True
-            except queue_mod.Full:
-                continue
+            # The lazy stream raised mid-generation: the consumer
+            # re-raises it after the items before it, flushing what is
+            # still buffered when it reaches them.
+            end = exc
+        call._entries.put(end)
 
     # -- collection -----------------------------------------------------------
 
-    def _collect(self) -> None:
-        out_q = self._out_q
-        procs = self._procs
-        while out_q is not None:
-            try:
-                message = out_q.get(timeout=0.2)
-            except (queue_mod.Empty, OSError, ValueError):
-                if self._stop.is_set():
-                    return
-                self._check_health(procs)
-                continue
-            except EOFError:  # pragma: no cover - teardown race
-                return
-            kind = message[0]
-            if kind == "fatal":
-                self._break(f"shard {message[1]} failed:"
-                            f"\n{message[2]}")
-                continue
-            if kind == "done":
-                _, call_id, shard_index, stats = message
-                with self._lock:
-                    self._shard_stats[shard_index] = stats
-                call = self._calls.get(call_id)
-                if call is not None:
-                    call._shard_done(shard_index, self.shards)
-                continue
-            # ("ok", call_id, results)
-            call = self._calls.get(message[1])
-            if call is not None:
-                for index, payload in message[2]:
-                    call._deliver(index, payload)
-
-    def _check_health(self, procs=None) -> None:
-        procs = procs if procs is not None else self._procs
-        if self._stop.is_set() or procs is None:
-            return
-        dead = [i for i, proc in enumerate(procs)
-                if not proc.is_alive()]
-        if dead and self._calls:
-            self._break(f"shard process(es) {dead} died unexpectedly "
-                        "(see stderr for the cause)")
-
-    def _break(self, reason: str) -> None:
-        # The failure callbacks run outside the lock: a call's waiter
-        # may re-enter pool accessors from another thread.
+    def _read(self, shard: _Shard) -> None:
+        """The shard's reader thread: resolve each item's future as its
+        result arrives, then fail whatever the shard still held."""
+        fatal = ""
+        try:
+            while True:
+                kind, body = shard.results.recv()
+                if kind == "fatal":
+                    fatal = body
+                    break
+                self._resolve(shard, body)
+        except (EOFError, OSError):
+            pass  # the worker exited or was terminated
+        shard.proc.join()
+        code = shard.proc.exitcode
         with self._lock:
-            self._broken = reason
-            calls = list(self._calls.values())
-        for call in calls:
-            call._fail(RuntimeError(reason))
+            if self._shards[shard.index] is shard:
+                self._shards[shard.index] = None
+            lost, shard.pending = shard.pending, {}
+            for _name, key, _waiting in lost.values():
+                if key is not None:
+                    del self._inflight[key]
+        with shard.send_lock:
+            shard.tasks.close()
+        shard.results.close()
+        for name, _key, waiting in lost.values():
+            error = RuntimeError(
+                "shard pool closed" if shard.retired else
+                f"shard {shard.index} died (exit code {code}) before "
+                f"answering trace {name!r}"
+                + (f":\n{fatal}" if fatal else
+                   " (see stderr for the cause)"))
+            for future in waiting:
+                future.set_exception(error)
 
-    def _retire_call(self, call: ShardCall) -> None:
+    def _resolve(self, shard: _Shard, replies: list) -> None:
+        resolved = []
         with self._lock:
-            self._calls.pop(call.call_id, None)
+            for item_id, payload in replies:
+                entry = shard.pending.pop(item_id, None)
+                if entry is None:
+                    continue
+                _name, key, waiting = entry
+                if key is not None:
+                    del self._inflight[key]
+                    if not isinstance(payload, BaseException):
+                        if len(self._verdicts) >= VERDICT_MEMO_MAX:
+                            del self._verdicts[next(iter(self._verdicts))]
+                        self._verdicts[key] = payload[0]
+                resolved.append((waiting, payload))
+        for waiting, payload in resolved:
+            for future in waiting:
+                if isinstance(payload, BaseException):
+                    future.set_exception(payload)
+                else:
+                    future.set_result(payload)
 
     # -- stats ----------------------------------------------------------------
 
-    def _worker_totals(self) -> Dict[str, int]:
-        with self._lock:
-            totals = {key: 0 for key in _WORKER_COUNTERS}
-            for stats in self._shard_stats.values():
-                for key in _WORKER_COUNTERS:
-                    totals[key] += stats.get(key, 0)
-        return totals
-
     def run_stats(self) -> Dict[str, int]:
-        """Cumulative pool counters: worker totals (as of the last call
-        barrier) plus the parent-side lifecycle counters."""
-        totals = self._worker_totals()
-        totals["shards"] = self.shards
-        totals["pool_cold_starts"] = self.cold_starts
-        totals["pool_calls"] = self.calls_started
-        return totals
+        """Cumulative pool counters: verdict-memo hits, the shard
+        count, cold starts and calls."""
+        with self._lock:
+            return {"verdict_hits": self.verdict_hits,
+                    "shards": self.shards,
+                    "pool_cold_starts": self.cold_starts,
+                    "pool_calls": self.calls_started}
 
 
 # ``ArenaEpochs`` is unused here but stays importable with its

@@ -6,8 +6,10 @@ A :class:`CheckingService` is a persistent
 the paper's oracle offered as a standing facility — traces arrive over
 its lifetime and are checked by shards whose oracles stay warm, instead
 of each batch paying the spawn and the cold caches from scratch.  Every
-submitted trace goes to the pool; a trace whose check raises fails only
-its own future.
+submitted trace goes to the pool, which answers an exact repeat from its
+verdict memo here, in the server process, and sends the rest to the
+shards; a trace whose check raises, or whose shard dies, fails only its
+own future.
 
 ``shards=0`` selects the parent-only mode (``repro serve --backend
 serial``): every trace is checked synchronously in the submitting
@@ -66,8 +68,7 @@ class CheckingService:
     ``shards=0``) with explicit lifecycle."""
 
     def __init__(self, model: str = "all", *,
-                 shards: Optional[int] = None, window: int = 16,
-                 chunk: int = 16,
+                 shards: Optional[int] = None, chunk: int = 16,
                  store: Optional[Union[CampaignStore, str]] = None
                  ) -> None:
         self.model = model
@@ -92,8 +93,7 @@ class CheckingService:
         else:
             self.shards = shards or max(
                 2, multiprocessing.cpu_count())
-            self._pool = ShardPool(self.shards, window=window,
-                                   chunk=chunk)
+            self._pool = ShardPool(self.shards, chunk=chunk)
         self._lock = threading.Lock()
         self._outstanding: List[Future] = []
         self._submitted = 0

@@ -89,6 +89,39 @@ class TestSessionOnePass:
         assert (stats["rows"], stats["dedup_hits"]) == \
             (len(SMALL_SUITE), 0)
 
+    def test_sharded_store_prints_each_trace_once(self, tmp_path,
+                                                  monkeypatch):
+        """With a store, a sharded Session prints each trace once in the
+        parent: the store row reuses the text the backend printed for
+        its shard, and the rows equal a serial run's."""
+        from repro.api import session as session_mod
+        from repro.harness import backends
+        from repro.script import print_trace
+        from repro.store import CampaignStore
+
+        printed = []
+
+        def counting(trace):
+            printed.append(trace.name)
+            return print_trace(trace)
+
+        def rows(path):
+            with CampaignStore(path, create=False) as store:
+                return sorted((r.name, r.trace_text, r.profiles)
+                              for _c, r in store.records())
+
+        with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE,
+                     store=tmp_path / "serial") as session:
+            session.run()
+        monkeypatch.setattr(backends, "print_trace", counting)
+        monkeypatch.setattr(session_mod, "print_trace", counting)
+        with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE,
+                     backend="sharded", shards=2,
+                     store=tmp_path / "sharded") as session:
+            session.run()
+        assert sorted(printed) == sorted(s.name for s in SMALL_SUITE)
+        assert rows(tmp_path / "sharded") == rows(tmp_path / "serial")
+
     def test_iter_checked_streams_with_progress(self):
         seen = []
         with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE) as session:

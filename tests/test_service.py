@@ -3,15 +3,16 @@
 The service stack has four layers, tested here bottom-up:
 
 * :class:`ShardPool` — workers that outlive calls: futures, restart
-  after close, a raising check failing only its own item (also through
-  ``ShardedBackend.check_iter``), the bounded verdict memos (each
-  shard's and the backend's parent-side one), stats.
+  after close, a raising check or an unpicklable exception failing only
+  its own item, a dead shard failing the items it held and being
+  replaced (also through ``ShardedBackend.check_iter``), the pool's
+  bounded verdict memo, stats.
 * :class:`CheckingService` — lifecycle (start/submit/drain/stats/
   shutdown), every trace served by the pool, parent-only mode.
 * The asyncio front door + blocking client — protocol round trips,
-  error replies, shutdown, the request line limit, and bit-for-bit
-  verdict parity with :class:`~repro.api.SerialBackend` through the
-  wire format.
+  error replies (a raising check, a dead shard), shutdown, the request
+  line limit, and bit-for-bit verdict parity with
+  :class:`~repro.api.SerialBackend` through the wire format.
 * The CLI wiring — ``repro check --server`` against a live server.
 
 Cross-engine checking parity is enforced separately by
@@ -20,6 +21,7 @@ Cross-engine checking parity is enforced separately by
 
 import itertools
 import json
+import os
 import socket
 import threading
 
@@ -96,6 +98,33 @@ class _Server:
             pass
         finally:
             self.service.shutdown()
+
+
+def _named(name):
+    """A short trace named ``name``."""
+    return execute_script(config_by_name(CONFIG), parse_script(
+        f'@type script\n# Test {name}\nmkdir "x" 0o755\nrmdir "x"\n'))
+
+
+def _on_trace(monkeypatch, name, action):
+    """Run ``action()`` in place of checking trace ``name``, in every
+    shard forked from now on (a fork inherits the patch)."""
+    real = ShardWorkerState.check
+
+    def check(self, model, coverage, text):
+        if f"# Test {name}\n" in text:
+            action()
+        return real(self, model, coverage, text)
+
+    monkeypatch.setattr(ShardWorkerState, "check", check)
+
+
+def _die():
+    os._exit(3)  # no reply, no 'fatal' message: as an OOM kill
+
+
+def _raise_unpicklable():
+    raise ValueError("carries a lambda", lambda: None)
 
 
 def _after(pool, shard):
@@ -195,20 +224,85 @@ class TestShardPool:
             assert done.wait(timeout=60)
         assert len(pulled) == chunk + 1
 
-    def test_repeat_submission_hits_worker_verdict_memo(self):
+    def test_repeat_submission_is_answered_from_the_pool_memo(self):
+        """An exact repeat, through either submission path, is answered
+        in the parent from the memo, and counted where it hits."""
         traces = _traces(4)
+        want = _serial_rows(traces)
         items = [(t.name, print_trace(t)) for t in traces]
         with ShardPool(2) as pool:
             first = pool.submit_stream(items, model="all",
                                        partition="all")
-            list(first.results())
+            assert [payload[0] for _i, payload in first.results()] == want
+            assert pool.run_stats()["verdict_hits"] == 0
             second = pool.submit_stream(items, model="all",
                                         partition="all")
-            got = [payload[0] for _i, payload in second.results()]
-            assert got == _serial_rows(traces)
-            # Per-call delta: every repeat was served from the memo.
-            assert second.stats["verdict_hits"] == len(traces)
-            assert pool.run_stats()["verdict_hits"] == len(traces)
+            assert [payload[0] for _i, payload in second.results()] == want
+            third = pool.submit(items, model="all", partition="all")
+            assert all(f.done() for f in third)  # no round trip
+            assert [f.result()[0] for f in third] == want
+            stats = pool.run_stats()
+        assert stats["verdict_hits"] == 2 * len(traces)
+        assert stats["pool_cold_starts"] == 1
+
+    def test_dead_shard_fails_its_items_and_is_replaced(self,
+                                                        monkeypatch):
+        """A shard that dies without a word fails the items it held,
+        each with an error naming the shard and its trace; items on the
+        other shard get their verdicts, and the next submission runs on
+        a fresh worker."""
+        _on_trace(monkeypatch, "doomed", _die)
+        traces = _traces(6)
+        with ShardPool(2) as pool:
+            dead = pool.shard_of("all", "doomed")
+            batch = [*traces[:3], _named("doomed"), *traces[3:]]
+            futures = pool.submit([(t.name, print_trace(t))
+                                   for t in batch],
+                                  model="all", partition="all")
+            error = futures[3].exception(timeout=60)
+            assert type(error) is RuntimeError
+            assert f"shard {dead} died" in str(error)
+            assert "'doomed'" in str(error)
+            for trace, future in zip(batch, futures):
+                if trace.name == "doomed":
+                    continue
+                if pool.shard_of("all", trace.name) != dead:
+                    assert future.result(timeout=60)[0] == \
+                        _serial_rows([trace])[0]
+                elif future.exception(timeout=60) is not None:
+                    assert repr(trace.name) in str(future.exception())
+            later = [_after(pool, dead), *_traces(3, prefix="u")]
+            again = pool.submit([(t.name, print_trace(t)) for t in later],
+                                model="all", partition="all")
+            assert [f.result(timeout=60)[0] for f in again] == \
+                _serial_rows(later)
+            assert pool.run_stats()["pool_cold_starts"] == 2
+
+    def test_unpicklable_exception_fails_only_its_item(self,
+                                                       monkeypatch):
+        """A check whose exception cannot cross the pipe fails its own
+        item loudly, with the original traceback, instead of a result
+        lost while its future waits; the shard goes on serving."""
+        _on_trace(monkeypatch, "unpicklable", _raise_unpicklable)
+        traces = _traces(4)
+        with ShardPool(2) as pool:
+            batch = [*traces[:2], _named("unpicklable"), *traces[2:]]
+            futures = pool.submit([(t.name, print_trace(t))
+                                   for t in batch],
+                                  model="all", partition="all")
+            error = futures[2].exception(timeout=60)
+            assert type(error) is RuntimeError
+            assert "'unpicklable'" in str(error)
+            assert "carries a lambda" in str(error)
+            assert [f.result(timeout=60)[0]
+                    for i, f in enumerate(futures) if i != 2] == \
+                _serial_rows(traces)
+            after = _after(pool, pool.shard_of("all", "unpicklable"))
+            again = pool.submit([(after.name, print_trace(after))],
+                                model="all", partition="all")
+            assert again[0].result(timeout=60)[0] == \
+                _serial_rows([after])[0]
+            assert pool.run_stats()["pool_cold_starts"] == 1
 
 
 class TestShardedBackendErrors:
@@ -236,6 +330,24 @@ class TestShardedBackendErrors:
                 _serial_rows([after, *traces])
             assert backend.run_stats()["pool_cold_starts"] == 1
 
+    def test_dead_shard_fails_check_iter_at_that_item(self, monkeypatch):
+        """``check_iter`` raises at the item a dead shard held, naming
+        it; the same backend then checks like the serial backend, on a
+        fresh worker."""
+        _on_trace(monkeypatch, "doomed", _die)
+        traces = _traces(4)
+        with ShardedBackend(2) as backend:
+            with pytest.raises(RuntimeError, match="died") as excinfo:
+                list(backend.check_iter("all",
+                                        [_named("doomed"), *traces]))
+            assert "'doomed'" in str(excinfo.value)
+            pool = backend._pool
+            later = [_after(pool, pool.shard_of("all", "doomed")),
+                     *_traces(3, prefix="u")]
+            assert [o.profiles for o in backend.check_iter(
+                "all", later)] == _serial_rows(later)
+            assert backend.run_stats()["pool_cold_starts"] == 2
+
 
 #: Adversarial streams for the bounded verdict memos, each longer than
 #: the bound: every text new, a few texts repeated, and one text
@@ -259,20 +371,51 @@ def _memo_text(i):
 
 
 class TestVerdictMemoBound:
-    """``VERDICT_MEMO_MAX`` bounds each shard's verdict memo and the
-    sharded backend's parent-side one on every stream shape, and a
-    memoized verdict is always what a fresh oracle computes."""
+    """``VERDICT_MEMO_MAX`` bounds the pool's verdict memo on every
+    stream shape, through both submission paths and the sharded
+    backend's ``check_iter``; a memoized verdict is always what a fresh
+    oracle computes, and no coverage call is answered from the memo."""
+
+    @staticmethod
+    def _check_stream(pool, path, texts, fresh):
+        for start in range(0, len(texts), 512):
+            calls = texts[start:start + 512]
+            items = [(parse_trace(text).name, text) for text in calls]
+            if path == "submit":
+                got = [f.result(timeout=120) for f in pool.submit(
+                    items, model="all", partition="all")]
+            else:
+                got = [payload for _i, payload in pool.submit_stream(
+                    items, model="all", partition="all").results()]
+            for text, (profiles, _covered, _seconds) in zip(calls, got):
+                assert profiles == fresh.check(parse_trace(text)).profiles
+            assert len(pool._verdicts) <= VERDICT_MEMO_MAX
 
     @pytest.mark.parametrize("stream", sorted(_MEMO_STREAMS))
-    def test_worker_memo(self, stream):
-        state = ShardWorkerState()
+    def test_pool_memo(self, stream):
+        texts = [_memo_text(i) for i in _MEMO_STREAMS[stream]]
         fresh = create_oracle("all", cache=True)
-        for i in _MEMO_STREAMS[stream]:
-            text = _memo_text(i)
-            profiles, _covered = state.check("all", False, text)
-            assert len(state._verdicts) <= VERDICT_MEMO_MAX
-            assert profiles == fresh.check(parse_trace(text)).profiles
-        assert (state.verdict_hits > 0) == (stream != "all-novel")
+        for path in ("submit", "submit_stream"):
+            with ShardPool(2) as pool:
+                self._check_stream(pool, path, texts, fresh)
+                hits = pool.run_stats()["verdict_hits"]
+                # Coverage never reads the memo: a memoized text is
+                # checked again, and its clause hits come back.
+                text = next(iter(pool._verdicts))[1]
+                [coverage] = pool.submit([("coverage", text)],
+                                         model="all",
+                                         collect_coverage=True,
+                                         partition="all")
+                profiles, covered, _seconds = coverage.result(timeout=60)
+                assert covered
+                assert profiles == fresh.check(parse_trace(text)).profiles
+                assert pool.run_stats()["verdict_hits"] == hits
+            if stream == "all-novel":
+                assert hits == 0
+            elif stream == "all-repeat":  # only the 3 first sights miss
+                assert hits == len(texts) - 3
+            else:
+                assert hits > 0
 
     @pytest.mark.parametrize("stream", sorted(_MEMO_STREAMS))
     def test_parent_memo(self, stream):
@@ -286,7 +429,7 @@ class TestVerdictMemoBound:
                         calls, backend.check_iter("all", calls)):
                     assert outcome.profiles == fresh.check(
                         trace).profiles
-                assert len(backend._verdicts) <= VERDICT_MEMO_MAX
+                assert len(backend._pool._verdicts) <= VERDICT_MEMO_MAX
 
 
 class TestCheckingService:
@@ -467,6 +610,29 @@ class TestServerProtocol:
         assert [_profiles(v) for v in [first, *rest]] == \
             _serial_rows([traces[0], after, *traces[1:]])
         assert stats["pool_cold_starts"] == 1
+
+    def test_served_dead_shard_gets_one_error_reply(self, monkeypatch):
+        """A trace whose shard dies gets one error reply naming the
+        shard and the trace; the connection stays up and the next trace
+        routed there gets the serial verdict from a fresh worker."""
+        _on_trace(monkeypatch, "doomed", _die)
+        traces = _traces(3)
+        service = CheckingService("all", shards=2)
+        with _Server(service) as server:
+            with ServiceClient(server.address) as client:
+                first = client.check(print_trace(traces[0]))
+                with pytest.raises(RuntimeError, match="server error: "
+                                   "RuntimeError: shard .* died") as exc:
+                    client.check(print_trace(_named("doomed")))
+                assert "'doomed'" in str(exc.value)
+                after = _after(service._pool,
+                               service._pool.shard_of("all", "doomed"))
+                rest = [client.check(print_trace(t))
+                        for t in [after, *traces[1:]]]
+                stats = client.status()["engine_stats"]
+        assert [_profiles(v) for v in [first, *rest]] == \
+            _serial_rows([traces[0], after, *traces[1:]])
+        assert stats["pool_cold_starts"] == 2
 
 
 class TestLineLimit:
