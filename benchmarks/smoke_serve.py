@@ -7,8 +7,10 @@ socket through :class:`~repro.service.ServiceClient`, and asserts every
 served per-platform conformance profile is **bit-for-bit** identical to
 what an in-process :class:`~repro.api.SerialBackend` computes for the
 same traces.  Between the suite's two halves it sends a trace whose
-check raises (``OverflowError``): that one request must get the only
-error reply, and the second half must still be served exactly.  Then
+check raises (``OverflowError``) and one that does not parse, which the
+server passes to its shard unparsed (``ParseError``): those two requests
+must get the only error replies, one naming each exception, and the
+second half must still be served exactly, by the same pool.  Then
 it sends the whole suite again: every repeat must get the first pass's
 verdict from the pool's verdict memo (``verdict_hits`` rises by the
 suite's size), with both passes counted in ``traces_submitted`` and no
@@ -52,6 +54,8 @@ READY_RE = re.compile(r"repro serve: listening on (\S+)")
 OVERFLOWING = ('@type trace\n# Test overflowing\n'
                'open "f" [O_CREAT;O_RDWR] 0o644\nRV_num(3)\n'
                'truncate "f" 999999999999999999999999\nRV_none\n')
+#: Does not parse: its one line is neither a call nor a return.
+MANGLED = "@type trace\nmangled"
 
 
 def start_server(shards: int, stats_json: pathlib.Path):
@@ -103,10 +107,11 @@ def main(argv=None) -> int:
     try:
         with ServiceClient(address) as client:
             verdicts, done = client.check_batch(texts[:half])
-            try:
-                client.check(OVERFLOWING)
-            except RuntimeError as exc:
-                errors.append(str(exc))
+            for bad in (OVERFLOWING, MANGLED):
+                try:
+                    client.check(bad)
+                except RuntimeError as exc:
+                    errors.append(str(exc))
             rest, done = client.check_batch(texts[half:])
             verdicts += rest
             for trace, verdict, profiles in zip(traces, verdicts,
@@ -144,9 +149,11 @@ def main(argv=None) -> int:
     if mismatches or len(verdicts) != len(traces):
         print("FAIL: served profiles differ from the serial backend")
         failed = True
-    if len(errors) != 1 or "OverflowError" not in errors[0]:
-        print("FAIL: the raising trace must get exactly one error "
-              "reply, naming OverflowError")
+    if len(errors) != 2 or "OverflowError" not in errors[0] \
+            or "ParseError" not in errors[1]:
+        print("FAIL: the raising and the malformed trace must get "
+              "exactly one error reply each, naming OverflowError and "
+              "ParseError")
         failed = True
     if returncode != 0:
         print(f"FAIL: server exited with {returncode}")
@@ -161,7 +168,7 @@ def main(argv=None) -> int:
         print(f"FAIL: the second pass made {memo_hits} verdict-memo "
               f"hits, not {len(traces)}")
         failed = True
-    if status.get("traces_submitted") != 2 * len(traces) + 1:
+    if status.get("traces_submitted") != 2 * len(traces) + 2:
         print("FAIL: server did not account for every submitted trace")
         failed = True
     if not stats_json.exists():

@@ -198,6 +198,16 @@ def _self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _own_nodes(stmt: ast.stmt) -> Iterable[ast.AST]:
+    """``ast.walk`` over ``stmt``'s own expressions only: its nested
+    statements are left to the caller's recursion, which knows whether
+    they run under the lock."""
+    for child in ast.iter_child_nodes(stmt):
+        if not isinstance(child, (ast.stmt, ast.excepthandler,
+                                  ast.match_case)):
+            yield from ast.walk(child)
+
+
 def _iter_events(body: List[ast.stmt], lock_attr: str,
                  held: bool) -> Iterable[Tuple[str, str, int, bool]]:
     """Yield ``("mutate"|"call", name, lineno, under_lock)`` events:
@@ -220,7 +230,7 @@ def _iter_events(body: List[ast.stmt], lock_attr: str,
                 attr = _self_attr(target)
                 if attr is not None:
                     yield "mutate", attr, stmt.lineno, held
-        for node in ast.walk(stmt):
+        for node in _own_nodes(stmt):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -240,6 +250,8 @@ def _iter_events(body: List[ast.stmt], lock_attr: str,
                 yield from _iter_events(inner, lock_attr, held)
         for handler in getattr(stmt, "handlers", []) or []:
             yield from _iter_events(handler.body, lock_attr, held)
+        for case in getattr(stmt, "cases", []) or []:
+            yield from _iter_events(case.body, lock_attr, held)
 
 
 def _lock_safe_methods(methods, events_of) -> set:

@@ -293,14 +293,21 @@ def _header_and_lines(text: str, expected: str) -> Tuple[str, List[Tuple[int, st
             saw_type = True
             continue
         if line.startswith("#"):
-            comment = line.lstrip("#").strip()
-            if comment.startswith("Test ") and not name:
-                name = comment[len("Test "):].strip()
+            if not name:
+                name = _test_name(line)
             continue
         lines.append((idx, line))
     if not saw_type:
         raise ParseError(f"missing '@type {expected}' header")
     return name, lines
+
+
+def _test_name(comment_line: str) -> str:
+    """``NAME`` of a stripped ``# Test NAME`` comment line, else ``""``."""
+    comment = comment_line.lstrip("#").strip()
+    if comment.startswith("Test "):
+        return comment[len("Test "):].strip()
+    return ""
 
 
 #: Distinct lines each line memo keeps (least recently used go first).
@@ -419,6 +426,19 @@ def parse_trace(text: str, name: str = "") -> Trace:
             pending_pid = None
     return Trace(name=name or parsed_name or "unnamed",
                  events=tuple(events))
+
+
+def trace_name(text: str) -> str:
+    """``parse_trace(text).name``, read from the first ``# Test NAME``
+    comment line without parsing the events (so a malformed text is not
+    detected here: its parse fails where it is checked)."""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("#"):
+            name = _test_name(line)
+            if name:
+                return name
+    return "unnamed"
 
 
 _COMMAND_KEYWORDS = frozenset({

@@ -38,7 +38,8 @@ No result is dropped silently:
 
 Worker processes are released by ``close()``; a ``weakref.finalize``
 safety net terminates them at interpreter exit so an abandoned pool
-cannot outlive the interpreter.
+cannot outlive the interpreter, and a worker whose parent is killed
+reads EOF on its task pipe and exits.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ def _sendable(exc: Exception, shard_index: int,
     return exc
 
 
-def _pool_worker(shard_index: int, tasks, results) -> None:
+def _pool_worker(shard_index: int, tasks, results,
+                 parent_ends) -> None:
     """One persistent shard process: answer task messages until the
-    pool terminates it.
+    pool terminates it or its task pipe reads EOF.
 
     A task message is ``(model, coverage, batch)``, a chunk of
     ``(item_id, name, trace_text)`` items.  Its answer is ``("ok",
@@ -136,11 +138,21 @@ def _pool_worker(shard_index: int, tasks, results) -> None:
     thread, so a reply that cannot be sent raises here, never in a
     background thread.  Anything that fails outside an item's check
     sends ``("fatal", traceback)`` and ends the worker.
+
+    ``parent_ends`` are the parent's ends of every pipe of the pool that
+    the fork copied, this shard's included.  Closed here, they leave the
+    parent the only writer of ``tasks``, so a parent that dies without
+    ``close()`` (SIGKILL) reads as EOF, and the worker exits.
     """
+    for end in parent_ends:
+        end.close()
     state = ShardWorkerState()
     try:
         while True:
-            model, coverage, batch = tasks.recv()
+            try:
+                model, coverage, batch = tasks.recv()
+            except EOFError:
+                return  # the parent is gone
             replies = []
             for item_id, name, trace_text in batch:
                 t0 = time.perf_counter()
@@ -171,12 +183,17 @@ class _Shard:
     holds: ``pending`` maps an item id to ``(name, memo key, futures)``
     (the pool's lock guards it)."""
 
-    def __init__(self, ctx, index: int) -> None:
+    def __init__(self, ctx, index: int, live: List["_Shard"]) -> None:
         self.index = index
         task_reader, self.tasks = ctx.Pipe(duplex=False)
         self.results, result_writer = ctx.Pipe(duplex=False)
+        # The fork copies this shard's parent ends and those of the
+        # ``live`` shards forked before it: the worker closes them all.
+        parent_ends = [end for shard in [self, *live]
+                       for end in (shard.tasks, shard.results)]
         self.proc = ctx.Process(target=_pool_worker,
-                                args=(index, task_reader, result_writer),
+                                args=(index, task_reader, result_writer,
+                                      parent_ends),
                                 daemon=True)
         self.proc.start()
         # Only the worker holds its ends, so its death reads as EOF.
@@ -320,7 +337,8 @@ class ShardPool:
             return
         self._readers = [r for r in self._readers if r.is_alive()]
         for i in missing:
-            shard = _Shard(self._ctx, i)
+            shard = _Shard(self._ctx, i,
+                           [s for s in self._shards if s is not None])
             self._shards[i] = shard
             reader = threading.Thread(target=self._read, args=(shard,),
                                       daemon=True,

@@ -32,10 +32,14 @@ line longer than :data:`~repro.service.client.MAX_LINE_BYTES` gets an
 error naming the limit, and then that connection is closed.
 
 Checking is delegated to a :class:`~repro.service.service
-.CheckingService`: ``submit`` runs on the default executor (it may
-block: the parent-only mode checks there, and the first call spawns
-the pool), and each verdict future is awaited with
-``asyncio.wrap_future`` so many connections interleave on one loop.
+.CheckingService`, called right on the event loop: in pool mode
+``submit`` is a memo lookup, a routing hash and a pipe send, and a
+verdict the memo did not already hold is awaited with
+``asyncio.wrap_future``, so many connections interleave on one loop.
+Parent-only mode checks on the loop thread.  A ``batch`` larger than the
+shards' pipe buffers makes ``submit`` wait, on the loop, until the
+shards read it.  A ``batch`` is answered in order up to its first
+failing trace, which gets the request's error reply.
 """
 
 from __future__ import annotations
@@ -162,16 +166,12 @@ class ServiceServer:
     async def _check_batch(self, writer: asyncio.StreamWriter,
                            request_id, traces, *,
                            batch: bool) -> None:
-        loop = asyncio.get_running_loop()
-        # submit() may block (parent-only mode, the pool's first
-        # spawn): keep the loop responsive by running it on the default
-        # executor.
-        futures = await loop.run_in_executor(
-            None, self.service.submit, traces)
+        futures = self.service.submit(traces)
         for future in futures:
-            result = await asyncio.wrap_future(future)
+            if not future.done():
+                await asyncio.wrap_future(future)
             reply = {"op": "verdict", "id": request_id}
-            reply.update(result.to_payload())
+            reply.update(future.result().to_payload())
             await self._send(writer, reply)
         if batch:
             await self._send(writer,

@@ -11,6 +11,11 @@ verdict memo here, in the server process, and sends the rest to the
 shards; a trace whose check raises, or whose shard dies, fails only its
 own future.
 
+A trace given as text goes to its shard as sent (the service reads only
+its name, :func:`~repro.script.parser.trace_name`), so a malformed one
+fails its own future with ``ParseError``; the memo key and the store row
+are that text.  A parsed trace is printed once.
+
 ``shards=0`` selects the parent-only mode (``repro serve --backend
 serial``): every trace is checked synchronously in the submitting
 thread on one warm oracle — no processes, same verdicts.
@@ -26,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.oracle import ConformanceProfile, Oracle, create_oracle
 from repro.script.ast import Trace
-from repro.script.parser import parse_trace
+from repro.script.parser import parse_trace, trace_name
 from repro.script.printer import print_trace
 from repro.service.pool import ShardPool
 from repro.store import CampaignStore, TraceRecord
@@ -148,66 +153,74 @@ class CheckingService:
         """Submit one trace and wait for its verdict."""
         return self.submit([trace])[0].result()
 
-    def _store_append(self, trace: Trace,
-                      profiles: Tuple[ConformanceProfile, ...],
-                      text: Optional[str] = None) -> None:
-        # ``text`` is the trace printed, when the caller already has it.
+    def _store_append(self, name: str, trace: Union[str, Trace],
+                      profiles: Tuple[ConformanceProfile, ...]) -> None:
+        # The row keeps the text as sent; a parsed trace is printed
+        # only when there is a store to hold it.
         if self.store is not None:
             self.store.append(TraceRecord(
-                partition=f"serve:{self.model}", name=trace.name,
+                partition=f"serve:{self.model}", name=name,
                 target_function="",
-                trace_text=print_trace(trace) if text is None else text,
+                trace_text=(trace if isinstance(trace, str)
+                            else print_trace(trace)),
                 profiles=tuple(profiles)))
 
     def submit(self, traces: Sequence[Union[str, Trace]]
                ) -> List[Future]:
         """Submit traces (parsed or text); one future per trace, each
-        resolving to a :class:`CheckResult`, in input order."""
+        resolving to a :class:`CheckResult`, in input order.  A trace
+        that fails to parse, or whose check raises, fails its own
+        future."""
         if self._closed:
             raise RuntimeError("service is shut down")
-        parsed: List[Trace] = [
-            parse_trace(t) if isinstance(t, str) else t
-            for t in traces]
-        futures: List[Future] = [Future() for _ in parsed]
-        if not parsed:
+        traces = list(traces)
+        futures: List[Future] = [Future() for _ in traces]
+        if not futures:
             return futures
         with self._lock:
             if self._oracle is not None:
                 # Parent-only mode: check synchronously, warm oracle.
-                for future, trace in zip(futures, parsed):
-                    verdict = self._oracle.check(trace)
-                    self._store_append(trace, verdict.profiles)
-                    future.set_result(CheckResult(trace.name,
-                                                  verdict.profiles))
+                for future, trace in zip(futures, traces):
+                    try:
+                        parsed = (parse_trace(trace)
+                                  if isinstance(trace, str) else trace)
+                        profiles = self._oracle.check(parsed).profiles
+                    except Exception as exc:
+                        future.set_exception(exc)
+                        continue
+                    self._store_append(parsed.name, trace, profiles)
+                    future.set_result(CheckResult(parsed.name, profiles))
             else:
-                items = [(trace.name, print_trace(trace))
-                         for trace in parsed]
+                items = [(trace_name(trace), trace)
+                         if isinstance(trace, str)
+                         else (trace.name, print_trace(trace))
+                         for trace in traces]
                 inner = self._pool.submit(items, model=self.model,
                                           partition=self.model)
-                for future, trace, raw, (_name, text) in zip(
-                        futures, parsed, inner, items):
+                for future, raw, (name, text) in zip(futures, inner,
+                                                     items):
                     raw.add_done_callback(
-                        self._propagate(future, trace, text))
-            self._submitted += len(parsed)
+                        self._propagate(future, name, text))
+            self._submitted += len(futures)
             self._outstanding = [f for f in self._outstanding
                                  if not f.done()]
             self._outstanding.extend(f for f in futures
                                      if not f.done())
         return futures
 
-    def _propagate(self, outer: Future, trace: Trace, text: str):
+    def _propagate(self, outer: Future, name: str, text: str):
         # Bound (not static) so pool-path verdicts reach the campaign
         # store too, under the text the shard checked; the callback runs
-        # on the pool's result thread and the store append is behind the
-        # store's own lock.
+        # on the pool's result thread (or in ``submit`` for a memo hit)
+        # and the store append is behind the store's own lock.
         def done(inner: Future) -> None:
             error = inner.exception()
             if error is not None:
                 outer.set_exception(error)
                 return
             profiles, _covered, _seconds = inner.result()
-            self._store_append(trace, profiles, text)
-            outer.set_result(CheckResult(trace.name, profiles))
+            self._store_append(name, text, profiles)
+            outer.set_result(CheckResult(name, profiles))
         return done
 
     # -- stats ----------------------------------------------------------------

@@ -5,6 +5,8 @@ whole rule set is clean on the current source tree (the CI gate)."""
 import pathlib
 import textwrap
 
+import pytest
+
 import repro
 from repro.analysis.lint import (ALL_RULES, LAYERS, Finding, layer_of,
                                  lint_paths, render_findings)
@@ -94,6 +96,35 @@ def test_lock_discipline_accepts_guarded_mutation(tmp_path):
         name="also_put",
         body="with self._lock:\n                self._items.append(item)"))
     assert lint_paths([path], rules=["lock-discipline"]) == []
+
+
+#: Method bodies that hold the lock inside a compound statement.
+_NESTED_LOCKED = {
+    "try-finally": "try:\n                pass\n            finally:\n"
+                   "                with self._lock:\n"
+                   "                    self._items.discard(item)",
+    "if": "if item:\n                with self._lock:\n"
+          "                    self._items.append(item)",
+    "for": "for _ in range(item):\n                with self._lock:\n"
+           "                    self._items.append(item)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED_LOCKED))
+def test_lock_discipline_accepts_guarded_mutation_in_compound_statement(
+        tmp_path, kind):
+    path = _write(tmp_path, "repro/core/box.py", _LOCKED_CLASS.format(
+        name="nested", body=_NESTED_LOCKED[kind]))
+    assert lint_paths([path], rules=["lock-discipline"]) == []
+
+
+def test_lock_discipline_flags_unguarded_mutation_in_try_once(tmp_path):
+    path = _write(tmp_path, "repro/core/box.py", _LOCKED_CLASS.format(
+        name="leak", body="try:\n                self._items.append(item)"
+                          "\n            finally:\n                pass"))
+    findings = lint_paths([path], rules=["lock-discipline"])
+    assert _rules_of(findings) == ["lock-discipline"]
+    assert "Box.leak" in findings[0].message
 
 
 def test_lock_discipline_private_helper_called_under_lock(tmp_path):

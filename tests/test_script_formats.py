@@ -19,7 +19,7 @@ from repro.script import (ParseError, parse_command, parse_return,
 from repro.script.ast import CreateEvent, Script, ScriptStep, Trace, \
     TraceEvent
 from repro.script.parser import (LINE_MEMO_MAX, parse_script_line,
-                                 parse_trace_line)
+                                 parse_trace_line, trace_name)
 
 FIG2 = '''
 @type script
@@ -235,6 +235,25 @@ def test_round_trip_at_plan_scale():
             where = f"{trace.name} on {quirks.name}"
             assert parse_trace(text) == trace, where
             assert print_trace(parse_trace(text)) == text, where
+            assert trace_name(text) == parse_trace(text).name, where
+
+
+_BODY = "3: mkdir \"d\" 0o777\nRV_none\n"
+
+
+@pytest.mark.parametrize("text", [
+    "@type trace\n" + _BODY,                                # unnamed
+    "@type trace\n# Test first\n# Test second\n" + _BODY,  # first wins
+    "@type trace\n" + _BODY + "# Test after_events\n",
+    "@type trace\n   # Test  indented \n" + _BODY,
+    "@type trace\n## Test hashes\n#Test\n" + _BODY,
+    "# Test before_header\r\n@type trace\r\n" + _BODY,
+    "@type trace\n# Testing\n# Test late\n" + _BODY,
+])
+def test_trace_name_is_the_parsed_name(text):
+    """``trace_name`` reads the name without parsing the events, and
+    agrees with the parser on every way a ``# Test`` line can sit."""
+    assert trace_name(text) == parse_trace(text).name
 
 
 # -- property tests: parse . print == id over generated commands ----------

@@ -2,17 +2,21 @@
 
 The service stack has four layers, tested here bottom-up:
 
-* :class:`ShardPool` — workers that outlive calls: futures, restart
-  after close, a raising check or an unpicklable exception failing only
-  its own item, a dead shard failing the items it held and being
-  replaced (also through ``ShardedBackend.check_iter``), the pool's
-  bounded verdict memo, stats.
+* :class:`ShardPool` — workers that outlive calls (but not a killed
+  parent): futures, restart after close, a raising check or an
+  unpicklable exception failing only its own item, a dead shard failing
+  the items it held and being replaced (also through
+  ``ShardedBackend.check_iter``), the pool's bounded verdict memo,
+  stats.
 * :class:`CheckingService` — lifecycle (start/submit/drain/stats/
-  shutdown), every trace served by the pool, parent-only mode.
+  shutdown), every trace served by the pool, text routed as sent (no
+  parse or print in the parent, store rows byte for byte),
+  parent-only mode.
 * The asyncio front door + blocking client — protocol round trips,
-  error replies (a raising check, a dead shard), shutdown, the request
-  line limit, and bit-for-bit verdict parity with
-  :class:`~repro.api.SerialBackend` through the wire format.
+  error replies (a raising check, a dead shard, a malformed trace, also
+  inside a ``batch``), shutdown, the request line limit, and
+  bit-for-bit verdict parity with :class:`~repro.api.SerialBackend`
+  through the wire format.
 * The CLI wiring — ``repro check --server`` against a live server.
 
 Cross-engine checking parity is enforced separately by
@@ -22,8 +26,13 @@ Cross-engine checking parity is enforced separately by
 import itertools
 import json
 import os
+import pathlib
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -45,6 +54,9 @@ CONFIG = "linux_sshfs_tmpfs"
 OVERFLOWING = ('@type trace\n# Test overflowing\n'
                'open "f" [O_CREAT;O_RDWR] 0o644\nRV_num(3)\n'
                'truncate "f" 999999999999999999999999\nRV_none\n')
+
+#: A trace that does not parse (its one line is no call or return).
+MANGLED = "@type trace\nmangled"
 
 
 def _traces(n=6, prefix="t"):
@@ -137,7 +149,63 @@ def _after(pool, shard):
         'open "f" [O_CREAT;O_RDWR] 0o644\nclose 3\n'))
 
 
+def _alive(pid):
+    """Whether process ``pid`` still runs (a zombie does not: whoever
+    adopted it may reap it late)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: Run by a child interpreter: start a pool, check one trace, write the
+#: workers' pids to the file named by argv[1], then die without close().
+_KILLED_PARENT = """
+import os, signal, sys
+from repro.service import ShardPool
+pool = ShardPool(2)
+[future] = pool.submit([("t", sys.argv[2])], model="linux",
+                       partition="linux")
+future.result(timeout=60)
+with open(sys.argv[1], "w") as fh:
+    fh.write(" ".join(str(proc.pid) for proc in pool._procs))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
 class TestShardPool:
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        """A parent killed without ``close()`` leaves no worker behind:
+        each worker closed the parent's pipe ends it inherited, so the
+        parent's death reads as EOF in every shard.  The pids travel in
+        a file, not a pipe the workers could hold open."""
+        pid_file = tmp_path / "pids"
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        pids = []
+        try:
+            child = subprocess.run(
+                [sys.executable, "-c", _KILLED_PARENT, str(pid_file),
+                 print_trace(_traces(1)[0])], env=env, timeout=120,
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            pids = [int(pid) for pid in pid_file.read_text().split()]
+            assert child.returncode == -signal.SIGKILL
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _alive(pid)] == []
+        finally:
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_submit_resolves_futures_in_order(self):
         traces = _traces(8)
         with ShardPool(2) as pool:
@@ -485,6 +553,48 @@ class TestCheckingService:
             rows = {r.name: r.trace_text for _c, r in store.records()}
         assert rows == {t.name: print_trace(t) for t in traces}
 
+    def test_pool_path_routes_text_as_sent(self, tmp_path, monkeypatch):
+        """Text inputs go to the shards as sent: the parent neither
+        parses nor prints them, the names are the parsed names, the
+        store rows hold the texts byte for byte, and sending them again
+        adds no row."""
+        from repro.service import service as service_mod
+        from repro.store import CampaignStore
+
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        traces = _traces(4)
+        # Not the printer's form: a blank first line, an indented name
+        # line and a trailing comment must all survive into the row.
+        texts = ["\n" + print_trace(t).replace("# Test", "  # Test")
+                 + "# sent as is\n" for t in traces]
+        monkeypatch.setattr(service_mod, "parse_trace",
+                            counting("parse", service_mod.parse_trace))
+        monkeypatch.setattr(service_mod, "print_trace",
+                            counting("print", service_mod.print_trace))
+        path = tmp_path / "served"
+        with CheckingService("all", shards=2,
+                             store=str(path)) as service:
+            results = [f.result(timeout=120)
+                       for f in service.submit(texts)]
+            rows = service.stats()["store_rows"]
+            [f.result(timeout=120) for f in service.submit(texts)]
+            stats = service.stats()
+        assert calls == []
+        assert [r.name for r in results] == [t.name for t in traces]
+        assert [r.profiles for r in results] == _serial_rows(traces)
+        assert rows == len(texts) and stats["store_rows"] == rows
+        assert stats["store_dedup_hits"] >= len(texts)
+        with CampaignStore(path, create=False) as store:
+            stored = {r.name: r.trace_text for _c, r in store.records()}
+        assert stored == {t.name: text for t, text in zip(traces, texts)}
+
     def test_parent_only_mode_checks_synchronously(self):
         traces = _traces(5)
         with CheckingService("all", shards=0) as service:
@@ -610,6 +720,41 @@ class TestServerProtocol:
         assert [_profiles(v) for v in [first, *rest]] == \
             _serial_rows([traces[0], after, *traces[1:]])
         assert stats["pool_cold_starts"] == 1
+
+    def test_served_malformed_trace_gets_one_parse_error_reply(self):
+        """In pool mode a malformed text is parsed only on its shard: it
+        gets one error reply naming ``ParseError``, the connection stays
+        up, the next trace gets the serial verdict, and the pool is not
+        restarted."""
+        trace = _traces(1)[0]
+        with _Server(CheckingService("all", shards=2)) as server:
+            with ServiceClient(server.address) as client:
+                with pytest.raises(RuntimeError,
+                                   match="server error: ParseError"):
+                    client.check(MANGLED)
+                after = client.check(print_trace(trace))
+                stats = client.status()["engine_stats"]
+        assert _profiles(after) == _serial_rows([trace])[0]
+        assert stats["pool_cold_starts"] == 1
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_batch_fails_at_its_malformed_trace(self, shards):
+        """A ``batch`` is answered in order up to a trace that fails:
+        the verdicts before it, then one error reply naming
+        ``ParseError``; the connection then serves the next request."""
+        traces = _traces(4)
+        texts = [print_trace(t) for t in traces]
+        replies = []
+        with _Server(CheckingService("all", shards=shards)) as server:
+            with ServiceClient(server.address) as client:
+                with pytest.raises(RuntimeError,
+                                   match="server error: ParseError"):
+                    for reply in client.iter_batch(
+                            [*texts[:2], MANGLED, *texts[2:]]):
+                        replies.append(reply)
+                after = client.check(texts[3])
+        assert [_profiles(v) for v in replies] == _serial_rows(traces[:2])
+        assert _profiles(after) == _serial_rows(traces[3:])[0]
 
     def test_served_dead_shard_gets_one_error_reply(self, monkeypatch):
         """A trace whose shard dies gets one error reply naming the
