@@ -23,11 +23,24 @@ over ids, so the interned and uninterned paths share one definition:
 match" body (the checker's ``_recover`` delegates to it), and
 :meth:`TransitionMemo.prune` keeps the checker's deterministic
 keep-by-repr rule.
+
+Memos for several specs over one table may share their tau steps.
+Only the tau step (``exec_call`` on the pending call) consults the
+spec, and most steps read few of its fields.  So a sharing memo
+evaluates a tau step on a :class:`RecordingSpec`, which logs every
+field the step reads, and files ``(reads, successors)`` under the
+state id in a table common to the memos.  A sibling memo missing
+the same step takes the first entry whose logged values its own spec
+equals, field by field; failing that, it evaluates the step itself
+and files its own entry.  Equal reads mean the step took the same
+path under either spec, so the successors, and the ``cover()``
+clauses the path fired, are the same.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+import dataclasses
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.labels import OsLabel, OsTau
 from repro.core.platform import PlatformSpec
@@ -38,6 +51,48 @@ from repro.osapi.transition import os_trans
 
 #: Shared tau label instance (frozen, stateless).
 _TAU = OsTau()
+
+#: The ``(field, value)`` pairs one tau evaluation read, in read order.
+Reads = Tuple[Tuple[str, Any], ...]
+
+#: State id -> ``(reads, successor ids)`` of each tau evaluation made
+#: from it, one table for every sharing memo bound to one intern table.
+SharedTau = Dict[int, List[Tuple[Reads, Tuple[int, ...]]]]
+
+
+class RecordingSpec(PlatformSpec):
+    """A view of a :class:`PlatformSpec` that logs each field read.
+
+    Every field is a property here, so reads through ``FsEnv.spec``,
+    through ``PermEnv``'s construction and through :meth:`allows`
+    (which reads ``name``) all land in :attr:`reads`.  A view serves
+    one evaluation, so two threads checking on one oracle never mix
+    logs.  ``dataclasses.replace`` on a view reads, and so logs, every
+    field it copies (``name`` among them) and builds a plain spec, so
+    that evaluation is never shared.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        # ``dataclasses.replace`` calls the instance's class.
+        return PlatformSpec(*args, **kwargs)
+
+    @classmethod
+    def of(cls, spec: PlatformSpec) -> "RecordingSpec":
+        view = object.__new__(cls)
+        view.__dict__.update(_spec=spec, reads={})
+        return view
+
+
+def _logged(name: str) -> property:
+    def read(view: RecordingSpec):
+        value = getattr(view._spec, name)
+        view.reads[name] = value
+        return value
+    return property(read)
+
+
+for _field in dataclasses.fields(PlatformSpec):
+    setattr(RecordingSpec, _field.name, _logged(_field.name))
 
 
 def recover_states(states: Iterable[OsStateOrSpecial], pid: int
@@ -66,15 +121,24 @@ def recover_states(states: Iterable[OsStateOrSpecial], pid: int
 
 
 class TransitionMemo:
-    """Per-spec memo of ``os_trans`` and tau closures over one table."""
+    """Per-spec memo of ``os_trans`` and tau closures over one table.
 
-    __slots__ = ("spec", "table", "_trans", "_closures")
+    ``shared`` is the tau table common to the memos of one
+    multi-platform oracle (see the module docstring); ``None`` keeps
+    every tau step private, with no recording.
+    """
 
-    def __init__(self, spec: PlatformSpec, table: InternTable) -> None:
+    __slots__ = ("spec", "table", "_trans", "_closures", "_shared",
+                 "_tau_shared")
+
+    def __init__(self, spec: PlatformSpec, table: InternTable,
+                 shared: Optional[SharedTau] = None) -> None:
         self.spec = spec
         self.table = table
         self._trans: Dict[Tuple[int, OsLabel], Tuple[int, ...]] = {}
         self._closures: Dict[int, FrozenSet[int]] = {}
+        self._shared = shared
+        self._tau_shared = 0
 
     # -- single-state steps ---------------------------------------------------
 
@@ -83,13 +147,38 @@ class TransitionMemo:
         key = (sid, label)
         cached = self._trans.get(key)
         if cached is None:
-            table = self.table
-            cached = tuple(
-                table.intern(succ)
-                for succ in os_trans(self.spec, table.state_of(sid),
-                                     label))
+            if self._shared is not None and label.__class__ is OsTau:
+                cached = self._shared_tau(sid)
+            else:
+                table = self.table
+                cached = tuple(
+                    table.intern(succ)
+                    for succ in os_trans(self.spec, table.state_of(sid),
+                                         label))
             self._trans[key] = cached
         return cached
+
+    def _shared_tau(self, sid: int) -> Tuple[int, ...]:
+        """The tau step from ``sid``: a sibling's successors if this
+        spec equals every value that sibling's evaluation read, else a
+        recorded evaluation of its own, filed for the siblings."""
+        spec = self.spec
+        entries = self._shared.get(sid, ())
+        for reads, succs in entries:
+            for name, value in reads:
+                if getattr(spec, name) != value:
+                    break
+            else:
+                self._tau_shared += 1
+                return succs
+        view = RecordingSpec.of(spec)
+        table = self.table
+        succs = tuple(table.intern(succ)
+                      for succ in os_trans(view, table.state_of(sid),
+                                           _TAU))
+        self._shared.setdefault(sid, []).append(
+            (tuple(view.reads.items()), succs))
+        return succs
 
     def closure_one(self, sid: int) -> FrozenSet[int]:
         """Ids of the tau closure of the single state ``sid``.
@@ -156,4 +245,5 @@ class TransitionMemo:
     def stats(self) -> Dict[str, int]:
         return {"states": len(self.table),
                 "transitions": len(self._trans),
-                "closures": len(self._closures)}
+                "closures": len(self._closures),
+                "tau_shared": self._tau_shared}

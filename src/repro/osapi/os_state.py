@@ -30,11 +30,19 @@ class OsState:
     def proc(self, pid: int):
         return self.procs[pid]
 
+    # The two hottest builders call the constructor directly, which is
+    # cheaper than ``dataclasses.replace``; a fresh instance carries no
+    # cached hash.  ``test_state_builders_carry_every_field`` fails if
+    # a field is added here and not to them.
+
     def with_proc(self, pid: int, proc) -> "OsState":
-        return dataclasses.replace(self, procs=self.procs.set(pid, proc))
+        return OsState(fs=self.fs, procs=self.procs.set(pid, proc),
+                       fids=self.fids, groups=self.groups,
+                       next_fid=self.next_fid)
 
     def with_fs(self, fs: FsState) -> "OsState":
-        return dataclasses.replace(self, fs=fs)
+        return OsState(fs=fs, procs=self.procs, fids=self.fids,
+                       groups=self.groups, next_fid=self.next_fid)
 
     def groups_of(self, uid: int) -> frozenset:
         """Supplementary groups: every gid whose member set contains uid."""

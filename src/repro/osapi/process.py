@@ -65,4 +65,10 @@ class Process:
     next_dh: int = 1
 
     def with_run(self, run: RunState) -> "Process":
-        return dataclasses.replace(self, run=run)
+        # Built directly, not with ``dataclasses.replace`` (hot path);
+        # ``test_state_builders_carry_every_field`` guards the field
+        # list.
+        return Process(cwd=self.cwd, uid=self.uid, gid=self.gid,
+                       groups=self.groups, umask=self.umask,
+                       fds=self.fds, dhs=self.dhs, run=run,
+                       next_fd=self.next_fd, next_dh=self.next_dh)

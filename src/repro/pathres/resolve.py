@@ -83,12 +83,15 @@ def split_path(path: str) -> Tuple[bool, List[str], bool]:
 
 
 def resolve(spec: PlatformSpec, fs: FsState, cwd: DirRef, path: str,
-            follow: Follow, env: PermEnv) -> ResName:
+            follow: Follow, env: PermEnv,
+            expansions: int = 0) -> ResName:
     """Resolve ``path`` against ``fs`` starting from ``cwd``.
 
     Returns a :class:`ResName`.  ``follow`` controls the treatment of a
     symlink in the *final* component only; intermediate symlinks are
-    always followed.
+    always followed.  ``expansions`` is the number of symlinks already
+    expanded on the way to ``path`` (a spliced symlink target); they
+    count towards the ELOOP limit.
     """
     if path == "":
         cover("pathres.empty_path")
@@ -113,7 +116,6 @@ def resolve(spec: PlatformSpec, fs: FsState, cwd: DirRef, path: str,
         return RnDir(dref=fs.root, parent=None, name=None,
                      trailing_slash=True)
 
-    expansions = 0
     work: List[str] = list(comps)
     #: Remaining trailing-slash flag applies to the final component only.
     while work:
@@ -256,11 +258,9 @@ def _resolve_spliced(spec: PlatformSpec, fs: FsState, cur: DirRef,
 
     Equivalent to continuing the main loop; implemented by re-entering
     :func:`resolve` on a reconstructed sub-path rooted at ``cur``, with
-    the expansion count carried via a reduced loop limit.
+    the expansion count carried over.
     """
     if not comps:
         return _dir_result(fs, cur, trailing)
-    sub_spec = dataclasses.replace(
-        spec, symlink_loop_limit=spec.symlink_loop_limit - expansions)
     sub_path = "/".join(comps) + ("/" if trailing else "")
-    return resolve(sub_spec, fs, cur, sub_path, follow, env)
+    return resolve(spec, fs, cur, sub_path, follow, env, expansions)

@@ -27,7 +27,10 @@ A ``verdict`` response is ``{"op": "verdict", "id": ..., "name": ...,
 rebuild the exact per-platform profile objects, which is how the
 parity harness checks the served path bit-for-bit against
 :class:`~repro.harness.backends.SerialBackend`.  Malformed input gets
-``{"op": "error", ...}`` on that line and the connection stays up.  A
+``{"op": "error", ...}`` on that line and the connection stays up; a
+``trace`` that is not a string, or ``traces`` that are not a list of
+strings, are malformed and reach no shard (the error names the field,
+and the index in ``traces``).  A
 line longer than :data:`~repro.service.client.MAX_LINE_BYTES` gets an
 error naming the limit, and then that connection is closed.
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional
+from typing import List, Optional
 
 from repro.service.client import LINE_TOO_LONG, MAX_LINE_BYTES
 from repro.service.service import CheckingService
@@ -140,10 +143,11 @@ class ServiceServer:
         try:
             if op == "check":
                 await self._check_batch(writer, request_id,
-                                        [request["trace"]], batch=False)
+                                        [_trace_text(request)],
+                                        batch=False)
             elif op == "batch":
                 await self._check_batch(writer, request_id,
-                                        list(request["traces"]),
+                                        _trace_texts(request),
                                         batch=True)
             elif op == "status":
                 await self._send(writer,
@@ -184,6 +188,28 @@ class ServiceServer:
                     ) -> None:
         writer.write(json.dumps(payload).encode() + b"\n")
         await writer.drain()
+
+
+def _trace_text(request: dict) -> str:
+    """A ``check``'s ``trace``, which must be a string."""
+    trace = request["trace"]
+    if not isinstance(trace, str):
+        raise TypeError(f"'trace' must be a string, "
+                        f"got {type(trace).__name__}")
+    return trace
+
+
+def _trace_texts(request: dict) -> List[str]:
+    """A ``batch``'s ``traces``, which must be a list of strings."""
+    traces = request["traces"]
+    if not isinstance(traces, list):
+        raise TypeError(f"'traces' must be a list of strings, "
+                        f"got {type(traces).__name__}")
+    for index, trace in enumerate(traces):
+        if not isinstance(trace, str):
+            raise TypeError(f"'traces'[{index}] must be a string, "
+                            f"got {type(trace).__name__}")
+    return traces
 
 
 def run_server(service: CheckingService, host: str = "127.0.0.1",

@@ -10,16 +10,24 @@ this module keeps only the unit equivalences against the raw ``osapi``
 transition functions and the engine-specific memo/cache behaviour.
 """
 
+import dataclasses
+import sys
+import threading
+
+from helpers_parity import handwritten_traces
+from repro.api import SerialBackend
 from repro.checker.checker import TraceChecker, _recover
-from repro.core.labels import OsCall, OsCreate
-from repro.core.platform import spec_by_name
+from repro.core.labels import OsCall, OsCreate, OsReturn, OsTau
+from repro.core.platform import PlatformSpec, spec_by_name
 from repro.core import commands as C
-from repro.engine import InternTable, TransitionMemo, recover_states
+from repro.core.values import Ok, RvNone
+from repro.engine import (InternTable, RecordingSpec, TransitionMemo,
+                          recover_states)
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
 from repro.osapi.os_state import SpecialOsState, initial_os_state
 from repro.osapi.transition import os_trans, tau_closure
-from repro.oracle import ModelOracle, PrefixCache
+from repro.oracle import ModelOracle, PrefixCache, VectoredOracle
 from repro.script import parse_trace
 from repro.testgen.generator import gen_handwritten_tests
 
@@ -163,3 +171,129 @@ class TestEngineWithPrefixCache:
         first = oracle._table
         oracle.check(trace)
         assert oracle._table is not first    # coverage-safe freshness
+
+
+class TestTauSharing:
+    """A multi-platform oracle evaluates a tau step once for every
+    platform whose spec equals the values that evaluation read."""
+
+    PLATFORMS = ("posix", "linux", "osx", "freebsd")
+
+    def test_sharing_saves_exec_calls(self, monkeypatch):
+        from repro.osapi import transition
+        traces = handwritten_traces("linux_sshfs_tmpfs")
+        calls = [0]
+        real = transition.exec_call
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+        monkeypatch.setattr(transition, "exec_call", counting)
+        oracle = VectoredOracle(self.PLATFORMS)
+        for trace in traces:
+            oracle.check(trace)
+        shared_calls = calls[0]
+        calls[0] = 0
+        for platform in self.PLATFORMS:
+            single = ModelOracle(platform)
+            for trace in traces:
+                single.check(trace)
+        assert 0 < shared_calls < calls[0]
+        reused = [memo.stats()["tau_shared"] for memo in oracle._memos]
+        assert reused[0] == 0 and sum(reused) > 0
+
+    def test_disagreeing_reads_are_never_shared(self):
+        """``unlink`` of a directory reads ``unlink_dir_errors``:
+        {EPERM, EISDIR} on posix, {EISDIR} on linux, {EPERM} on osx and
+        freebsd.  The first three evaluate the step each, and file one
+        entry each; freebsd takes osx's."""
+        trace = parse_trace("@type trace\n# Test unlink_dir\n"
+                            '1: mkdir "d" 0o755\nRV_none\n'
+                            '1: unlink "d"\nEISDIR\n')
+        oracle = VectoredOracle(self.PLATFORMS, cache=False)
+        verdict = oracle.check(trace)
+        for profile in verdict.profiles:
+            checked = TraceChecker(spec_by_name(profile.platform)).check(
+                trace)
+            assert (profile.deviations, profile.max_state_set,
+                    profile.labels_checked, profile.pruned) == \
+                (checked.deviations, checked.max_state_set,
+                 checked.labels_checked, checked.pruned)
+        assert [bool(p.deviations) for p in verdict.profiles] == \
+            [False, False, True, True]
+        entries = [dict(reads) for step in oracle._memos[0]._shared.values()
+                   for reads, _succs in step
+                   if "unlink_dir_errors" in dict(reads)]
+        assert sorted(sorted(e.name for e in reads["unlink_dir_errors"])
+                      for reads in entries) == \
+            [["EISDIR"], ["EISDIR", "EPERM"], ["EPERM"]]
+
+    def test_single_platform_checking_records_nothing(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("recorded a single-platform step")
+        monkeypatch.setattr(RecordingSpec, "of", staticmethod(refuse))
+        for trace in handwritten_traces("linux_ext4")[:6]:
+            ModelOracle("osx").check(trace)
+            TraceChecker(spec_by_name("osx")).check(trace)
+
+    def test_each_evaluation_keeps_its_own_log(self):
+        """Threads evaluating tau steps at once, on views of one spec,
+        each log only what their own step read."""
+        def step(state, label):
+            (succ,) = os_trans(LINUX, state, label)
+            return succ
+        state = step(initial_os_state(), OsCreate(1, 0, 0))
+        state = step(step(state, OsCall(1, C.Mkdir("d", 0o755))), OsTau())
+        state = step(state, OsReturn(1, Ok(RvNone())))
+        pending = {"unlink_dir_errors": step(state, OsCall(1, C.Unlink("d"))),
+                   "rmdir_root_errors": step(state, OsCall(1, C.Rmdir("/")))}
+        errors = []
+
+        def evaluate(field):
+            for _ in range(300):
+                view = RecordingSpec.of(LINUX)
+                os_trans(view, pending[field], OsTau())
+                if set(view.reads) & set(pending) != {field}:
+                    errors.append((field, dict(view.reads)))
+
+        threads = [threading.Thread(target=evaluate, args=(field,))
+                   for field in list(pending) * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_replace_on_a_view_records_every_other_field(self):
+        """The OS X readlink quirk rebuilds its spec: the rebuild reads
+        ``name`` and every other field, so the step is never shared."""
+        view = RecordingSpec.of(spec_by_name("osx"))
+        rebuilt = dataclasses.replace(
+            view, trailing_slash_follows_final_symlink=False)
+        assert type(rebuilt) is PlatformSpec
+        assert rebuilt == dataclasses.replace(
+            spec_by_name("osx"), trailing_slash_follows_final_symlink=False)
+        assert set(view.reads) == {
+            f.name for f in dataclasses.fields(PlatformSpec)} - {
+            "trailing_slash_follows_final_symlink"}
+
+    def test_coverage_keeps_per_trace_clause_sets(self):
+        """Each trace covers the same clauses on ``all`` as the union
+        of four single-platform coverage runs: a reused step's clauses
+        were fired by the evaluation it reuses."""
+        traces = handwritten_traces("linux_sshfs_tmpfs")
+        backend = SerialBackend()
+        combined = [outcome.covered for outcome in backend.check_iter(
+            "all", traces, collect_coverage=True)]
+        union = [set() for _ in traces]
+        for platform in self.PLATFORMS:
+            for covered, outcome in zip(union, backend.check_iter(
+                    platform, traces, collect_coverage=True)):
+                covered |= outcome.covered
+        assert combined == union

@@ -29,8 +29,11 @@ from repro.api import SerialBackend, Session, ShardedBackend
 from repro.core.platform import SPECS
 from repro.executor import ScriptExecutor, execute_script
 from repro.fsimpl import ALL_CONFIGS, KernelFS, config_by_name
+from repro.osapi.os_state import OsState
+from repro.osapi.process import Process
 from repro.script import parse_script
 from repro.testgen.randomized import random_suite
+from repro.util.fdict import fdict
 
 ALL_PLATFORMS = tuple(SPECS)
 
@@ -109,6 +112,34 @@ def test_kernel_fields_are_the_snapshot():
     for quirks in ALL_CONFIGS:
         assert set(vars(KernelFS(quirks))) == {
             "quirks", "spec", "state", "leaked_bytes", "_dead"}
+
+
+def test_state_builders_carry_every_field():
+    """``OsState.with_proc``/``with_fs`` and ``Process.with_run`` call
+    their class's constructor field by field.  Each must carry every
+    field it does not change: a field added to the class and missed
+    here would reset to its default in every successor state.  A
+    built state must not inherit the cached hash."""
+    state_values = {f.name: object() for f in dataclasses.fields(OsState)}
+    state_values["procs"] = fdict({1: "before"})
+    state = OsState(**state_values)
+    hash(state)
+    fs = object()
+    for built, changed in (
+            (state.with_fs(fs), {"fs": fs}),
+            (state.with_proc(1, "after"),
+             {"procs": fdict({1: "after"})})):
+        assert "_cached_hash" not in vars(built)
+        for field in dataclasses.fields(OsState):
+            want = changed.get(field.name, state_values[field.name])
+            assert getattr(built, field.name) == want, field.name
+
+    proc_values = {f.name: object() for f in dataclasses.fields(Process)}
+    run = object()
+    built = Process(**proc_values).with_run(run)
+    for field in dataclasses.fields(Process):
+        want = run if field.name == "run" else proc_values[field.name]
+        assert getattr(built, field.name) is want, field.name
 
 
 @pytest.mark.parametrize("case", sorted(RESUMPTION_CASES))

@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import Errno
 from repro.core.flags import FileKind
 from repro.core.platform import LINUX_SPEC, OSX_SPEC, POSIX_SPEC
+from repro.engine import RecordingSpec
 from repro.pathres.resname import Follow, RnDir, RnError, RnFile, RnNone
 from repro.pathres.resolve import (NAME_MAX, PermEnv, resolve, split_path)
 from repro.state.heap import empty_fs
@@ -228,6 +229,30 @@ class TestSymlinks:
         tight = dataclasses.replace(POSIX_SPEC, symlink_loop_limit=1)
         rn = res(fs, "ssd", Follow.FOLLOW, spec=tight)
         assert isinstance(rn, RnError) and rn.errno is Errno.ELOOP
+
+    def test_final_symlink_chain_eloop_boundary(self):
+        """A final-component chain re-enters ``resolve`` once per
+        expansion, carrying the count: at a limit of 2, two expansions
+        (ssd -> sd -> d) resolve and three (sssd) give ELOOP."""
+        import dataclasses
+        fs, refs = build_fs()
+        fs, _ = fs.create_file(fs.root, "sssd", FMETA,
+                               kind=FileKind.SYMLINK, content=b"ssd")
+        tight = dataclasses.replace(POSIX_SPEC, symlink_loop_limit=2)
+        rn = res(fs, "ssd", Follow.FOLLOW, spec=tight)
+        assert isinstance(rn, RnDir) and rn.dref == refs["d"]
+        rn = res(fs, "sssd", Follow.FOLLOW, spec=tight)
+        assert isinstance(rn, RnError) and rn.errno is Errno.ELOOP
+
+    def test_final_symlink_chain_reads_only_what_it_uses(self):
+        """Following a final symlink does not rebuild the spec, so a
+        recording view logs only the loop limit: the step stays
+        shareable across platforms."""
+        fs, refs = build_fs()
+        view = RecordingSpec.of(POSIX_SPEC)
+        rn = res(fs, "ssd", Follow.FOLLOW, spec=view)
+        assert isinstance(rn, RnDir) and rn.dref == refs["d"]
+        assert set(view.reads) == {"symlink_loop_limit"}
 
     def test_empty_symlink_target(self):
         fs, _ = build_fs()

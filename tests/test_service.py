@@ -756,6 +756,35 @@ class TestServerProtocol:
         assert [_profiles(v) for v in replies] == _serial_rows(traces[:2])
         assert _profiles(after) == _serial_rows(traces[3:])[0]
 
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_non_string_trace_fields_get_one_error_reply(self, shards):
+        """A ``trace`` that is not a string, or ``traces`` that are not
+        a list of strings, get one error reply naming the field (and
+        the index); nothing is submitted, the connection stays up and
+        the next ``check`` gets its verdict."""
+        trace = _traces(1)[0]
+        text = print_trace(trace)
+        bad = [({"op": "check", "trace": 5}, "'trace' must be a string"),
+               ({"op": "check", "trace": None}, "'trace' must be a string"),
+               ({"op": "check", "trace": ["x"]},
+                "'trace' must be a string"),
+               ({"op": "batch", "traces": "ab"},
+                "'traces' must be a list of strings"),
+               ({"op": "batch", "traces": [text, 5]},
+                r"'traces'\[1\] must be a string")]
+        with _Server(CheckingService("all", shards=shards)) as server:
+            with ServiceClient(server.address) as client:
+                for request, error in bad:
+                    with pytest.raises(RuntimeError, match="server error: "
+                                       "TypeError: " + error):
+                        client.request(request)
+                after = client.check(text)
+                stats = client.status()["engine_stats"]
+        assert _profiles(after) == _serial_rows([trace])[0]
+        assert stats["traces_submitted"] == 1
+        if shards:
+            assert stats["pool_calls"] == 1
+
     def test_served_dead_shard_gets_one_error_reply(self, monkeypatch):
         """A trace whose shard dies gets one error reply naming the
         shard and the trace; the connection stays up and the next trace

@@ -376,7 +376,8 @@ def campaign(tmp_path_factory):
         partition = session.store_partition
     artifact_path = root / "run.json"
     artifact.save(artifact_path)
-    return store, artifact, partition, artifact_path
+    yield store, artifact, partition, artifact_path
+    store.close()
 
 
 class TestViewParity:
