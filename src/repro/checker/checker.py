@@ -12,7 +12,7 @@ backtracking search (the six-orders-of-magnitude point of section 3).
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.core.labels import (OsCall, OsCreate, OsDestroy, OsLabel,
                                OsReturn, OsSignal, OsSpin)
@@ -138,11 +138,6 @@ class TraceChecker:
             self._table = InternTable()
             self._memo = TransitionMemo(spec, self._table)
 
-    def _implicit_creates(self, trace: Trace) -> List[OsCreate]:
-        """CREATE labels for pids the trace uses but never creates."""
-        return implicit_creates(trace, self.default_uid,
-                                self.default_gid)
-
     def check(self, trace: Trace) -> CheckedTrace:
         if self.intern:
             return self._check_interned(trace)
@@ -161,7 +156,8 @@ class TraceChecker:
         ids: FrozenSet[int] = frozenset(
             {table.intern(initial_os_state(self.groups))})
         max_states = 1
-        for create in self._implicit_creates(trace):
+        for create in implicit_creates(trace, self.default_uid,
+                                       self.default_gid):
             ids = memo.apply(ids, create)
             max_states = max(max_states, len(ids))
         deviations: List[Deviation] = []
@@ -235,7 +231,8 @@ class TraceChecker:
         states: FrozenSet[OsStateOrSpecial] = frozenset(
             {initial_os_state(self.groups)})
         max_states = 1
-        for create in self._implicit_creates(trace):
+        for create in implicit_creates(trace, self.default_uid,
+                                       self.default_gid):
             states = _apply(spec, states, create)
             max_states = max(max_states, len(states))
         deviations: List[Deviation] = []
@@ -280,7 +277,7 @@ class TraceChecker:
                     allowed=allowed_strs,
                     message=f"unexpected results: "
                             f"{render_return(label.ret)}"))
-                states = _recover(closed, label.pid) or closed
+                states = recover_states(closed, label.pid) or closed
                 max_states = max(max_states, len(states))
                 if len(states) > self.max_states:
                     states = _prune(states, self.max_states)
@@ -320,17 +317,6 @@ def _apply(spec: PlatformSpec, states: FrozenSet[OsStateOrSpecial],
     for state in states:
         out |= os_trans(spec, state, label)
     return frozenset(out)
-
-
-def _recover(states: FrozenSet[OsStateOrSpecial],
-             pid: int) -> Optional[FrozenSet[OsStateOrSpecial]]:
-    """Continue after a failed return match.
-
-    The canonical body lives in :func:`repro.engine.recover_states`
-    (one definition shared with the interned engine); this wrapper
-    keeps the checker-local name importers rely on.
-    """
-    return recover_states(states, pid)
 
 
 def check_trace(spec: PlatformSpec, trace: Trace,

@@ -11,13 +11,18 @@ in snapshots.
 Ids are stable for the lifetime of the table (the table only grows),
 so id-keyed memo tables and cached snapshots never need invalidation.
 Ids from different tables are incomparable: whoever shares memoized
-data keyed by ids must share the table that minted them (the prefix
-cache hands out one table per configuration partition for exactly this
-reason).
+data keyed by ids must share the table that minted them (a caching
+oracle owns one table for life for exactly this reason).
+
+Two threads checking on one oracle intern through one table, so a
+fresh id is minted under a lock: unlocked, hashing a new state can
+switch threads between reading the next id and storing it, and two
+states would share an id.  Lookups of known states take no lock.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, FrozenSet, Iterable, List
 
 from repro.osapi.os_state import OsStateOrSpecial
@@ -26,11 +31,12 @@ from repro.osapi.os_state import OsStateOrSpecial
 class InternTable:
     """A bijection between seen states and dense integer ids."""
 
-    __slots__ = ("_ids", "_states")
+    __slots__ = ("_ids", "_states", "_lock")
 
     def __init__(self) -> None:
         self._ids: Dict[OsStateOrSpecial, int] = {}
         self._states: List[OsStateOrSpecial] = []
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._states)
@@ -42,9 +48,14 @@ class InternTable:
         """The id for ``state``, minting a fresh one on first sight."""
         sid = self._ids.get(state)
         if sid is None:
-            sid = len(self._states)
-            self._ids[state] = sid
-            self._states.append(state)
+            with self._lock:
+                sid = self._ids.get(state)
+                if sid is None:
+                    # The state goes in before its id is published, so
+                    # whoever finds the id can resolve it.
+                    sid = len(self._states)
+                    self._states.append(state)
+                    self._ids[state] = sid
         return sid
 
     def intern_all(self,

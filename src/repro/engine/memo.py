@@ -20,7 +20,7 @@ The recovery and pruning rules of
 :class:`~repro.checker.checker.TraceChecker` live here too, expressed
 over ids, so the interned and uninterned paths share one definition:
 :func:`recover_states` is the canonical "resume after a failed return
-match" body (the checker's ``_recover`` delegates to it), and
+match" body (the checker's uninterned loop calls it directly), and
 :meth:`TransitionMemo.prune` keeps the checker's deterministic
 keep-by-repr rule.
 

@@ -172,13 +172,13 @@ def _oracle(model: str, collect_coverage: bool) -> Oracle:
 
     :func:`repro.oracle.get_oracle` memoizes per ``(name, cache)``
     process-wide, so a serial backend and each pool worker keep one
-    oracle per name for their whole life — and with it a warm prefix
-    cache, intern table and transition memo (:mod:`repro.engine`) —
+    oracle per name for their whole life — and with it a warm stored
+    path, intern table and transition memos (:mod:`repro.engine`) —
     without a second memo layer that would serve stale instances after
     ``register_oracle(replace=True)``.  Coverage runs resolve with
     ``cache=False``, which also rebuilds the engine tables per trace so
-    prefix and memo hits cannot swallow specification-clause
-    ``cover()`` calls.
+    restored prefixes and memo hits cannot swallow
+    specification-clause ``cover()`` calls.
     """
     return get_oracle(model, cache=not collect_coverage)
 
@@ -457,13 +457,13 @@ class ShardedBackend(_BackendBase):
       little.
     * **Persistent workers.**  Shard processes are spawned on the first
       call and *reused* across calls, each keeping one warm oracle per
-      model (prefix cache, intern table, transition memos) for its whole
+      model (stored path, intern table, transition memos) for its whole
       life — the spawn cost is paid once per backend
       (``pool_cold_starts`` in :meth:`run_stats` counts it).
     * **Partitioned feeding.**  Items are routed to shards by a stable
       hash of the configuration-partition key and the item name, so
       repeats of a trace (and families sharing its name) always land on
-      the shard whose prefix cache already knows them.
+      the shard whose memos already know them.
 
     The pool keeps one bounded verdict memo in the parent, so an exact
     repeat (in ``run_iter`` and ``check_iter`` alike) costs a dict

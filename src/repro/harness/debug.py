@@ -63,13 +63,13 @@ def debug_trace(spec: PlatformSpec, trace: Trace,
     Unlike the checker this never recovers after a failed step: the
     point is to show the developer exactly where the set became empty.
     """
-    from repro.checker.checker import TraceChecker
+    from repro.checker.checker import implicit_creates
 
     states: FrozenSet[OsStateOrSpecial] = frozenset(
         {initial_os_state()})
     # Same convenience as the checker: processes used without an
     # explicit create line are created implicitly with root ids.
-    for create in TraceChecker(spec)._implicit_creates(trace):
+    for create in implicit_creates(trace):
         nxt: set[OsStateOrSpecial] = set()
         for state in states:
             nxt |= os_trans(spec, state, create)

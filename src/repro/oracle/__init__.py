@@ -23,8 +23,9 @@ Three oracle families ship built in:
   ``"triaged:<p>"``) — fsimpl-backed fast accept/reject triage (paper
   section 8), optionally escalating mismatches to the full model check.
 
-Model and vectored oracles memoize clean label prefixes in a
-:class:`PrefixCache`, so suites whose scripts share generated setup
+Model and vectored oracles resume each check from one stored path, the
+clean prefix of the last trace that extended it (a
+:class:`PrefixCache`), so suites whose scripts share generated setup
 prefixes skip re-exploring them.  The pipeline backends
 (:mod:`repro.harness.backends`), the portability / merge / differential
 analyses and :class:`repro.api.Session` (``check_on=[...]``) are all

@@ -20,8 +20,8 @@ freebsd``                      over that platform variant
 =============================  ==============================================
 
 ``get`` memoizes instances (so a long-lived backend, or each pool
-worker, keeps one prefix cache per oracle); ``create`` always builds a
-fresh one.  ``cache=False`` builds oracles without prefix memoization —
+worker, keeps one warm oracle, with its stored path and memos, per
+name); ``create`` always builds a fresh one.  ``cache=False`` builds oracles without prefix memoization —
 the coverage-collection path needs every transition actually evaluated.
 """
 
@@ -71,8 +71,8 @@ class OracleRegistry:
             f"{', '.join(self.names())} (or 'vectored:A+B[+...]')")
 
     def get(self, name: str, *, cache: bool = True) -> Oracle:
-        """The memoized instance for ``name`` (one prefix cache per
-        oracle per process)."""
+        """The memoized instance for ``name`` (one warm oracle per name
+        and ``cache`` flag per process)."""
         key = (name, cache)
         oracle = self._instances.get(key)
         if oracle is None:

@@ -23,20 +23,22 @@ platform's reachable set stays *exactly* what an independent
 pruning and ``max_state_set`` bookkeeping replicate the checker's logic
 bit-for-bit (test-enforced parity).
 
-A :class:`~repro.oracle.cache.PrefixCache` memoizes clean label
-prefixes, so suites whose scripts share generated setup scaffolding
-(most of ``testgen``'s families) skip re-exploring common prefixes.
+A caching oracle restores the deepest snapshot a trace shares with its
+stored path (:mod:`repro.oracle.cache`) and checks only the rest, so
+suites whose scripts share generated setup scaffolding (most of
+``testgen``'s families) skip re-exploring common prefixes.
 
 The exploration itself runs on the :mod:`repro.engine` interned
 engine: states are hash-consed to integer ids (hashed once, compared
 as ints), the mask table is id-keyed, snapshots store ``(id, mask)``
 pairs, and per-spec :class:`~repro.engine.TransitionMemo` tables cache
 ``os_trans`` and tau-closure results across every trace a caching
-oracle ever checks — which is also why the coverage path (oracles
-built with ``cache=False``) gets fresh tables per check: memo hits do
-not re-fire specification-clause ``cover()`` calls.  Tau sharing is
-safe on that path: a reused step's clauses were fired, in the same
-check, by the evaluation it reuses.
+oracle ever checks.  A caching oracle owns one intern table and its
+memos for life.  The coverage path (oracles built with
+``cache=False``) gets fresh tables per check instead: memo hits do not
+re-fire specification-clause ``cover()`` calls.  Tau sharing is safe
+on that path: a reused step's clauses were fired, in the same check,
+by the evaluation it reuses.
 """
 
 from __future__ import annotations
@@ -67,16 +69,16 @@ class VectoredOracle:
 
     Parameters mirror :class:`repro.checker.checker.TraceChecker`
     (groups, max_states, default credentials) and apply to every
-    platform.  ``cache`` is ``True`` for a private
-    :class:`PrefixCache`, ``False``/``None`` to disable memoization, or
-    an explicit instance to share one cache across oracles.
+    platform.  ``cache=True`` resumes each check from the oracle's
+    stored path (:class:`PrefixCache`) on warm memos; ``cache=False``
+    checks every trace from scratch on fresh tables.
     """
 
     def __init__(self, platforms: Sequence[Union[str, PlatformSpec]], *,
                  groups: dict | None = None,
                  max_states: int = TraceChecker.DEFAULT_MAX_STATES,
                  default_uid: int = 0, default_gid: int = 0,
-                 cache: Union[PrefixCache, bool, None] = True) -> None:
+                 cache: bool = True) -> None:
         if not platforms:
             raise ValueError("an oracle needs at least one platform")
         self.specs: Tuple[PlatformSpec, ...] = tuple(
@@ -91,22 +93,13 @@ class VectoredOracle:
         self.max_states = max_states
         self.default_uid = default_uid
         self.default_gid = default_gid
-        if cache is True:
-            self._cache: Optional[PrefixCache] = PrefixCache()
-        elif cache:
-            self._cache = cache
-        else:
-            self._cache = None
-        # Snapshots are only valid for an identical checking
-        # configuration: a shared cache partitions its trie by this key
-        # so e.g. a linux and an osx oracle never trade snapshots.
-        self._cache_key = (
-            self.platforms, self.max_states, self.default_uid,
-            self.default_gid,
-            tuple(sorted((gid, tuple(sorted(members)))
-                         for gid, members in self.groups.items())))
-        self._table: Optional[InternTable] = None
-        self._memos: Tuple[TransitionMemo, ...] = ()
+        self._cache: Optional[PrefixCache] = None
+        if cache:
+            # A caching oracle owns its intern table and memos for
+            # life: the stored path's snapshots hold this table's ids.
+            self._cache = PrefixCache()
+            self._table = InternTable()
+            self._memos = self._new_memos(self._table)
 
     @property
     def name(self) -> str:
@@ -118,39 +111,25 @@ class VectoredOracle:
     def cache(self) -> Optional[PrefixCache]:
         return self._cache
 
-    @property
-    def cache_key(self):
-        """The cache-partition key this oracle's snapshots live under
-        (everything a snapshot depends on besides the label path)."""
-        return self._cache_key
-
     # -- vectored transition plumbing -----------------------------------------
 
     def _bind_engine(self) -> Tuple[InternTable,
                                     Tuple[TransitionMemo, ...]]:
         """The intern table + per-spec memos for one ``check`` call.
 
-        With a prefix cache, the table is the cache partition's own
-        (:meth:`PrefixCache.table`) — snapshots store ids, so every
-        oracle sharing the partition must share the table minting them
-        — and the memos persist across checks (and across a pool
-        worker's life), which is the cross-trace transition reuse this
-        engine exists for.  Re-checked each call so a ``cache.clear()``
-        swaps in fresh tables instead of serving stale ids.
+        A caching oracle's table and memos persist across checks (and
+        a pool worker's life), which is the cross-trace transition
+        reuse this engine exists for; its stored path holds their ids.
 
         Without a cache (the coverage-collection path) everything is
         rebuilt per call: a memo kept warm across traces would skip
         re-executing transition bodies and under-report per-trace
         specification-clause coverage.
         """
-        if self._cache is not None:
-            table = self._cache.table(self._cache_key)
-            if table is not self._table:
-                self._table = table
-                self._memos = self._new_memos(table)
-        else:
+        if self._cache is None:
             self._table = table = InternTable()
-            self._memos = self._new_memos(table)
+            self._memos = memos = self._new_memos(table)
+            return table, memos
         return self._table, self._memos
 
     def _new_memos(self, table: InternTable
@@ -243,23 +222,33 @@ class VectoredOracle:
         full = (1 << n) - 1
         table, memos = self._bind_engine()
         memo0 = memos[0]
-        states: MaskedStates = {
-            table.intern(initial_os_state(self.groups)): full}
+        creates = implicit_creates(trace, self.default_uid,
+                                   self.default_gid)
+        events = trace.events
         devs: List[List[Deviation]] = [[] for _ in range(n)]
-        maxs: List[int] = [1] * n
         pruned: List[bool] = [False] * n
-        labels = 0
 
+        # Resume from the deepest entry of the stored path that this
+        # trace shares.  Implicit creates come first: traces that share
+        # visible labels but differ in process population must not
+        # share snapshots.
         cache = self._cache
-        node = (cache.root(self._cache_key) if cache is not None
-                else None)
-
-        def snapshot() -> Tuple[tuple, tuple]:
-            # Taken under the partition's table: rows are materialised
-            # and id-sorted *now*, so a snapshot published to the cache
-            # can never be a live view of (or depend on the dict order
-            # of) a mask table a later step keeps updating.
-            return (tuple(sorted(states.items())), tuple(maxs))
+        path: tuple = ()
+        shared = 0
+        if cache is not None:
+            path, shared = cache.resume(
+                creates + [event.label for event in events])
+        if shared:
+            _label, items, peaks = path[shared - 1]
+            states: MaskedStates = dict(items)
+            maxs = list(peaks)
+        else:
+            states = {table.intern(initial_os_state(self.groups)): full}
+            maxs = [1] * n
+        # New path entries, taken while every platform is still
+        # deviation-free and unpruned.
+        clean = cache is not None
+        new: list = []
 
         def track_peaks() -> None:
             """Per-step peak tracking: every platform's set size is
@@ -269,42 +258,17 @@ class VectoredOracle:
                 if count > maxs[i]:
                     maxs[i] = count
 
-        def walk(label: OsLabel) -> bool:
-            """Advance the trie; True if a snapshot was restored."""
-            nonlocal node, states, maxs
-            hit = cache.lookup(node, label)
-            if hit is not None:
-                items, cached_maxs = hit.snapshot
-                states = dict(items)
-                maxs = list(cached_maxs)
-                node = hit
-                return True
-            return False
+        def entry(label: OsLabel) -> tuple:
+            return (label, tuple(sorted(states.items())), tuple(maxs))
 
-        def store(label: OsLabel) -> None:
-            nonlocal node
-            if any(devs_i for devs_i in devs) or any(pruned):
-                node = None
-                return
-            node = cache.extend(node, label, snapshot())
-
-        # Implicit creates are part of the memoized path: traces that
-        # share visible labels but differ in process population must
-        # not share snapshots.
-        for create in implicit_creates(trace, self.default_uid,
-                                       self.default_gid):
-            if node is not None and walk(create):
-                continue
+        for create in creates[shared:]:
             states = self._apply_shared(memo0, states, create)
             track_peaks()
-            if node is not None:
-                store(create)
+            if clean:
+                new.append(entry(create))
 
-        for event in trace.events:
+        for event in events[max(0, shared - len(creates)):]:
             label = event.label
-            labels += 1
-            if node is not None and walk(label):
-                continue
 
             if isinstance(label, (OsSignal, OsSpin)):
                 # The model never allows a call to kill or hang a
@@ -318,7 +282,7 @@ class VectoredOracle:
                             f"{label.render()}")
                 for i in range(n):
                     devs[i].append(deviation)
-                node = None
+                clean = False
                 continue
 
             if isinstance(label, OsReturn):
@@ -332,6 +296,7 @@ class VectoredOracle:
                     alive |= mask
                 stuck = full & ~alive
                 if stuck:
+                    clean = False
                     for i in range(n):
                         if not (stuck >> i) & 1:
                             continue
@@ -356,9 +321,11 @@ class VectoredOracle:
                 track_peaks()
                 for i in range(n):
                     states, did = self._prune_platform(memo0, states, i)
-                    pruned[i] = pruned[i] or did
-                if node is not None:
-                    store(label)
+                    if did:
+                        pruned[i] = True
+                        clean = False
+                if clean:
+                    new.append(entry(label))
                 continue
 
             # CALL / CREATE / DESTROY.
@@ -368,6 +335,7 @@ class VectoredOracle:
                 alive |= mask
             stuck = full & ~alive
             if stuck:
+                clean = False
                 deviation = Deviation(
                     line_no=event.line_no, kind="structural",
                     observed=label.render(), allowed=(),
@@ -383,14 +351,16 @@ class VectoredOracle:
                         nxt[sid] = nxt.get(sid, 0) | held
             states = nxt
             track_peaks()
-            if node is not None:
-                store(label)
+            if clean:
+                new.append(entry(label))
 
+        if cache is not None:
+            cache.publish(path, shared, new, clean)
         return Verdict(trace=trace, profiles=tuple(
             ConformanceProfile(platform=self.platforms[i],
                                deviations=tuple(devs[i]),
                                max_state_set=maxs[i],
-                               labels_checked=labels,
+                               labels_checked=len(events),
                                pruned=pruned[i])
             for i in range(n)))
 
@@ -408,7 +378,7 @@ class ModelOracle(VectoredOracle):
                  groups: dict | None = None,
                  max_states: int = TraceChecker.DEFAULT_MAX_STATES,
                  default_uid: int = 0, default_gid: int = 0,
-                 cache: Union[PrefixCache, bool, None] = True) -> None:
+                 cache: bool = True) -> None:
         super().__init__((platform,), groups=groups,
                          max_states=max_states,
                          default_uid=default_uid,

@@ -19,10 +19,11 @@ eviction); coverage runs bypass it, so no memo hit can swallow a
 clause's ``cover()`` call.
 
 What a shard keeps (:class:`ShardWorkerState`) is one warm
-``create_oracle(model, cache=True)`` per model, whose prefix cache,
-intern table and transition memos grow over the shard's whole life.
-Items are routed by :meth:`ShardPool.shard_of`, so repeats of a name
-land on the shard whose caches already know it.  Nothing is shared
+``create_oracle(model, cache=True)`` per model, whose intern table and
+transition memos grow over the shard's whole life, beside one stored
+path no longer than a trace.  Items are routed by
+:meth:`ShardPool.shard_of`, so repeats of a name land on the shard
+whose memos already know it.  Nothing is shared
 between shards.
 
 No result is dropped silently:

@@ -16,6 +16,11 @@ row is the comparable ``(deviations, max_state_set, labels_checked,
 pruned)`` tuple.  Factories may keep warm state across the traces of
 one call — cross-trace memo reuse is deliberately under test.
 
+The trace order is an axis too (:func:`trace_orders`): a caching
+oracle resumes each check from the path the previous one stored, so
+the same traces are checked as given, grouped by shared prefix and
+alternating between two halves of the suite.
+
 Execution is the second axis: a warm
 :class:`~repro.executor.ScriptExecutor` resumes each script from the
 state its predecessor reached at their shared prefix, and every trace
@@ -28,6 +33,7 @@ that axis runs on every configuration.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.checker.checker import TraceChecker
@@ -193,6 +199,21 @@ def handwritten_traces(config: str) -> tuple:
 def baseline_rows(config: str, platforms: Tuple[str, ...]) -> tuple:
     """Uninterned rows for the handwritten suite (shared baseline)."""
     return tuple(_make_uninterned(platforms)(handwritten_traces(config)))
+
+
+def trace_orders(traces: Sequence) -> Dict[str, List[int]]:
+    """Index orders to check ``traces`` in, so that a caching oracle's
+    stored path is cut back at every depth: as given, grouped by shared
+    label prefix (the longest resumptions), and alternating between the
+    two halves (the path is replaced by every other trace)."""
+    grouped = sorted(range(len(traces)),
+                     key=lambda i: repr(traces[i].labels()))
+    half = (len(traces) + 1) // 2
+    alternating = [i for pair in itertools.zip_longest(
+        range(half), range(half, len(traces))) for i in pair
+        if i is not None]
+    return {"given": list(range(len(traces))), "grouped": grouped,
+            "alternating": alternating}
 
 
 # -- the execution axis -------------------------------------------------------

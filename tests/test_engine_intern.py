@@ -16,7 +16,7 @@ import threading
 
 from helpers_parity import handwritten_traces
 from repro.api import SerialBackend
-from repro.checker.checker import TraceChecker, _recover
+from repro.checker.checker import TraceChecker
 from repro.core.labels import OsCall, OsCreate, OsReturn, OsTau
 from repro.core.platform import PlatformSpec, spec_by_name
 from repro.core import commands as C
@@ -27,7 +27,7 @@ from repro.executor import execute_script
 from repro.fsimpl import config_by_name
 from repro.osapi.os_state import SpecialOsState, initial_os_state
 from repro.osapi.transition import os_trans, tau_closure
-from repro.oracle import ModelOracle, PrefixCache, VectoredOracle
+from repro.oracle import ModelOracle, VectoredOracle
 from repro.script import parse_trace
 from repro.testgen.generator import gen_handwritten_tests
 
@@ -65,6 +65,44 @@ class TestInternTable:
         for sid in ids:
             assert table.intern(table.state_of(sid)) == sid
         assert len(table.states_of(ids)) == len(ids)
+
+    def test_concurrent_minting_gives_distinct_ids(self):
+        """Two threads minting ids for new states at once: every state
+        keeps its own id.  Hashing yields the GIL here (as a Python
+        ``__hash__`` may at any bytecode), so without the table's lock
+        both threads would read the same next id."""
+        import time
+
+        class YieldingKey:
+            def __init__(self, n):
+                self.n = n
+
+            def __hash__(self):
+                time.sleep(0)
+                return hash(self.n)
+
+            def __eq__(self, other):
+                return isinstance(other, YieldingKey) and other.n == self.n
+
+        table = InternTable()
+        keys = [YieldingKey(n) for n in range(300)]
+        got = {}
+
+        def mint(name, order):
+            got[name] = {key.n: table.intern(key) for key in order}
+
+        threads = [threading.Thread(target=mint, args=(name, order))
+                   for name, order in (("up", keys),
+                                       ("down", keys[::-1]))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got["up"] == got["down"]
+        assert sorted(got["up"].values()) == list(range(len(keys)))
+        assert all(table.state_of(sid).n == n
+                   for n, sid in got["up"].items())
 
 
 class TestTransitionMemo:
@@ -104,10 +142,9 @@ class TestTransitionMemo:
         table, memo, ids = _seed_states()
         closed = memo.closure(ids)
         got = memo.recover(closed, 1)
-        want = _recover(frozenset(table.states_of(closed)), 1)
+        # The checker's uninterned loop recovers through the same body.
+        want = recover_states(frozenset(table.states_of(closed)), 1)
         assert {table.state_of(sid) for sid in got} == set(want)
-        # And the canonical body is shared with the checker's wrapper.
-        assert recover_states(table.states_of(closed), 1) == want
 
     def test_recover_none_when_pid_absent(self):
         table, memo, ids = _seed_states()
@@ -138,31 +175,6 @@ class TestWarmMemoReuse:
         assert results == [baseline.check(trace) for trace in traces]
 
 class TestEngineWithPrefixCache:
-    def test_shared_cache_shares_intern_table(self):
-        cache = PrefixCache()
-        a = ModelOracle("linux", cache=cache)
-        b = ModelOracle("linux", cache=cache)
-        trace = parse_trace("@type trace\n# Test t\n"
-                            '1: mkdir "a" 0o755\nRV_none\n')
-        va = a.check(trace)
-        hits_before = cache.hits
-        vb = b.check(trace)
-        assert cache.hits > hits_before      # b resumed from a's prefix
-        assert va.profiles == vb.profiles
-        assert a._table is b._table          # one table per partition
-
-    def test_cache_clear_swaps_tables_safely(self):
-        cache = PrefixCache()
-        oracle = ModelOracle("linux", cache=cache)
-        trace = parse_trace("@type trace\n# Test t\n"
-                            '1: mkdir "a" 0o755\nRV_none\n')
-        before = oracle.check(trace)
-        old_table = oracle._table
-        cache.clear()
-        after = oracle.check(trace)          # must rebind, not misread
-        assert oracle._table is not old_table
-        assert before.profiles == after.profiles
-
     def test_uncached_oracle_rebuilds_tables_per_check(self):
         oracle = ModelOracle("linux", cache=False)
         trace = parse_trace("@type trace\n# Test t\n"

@@ -24,7 +24,7 @@ import pytest
 from helpers_parity import (ENGINES, PARITY_CONFIGS, RESUMPTION_CASES,
                             baseline_rows, execution_orders,
                             execution_scripts, handwritten_traces,
-                            resumption_scripts)
+                            resumption_scripts, trace_orders)
 from repro.api import SerialBackend, Session, ShardedBackend
 from repro.core.platform import SPECS
 from repro.executor import ScriptExecutor, execute_script
@@ -62,15 +62,71 @@ def test_profile_order_follows_oracle_platforms():
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_handwritten_suite_parity(engine, config):
     """Bit-for-bit identical rows on the handwritten suite, every
-    platform, clean and quirky configurations."""
+    platform, clean and quirky configurations, in every trace order of
+    :func:`helpers_parity.trace_orders`, one warm engine across the
+    orders."""
     traces = handwritten_traces(config)
-    got = ENGINES[engine](ALL_PLATFORMS)(traces)
+    check = ENGINES[engine](ALL_PLATFORMS)
     want = baseline_rows(config, ALL_PLATFORMS)
-    for trace, got_rows, want_rows in zip(traces, got, want):
-        assert set(got_rows) == set(ALL_PLATFORMS), (engine, trace.name)
-        for platform in ALL_PLATFORMS:
-            assert got_rows[platform] == want_rows[platform], \
-                (engine, config, trace.name, platform)
+    for order_name, order in trace_orders(traces).items():
+        got = check([traces[i] for i in order])
+        for i, got_rows in zip(order, got):
+            name = traces[i].name
+            assert set(got_rows) == set(ALL_PLATFORMS), \
+                (engine, order_name, name)
+            for platform in ALL_PLATFORMS:
+                assert got_rows[platform] == want[i][platform], \
+                    (engine, config, order_name, name, platform)
+
+
+def _warm_streams(traces):
+    """The adversarial streams for a warm oracle's stored path."""
+    return {
+        "all-repeat": [t for trace in traces for t in (trace, trace)],
+        "alternating": [traces[i]
+                        for i in trace_orders(traces)["alternating"]],
+        "all-novel": list(traces),
+    }
+
+
+@pytest.mark.parametrize("stream", ["all-repeat", "alternating",
+                                    "all-novel"])
+def test_warm_oracle_streams(stream):
+    """One warm oracle over an all-repeat, an alternating and an
+    all-novel stream: every verdict equals an uncached oracle's, a
+    repeat restores the whole path, and the path never grows past the
+    longest trace's labels plus its implicit creates."""
+    from repro.checker.checker import implicit_creates
+    from repro.oracle import VectoredOracle
+
+    if stream == "all-novel":
+        quirks = config_by_name("linux_sshfs_tmpfs")
+        traces = [execute_script(quirks, script)
+                  for script in random_suite(12, base_seed=2026,
+                                             length=25)]
+    else:
+        traces = list(handwritten_traces("linux_sshfs_tmpfs"))
+    uncached = VectoredOracle(ALL_PLATFORMS, cache=False)
+    want = {trace.name: uncached.check(trace).profiles
+            for trace in traces}
+    oracle = VectoredOracle(ALL_PLATFORMS)
+    cache = oracle.cache
+    longest = max(len(trace.events) + len(implicit_creates(trace))
+                  for trace in traces)
+    previous = None
+    for trace in _warm_streams(traces)[stream]:
+        hits, misses = cache.hits, cache.misses
+        profiles = oracle.check(trace).profiles
+        assert profiles == want[trace.name], (stream, trace.name)
+        if trace is previous and all(p.accepted and not p.pruned
+                                     for p in profiles):
+            # A clean trace checked twice in a row: the second check
+            # restores every label from the path and evaluates none.
+            assert cache.hits - hits == \
+                len(trace.events) + len(implicit_creates(trace))
+            assert cache.misses == misses
+        assert len(cache.path) <= longest, (stream, trace.name)
+        previous = trace
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

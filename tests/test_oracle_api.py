@@ -22,9 +22,9 @@ from repro.core.platform import SPECS, real_platforms, spec_by_name
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
 from repro.harness import merge_verdicts, portability_report
-from repro.oracle import (ModelOracle, PrefixCache, ReferenceOracle,
-                          VectoredOracle, create_oracle, get_oracle,
-                          oracle_name_for, oracle_names)
+from repro.oracle import (ModelOracle, ReferenceOracle, VectoredOracle,
+                          create_oracle, get_oracle, oracle_name_for,
+                          oracle_names)
 from repro.script import parse_script, parse_trace
 from repro.testgen.generator import gen_handwritten_tests
 
@@ -131,27 +131,18 @@ class TestPrefixCache:
         stats = oracle.cache.stats()
         assert stats["hits"] > 0  # later scripts reuse the setup prefix
 
-    def test_node_budget_still_correct(self):
-        quirks = config_by_name("linux_sshfs_tmpfs")
-        traces = [execute_script(quirks, s) for s in SMALL_SUITE]
-        tiny = VectoredOracle(tuple(SPECS), cache=PrefixCache(max_nodes=2))
-        free = VectoredOracle(tuple(SPECS), cache=False)
-        for trace in traces:
-            assert tiny.check(trace).profiles == \
-                free.check(trace).profiles
-        assert tiny.cache.stats()["nodes"] <= 2
-
     def test_shared_cache_partitioned_by_oracle_config(self):
-        # One PrefixCache shared by different-platform oracles must
-        # not trade snapshots: linux's accepting states would make the
-        # osx oracle accept a linux-only trace.
-        shared = PrefixCache()
-        linux = ModelOracle("linux", cache=shared)
-        osx = ModelOracle("osx", cache=shared)
+        # Every oracle owns its stored path, so oracles of different
+        # platforms never trade snapshots: linux's accepting states
+        # would make the osx oracle accept a linux-only trace.
+        linux = ModelOracle("linux")
+        osx = ModelOracle("osx")
         trace = parse_trace(LINUX_ONLY_TRACE)
         assert linux.check(trace).accepted
         assert not osx.check(trace).accepted
-        assert not osx.check(trace).accepted  # cached answer too
+        assert osx.cache.hits == 0            # nothing of linux's path
+        assert not osx.check(trace).accepted  # from its own path
+        assert osx.cache.hits > 0
 
     def test_snapshots_keyed_by_process_population(self):
         # Same visible labels, different implicit process: the trie

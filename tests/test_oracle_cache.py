@@ -1,22 +1,24 @@
-"""Direct tests for :class:`repro.oracle.PrefixCache`.
+"""Direct tests for the stored path of :class:`repro.oracle.PrefixCache`.
 
-Covers the budget-exhaustion behaviour (``extend`` returning ``None``
-at ``max_nodes``), snapshot refresh of an existing child, disjoint
-``root(key)`` partitions (tries *and* intern tables), and interned
-snapshot round-trips through real oracles.
+A caching oracle keeps one stored path: ``(label, snapshot, peaks)``
+entries for the clean prefix of the last trace that extended it,
+implicit creates first.  Covered here: resuming from the deepest shared
+entry, the storing rules (only clean entries, no cut-back by a check
+that adds nothing), the ``(id, mask)`` int-pair snapshots, one oracle
+per partition, and two threads checking on one oracle.
 """
 
-from repro.core.labels import OsCall, OsCreate
+import sys
+import threading
+
+from helpers_parity import handwritten_traces
+from repro.checker.checker import implicit_creates
 from repro.core import commands as C
+from repro.core.labels import OsCall, OsCreate, OsReturn
+from repro.core.values import Ok, RvNone
 from repro.oracle import ModelOracle, PrefixCache, VectoredOracle
 from repro.script import parse_trace
-
-L1 = OsCreate(1, 0, 0)
-L2 = OsCall(1, C.Mkdir("a", 0o755))
-L3 = OsCall(1, C.Rmdir("a"))
-
-SNAP_A = (((0, 1),), (1,))
-SNAP_B = (((1, 1),), (2,))
+from repro.script.ast import Trace, TraceEvent
 
 TRACE = parse_trace("@type trace\n# Test t\n"
                     '1: mkdir "a" 0o755\nRV_none\n'
@@ -24,215 +26,219 @@ TRACE = parse_trace("@type trace\n# Test t\n"
                     'RV_stat({kind=S_IFDIR; size=0; nlink=2; uid=0; '
                     'gid=0; mode=0o755})\n')
 
+#: Shares TRACE's implicit create and its first call and return.
+SIBLING = parse_trace("@type trace\n# Test t2\n"
+                      '1: mkdir "a" 0o755\nRV_none\n'
+                      '2: rmdir "a"\nRV_none\n')
 
-class TestBudget:
-    def test_extend_returns_none_at_max_nodes(self):
-        cache = PrefixCache(max_nodes=2)
-        root = cache.root()                       # node 1
-        child = cache.extend(root, L1, SNAP_A)    # node 2 — at budget
-        assert child is not None
-        assert cache.extend(child, L2, SNAP_B) is None
-        assert cache.stats()["nodes"] == 2
+#: Shares SIBLING's first four labels, then returns an error linux
+#: never gives for removing an empty directory.
+DEVIANT = parse_trace("@type trace\n# Test t3\n"
+                      '1: mkdir "a" 0o755\nRV_none\n'
+                      '2: rmdir "a"\nEEXIST\n'
+                      '3: rmdir "a"\nRV_none\n')
 
-    def test_exhausted_cache_keeps_serving_hits(self):
-        cache = PrefixCache(max_nodes=2)
-        root = cache.root()
-        cache.extend(root, L1, SNAP_A)
-        assert cache.extend(root.children[L1], L2, SNAP_B) is None
-        hit = cache.lookup(root, L1)
-        assert hit is not None and hit.snapshot == SNAP_A
 
-    def test_refresh_does_not_consume_budget(self):
-        cache = PrefixCache(max_nodes=2)
-        root = cache.root()
-        cache.extend(root, L1, SNAP_A)
-        # Refreshing the existing child succeeds even at the budget.
-        again = cache.extend(root, L1, SNAP_B)
-        assert again is not None
-        assert cache.stats()["nodes"] == 2
+#: Two processes with calls in flight: after p1's return, p2's call may
+#: or may not have taken effect, so the set holds several states and an
+#: oracle with ``max_states=1`` prunes there.
+CONCURRENT = Trace(name="concurrent", events=tuple(
+    TraceEvent(line_no, label) for line_no, label in enumerate([
+        OsCreate(2, 0, 0), OsCall(1, C.Mkdir("a", 0o755)),
+        OsCall(2, C.Mkdir("b", 0o755)), OsReturn(1, Ok(RvNone())),
+        OsReturn(2, Ok(RvNone())), OsCall(1, C.Rmdir("a")),
+        OsReturn(1, Ok(RvNone()))], 1)))
 
-    def test_oracle_with_tiny_budget_still_checks_correctly(self):
-        tiny = ModelOracle("linux", cache=PrefixCache(max_nodes=2))
+
+def _labels(trace):
+    """Every label a check walks: implicit creates, then the events."""
+    return (implicit_creates(trace)
+            + [event.label for event in trace.events])
+
+
+def _path_labels(oracle):
+    return [entry[0] for entry in oracle.cache.path]
+
+
+class TestStoredPath:
+    def test_stats_are_hits_and_misses(self):
+        assert PrefixCache().stats() == {"hits": 0, "misses": 0}
+        oracle = ModelOracle("linux")
+        oracle.check(TRACE)
+        assert oracle.cache.stats() == {"hits": 0,
+                                        "misses": len(_labels(TRACE))}
+
+    def test_uncached_oracle_has_no_path(self):
+        assert ModelOracle("linux", cache=False).cache is None
+
+    def test_resumes_from_the_deepest_shared_entry(self):
+        oracle = VectoredOracle(("linux", "osx"))
+        uncached = VectoredOracle(("linux", "osx"), cache=False)
+        oracle.check(TRACE)
+        assert _path_labels(oracle) == _labels(TRACE)
+        hits = oracle.cache.hits
+        verdict = oracle.check(SIBLING)
+        # The implicit create, the mkdir and its return are restored.
+        assert oracle.cache.hits - hits == 3
+        assert verdict.profiles == uncached.check(SIBLING).profiles
+        # The path is now the sibling's: three shared entries, then its
+        # own rmdir and return.
+        assert _path_labels(oracle) == _labels(SIBLING)
+
+    def test_repeat_restores_the_whole_path(self):
+        oracle = ModelOracle("linux")
+        first = oracle.check(TRACE)
+        path, misses = oracle.cache.path, oracle.cache.misses
+        again = oracle.check(TRACE)
+        assert oracle.cache.hits == len(_labels(TRACE))
+        assert oracle.cache.misses == misses
+        assert oracle.cache.path is path
+        assert again.profiles == first.profiles
+
+    def test_shorter_sibling_keeps_the_longer_path(self):
+        prefix = parse_trace("@type trace\n# Test p\n"
+                             '1: mkdir "a" 0o755\nRV_none\n')
+        oracle = ModelOracle("linux")
+        oracle.check(TRACE)
+        path = oracle.cache.path
+        oracle.check(prefix)
+        assert oracle.cache.path is path
+
+    def test_deviating_trace_stores_only_its_clean_prefix(self):
+        oracle = ModelOracle("linux")
+        verdict = oracle.check(DEVIANT)
+        assert not verdict.accepted
+        # create, mkdir, RV_none and the rmdir call are clean; the
+        # EEXIST return deviates and nothing from it on is stored.
+        assert _path_labels(oracle) == _labels(DEVIANT)[:4]
+        assert oracle.cache.misses == 5
+
+    def test_deviation_right_after_the_shared_prefix_keeps_the_path(self):
+        oracle = ModelOracle("linux")
         uncached = ModelOracle("linux", cache=False)
-        assert (tiny.check(TRACE).profiles
-                == uncached.check(TRACE).profiles)
+        oracle.check(SIBLING)
+        path = oracle.cache.path
+        # DEVIANT shares four labels with SIBLING and deviates on its
+        # fifth: it adds no clean entry, so the path is left as it was.
+        verdict = oracle.check(DEVIANT)
+        assert oracle.cache.hits == 4
+        assert oracle.cache.path is path
+        assert verdict.profiles == uncached.check(DEVIANT).profiles
 
+    def test_pruned_trace_stores_only_its_unpruned_prefix(self):
+        oracle = ModelOracle("linux", max_states=1)
+        uncached = ModelOracle("linux", max_states=1, cache=False)
+        verdict = oracle.check(CONCURRENT)
+        assert verdict.primary.pruned
+        # Pruned at p1's return: the creates and both calls are kept.
+        assert _path_labels(oracle) == _labels(CONCURRENT)[:4]
+        path = oracle.cache.path
+        again = oracle.check(CONCURRENT)
+        assert oracle.cache.path is path
+        assert again.profiles == verdict.profiles == \
+            uncached.check(CONCURRENT).profiles
 
-class TestRefresh:
-    def test_existing_child_snapshot_is_refreshed(self):
-        cache = PrefixCache()
-        root = cache.root()
-        first = cache.extend(root, L1, SNAP_A)
-        second = cache.extend(root, L1, SNAP_B)
-        assert second is first                    # no duplicate node
-        assert first.snapshot == SNAP_B
-
-    def test_lookup_skips_snapshotless_children(self):
-        cache = PrefixCache()
-        root = cache.root()
-        child = cache.extend(root, L1, SNAP_A)
-        child.snapshot = None                     # a stopped-caching walk
-        assert cache.lookup(root, L1) is None
-        assert cache.misses == 1
+    def test_process_population_is_part_of_the_path(self):
+        # The same visible prefix as TRACE, but a later call by p2 makes
+        # p2 an implicit create up front: only p1's create is shared,
+        # and TRACE's states (which lack p2) are never restored.
+        two = parse_trace("@type trace\n# Test two\n"
+                          '1: mkdir "a" 0o755\nRV_none\n'
+                          '2: p2: stat "a"\n'
+                          'p2: RV_stat({kind=S_IFDIR; size=0; nlink=2; '
+                          'uid=0; gid=0; mode=0o755})\n')
+        oracle = ModelOracle("linux")
+        oracle.check(TRACE)
+        verdict = oracle.check(two)
+        assert oracle.cache.hits == 1
+        assert verdict.accepted
+        assert verdict.profiles == \
+            ModelOracle("linux", cache=False).check(two).profiles
 
 
 class TestPartitions:
-    def test_roots_are_disjoint_per_key(self):
-        cache = PrefixCache()
-        ra, rb = cache.root(("a",)), cache.root(("b",))
-        assert ra is not rb
-        cache.extend(ra, L1, SNAP_A)
-        assert cache.lookup(rb, L1) is None
-        assert cache.root(("a",)) is ra           # stable on re-ask
-
-    def test_tables_are_disjoint_per_key(self):
-        cache = PrefixCache()
-        ta, tb = cache.table(("a",)), cache.table(("b",))
-        assert ta is not tb
-        assert cache.table(("a",)) is ta
-
     def test_oracle_configs_never_trade_snapshots(self):
-        cache = PrefixCache()
-        linux = ModelOracle("linux", cache=cache)
-        osx = ModelOracle("osx", cache=cache)
+        # Each oracle owns its path and its intern table, so oracles of
+        # different configurations cannot restore each other's states.
+        linux = ModelOracle("linux")
+        osx = ModelOracle("osx")
         linux.check(TRACE)
-        hits_before = cache.hits
-        osx.check(TRACE)                          # different partition
-        assert cache.hits == hits_before
+        osx.check(TRACE)
+        assert osx.cache is not linux.cache
+        assert osx.cache.hits == 0
         assert linux._table is not osx._table
-
-    def test_clear_resets_everything(self):
-        cache = PrefixCache()
-        oracle = ModelOracle("linux", cache=cache)
-        oracle.check(TRACE)
-        cache.clear()
-        assert cache.stats() == {"nodes": 0, "hits": 0, "misses": 0}
-        # And the partition's table is re-minted.
-        assert cache.table(oracle._cache_key) is not oracle._table
 
 
 class TestInternedSnapshots:
     def test_snapshots_store_id_mask_int_pairs(self):
-        cache = PrefixCache()
-        oracle = VectoredOracle(("linux", "osx"), cache=cache)
+        oracle = VectoredOracle(("linux", "osx"))
         oracle.check(TRACE)
-        root = cache.root(oracle._cache_key)
-        node = root
-        seen = 0
-        while node.children:
-            node = next(iter(node.children.values()))
-            if node.snapshot is None:
-                break
-            items, maxs = node.snapshot
-            seen += 1
-            assert all(isinstance(sid, int) and isinstance(mask, int)
+        path = oracle.cache.path
+        assert isinstance(path, tuple) and path
+        for label, items, peaks in path:
+            assert isinstance(items, tuple)
+            assert all(type(sid) is int and type(mask) is int
                        for sid, mask in items)
-            assert len(maxs) == 2
-        assert seen > 0
-
-    def test_interned_snapshot_round_trip(self):
-        """A second oracle on the same shared partition restores the
-        snapshot (ids resolved through the shared table) and produces
-        the identical verdict."""
-        cache = PrefixCache()
-        first = VectoredOracle(("linux", "osx"), cache=cache)
-        v1 = first.check(TRACE)
-        hits_before = cache.hits
-        second = VectoredOracle(("linux", "osx"), cache=cache)
-        v2 = second.check(TRACE)
-        assert cache.hits > hits_before
-        assert v1.profiles == v2.profiles
+            assert list(items) == sorted(items)
+            assert all(0 < mask < 4 for _sid, mask in items)
+            assert isinstance(peaks, tuple) and len(peaks) == 2
 
     def test_round_trip_equals_uncached_on_shared_prefix(self):
         # Two traces sharing a prefix: the cached continuation after a
         # restored snapshot must equal a from-scratch check.
-        other = parse_trace("@type trace\n# Test t2\n"
-                            '1: mkdir "a" 0o755\nRV_none\n'
-                            '2: rmdir "a"\nRV_none\n')
-        cached = ModelOracle("linux")     # private cache
+        cached = ModelOracle("linux")
         uncached = ModelOracle("linux", cache=False)
         cached.check(TRACE)
-        assert (cached.check(other).profiles
-                == uncached.check(other).profiles)
+        assert (cached.check(SIBLING).profiles
+                == uncached.check(SIBLING).profiles)
         assert cached.cache.hits > 0
 
 
-class TestExtendSnapshotInterleaving:
-    """Regression: a snapshot handed to ``extend`` as a *live view* of
-    a mask table the checking loop keeps updating (observable when
-    another thread checks on the same cache) must be materialised at
-    store time — a later mask update may never leak into the stored
-    snapshot."""
+class TestThreads:
+    def test_two_threads_check_interleaved_families(self):
+        """Two threads check two interleaved halves of the suite on one
+        cold oracle, twice over, with a thread switch forced every
+        10 µs; five fresh oracles in turn.  Every verdict equals an
+        uncached oracle's, and the path is afterwards a well-formed
+        prefix of one checked trace.  (The threads share the oracle's
+        intern table, which must mint each new id under its lock.)"""
+        traces = handwritten_traces("linux_sshfs_tmpfs")
+        platforms = ("posix", "linux", "osx", "freebsd")
+        want = {trace.name: VectoredOracle(platforms, cache=False)
+                .check(trace).profiles for trace in traces}
+        halves = (traces[0::2], traces[1::2])
+        errors = []
 
-    def test_extend_materialises_live_views(self):
-        cache = PrefixCache()
-        root = cache.root()
-        states = {0: 1, 1: 3}
-        child = cache.extend(root, L1, (states.items(), (2,)))
-        # The writer keeps applying masks after the store...
-        states[1] = 7
-        states[2] = 1
-        # ...but the stored snapshot froze at extend() time.
-        assert child.snapshot == (((0, 1), (1, 3)), (2,))
-        hit = cache.lookup(root, L1)
-        assert hit is not None and hit.snapshot == (((0, 1), (1, 3)),
-                                                    (2,))
+        def stream(oracle, half):
+            try:
+                for _ in range(2):
+                    for trace in half:
+                        got = oracle.check(trace).profiles
+                        assert got == want[trace.name], trace.name
+            except BaseException as exc:
+                errors.append(exc)
 
-    def test_refreshed_snapshot_is_also_materialised(self):
-        cache = PrefixCache()
-        root = cache.root()
-        cache.extend(root, L1, SNAP_A)
-        states = {5: 2}
-        child = cache.extend(root, L1, (states.items(), (1,)))
-        states[5] = 6
-        assert child.snapshot == (((5, 2),), (1,))
-
-    def test_interleaved_extend_and_snapshot_threads(self):
-        """A writer thread mutating masks while a checker thread
-        extends: every stored snapshot is a fully-materialised tuple
-        of int pairs (never a live view, never a half-built node)."""
-        import threading
-
-        cache = PrefixCache()
-        root = cache.root()
-        states = {i: 1 for i in range(8)}
-        stop = threading.Event()
-
-        def writer():
-            mask = 1
-            while not stop.is_set():
-                mask = (mask << 1) % 255 or 1
-                for sid in states:
-                    states[sid] = mask
-
-        thread = threading.Thread(target=writer, daemon=True)
-        thread.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for step in range(200):
-                label = OsCall(1, C.Mkdir(f"d{step}", 0o755))
-                child = cache.extend(root, label,
-                                     (states.items(), (step,)))
-                assert child is not None
-                items, peaks = child.snapshot
-                assert isinstance(items, tuple)
-                assert all(isinstance(row, tuple) and len(row) == 2
-                           for row in items)
-                # A materialised row can never change underneath us.
-                frozen = child.snapshot
-                for sid in states:
-                    states[sid] ^= 0xFF
-                assert child.snapshot == frozen
+            for _ in range(5):
+                oracle = VectoredOracle(platforms)
+                threads = [threading.Thread(target=stream,
+                                            args=(oracle, half))
+                           for half in halves]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+                assert not any(thread.is_alive() for thread in threads)
+                if errors:
+                    raise errors[0]
+                path = oracle.cache.path
+                assert isinstance(path, tuple) and path
+                assert all(isinstance(entry, tuple) and len(entry) == 3
+                           for entry in path)
+                labels = _path_labels(oracle)
+                assert any(_labels(trace)[:len(labels)] == labels
+                           for trace in traces)
         finally:
-            stop.set()
-            thread.join()
-
-    def test_fresh_children_publish_fully_built(self):
-        """``lookup`` can never observe a snapshotless child created
-        by ``extend`` (children are linked only after their snapshot
-        is set); snapshotless children exist only for walks that
-        stopped caching."""
-        cache = PrefixCache()
-        root = cache.root()
-        child = cache.extend(root, L1, SNAP_A)
-        assert root.children[L1] is child
-        assert child.snapshot is not None
+            sys.setswitchinterval(interval)

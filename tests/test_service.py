@@ -29,6 +29,7 @@ import os
 import pathlib
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -784,6 +785,50 @@ class TestServerProtocol:
         assert stats["traces_submitted"] == 1
         if shards:
             assert stats["pool_calls"] == 1
+
+    @pytest.mark.parametrize("vanish", ["close", "reset"])
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_client_vanishing_mid_batch(self, shards, vanish, tmp_path):
+        """A client sends a ``batch`` and vanishes without reading a
+        reply: it closes, or resets (``SO_LINGER`` 0).  The server
+        drops its replies; the next connection's ``check`` gets the
+        serial verdict, every distinct trace of the abandoned batch is
+        in the store once the service drains, and ``shutdown`` still
+        ends the server."""
+        from helpers_parity import handwritten_traces
+        from repro.store import CampaignStore
+
+        suite = handwritten_traces(CONFIG)
+        texts = [print_trace(t) for t in suite] * 20
+        trace = _traces(1)[0]
+        path = tmp_path / "served"
+        service = CheckingService("all", shards=shards, store=str(path))
+        with _Server(service) as server:
+            host, port = server.address.rsplit(":", 1)
+            gone = socket.create_connection((host, int(port)), timeout=30)
+            gone.sendall(json.dumps({"op": "batch", "id": 1,
+                                     "traces": texts}).encode() + b"\n")
+            with ServiceClient(server.address) as client:
+                # Vanish only once the whole line is read and submitted,
+                # while the server is still answering it.
+                deadline = time.monotonic() + 120
+                while (client.status()["engine_stats"]
+                       ["traces_submitted"] < len(texts)):
+                    assert time.monotonic() < deadline, "batch never read"
+                    time.sleep(0.01)
+                if vanish == "reset":
+                    gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                gone.close()
+                after = client.check(print_trace(trace))
+                assert service.drain(timeout=120)
+                stats = client.status()["engine_stats"]
+        assert not server.thread.is_alive()
+        assert _profiles(after) == _serial_rows([trace])[0]
+        assert stats["traces_submitted"] == len(texts) + 1
+        with CampaignStore(path, create=False) as store:
+            names = {row.name for _c, row in store.records()}
+        assert names == {t.name for t in suite} | {trace.name}
 
     def test_served_dead_shard_gets_one_error_reply(self, monkeypatch):
         """A trace whose shard dies gets one error reply naming the
