@@ -11,9 +11,7 @@ Part 2 is the new unified oracle API (`repro.oracle`): every way of
 deciding conformance lives behind one ``check(trace) -> Verdict``
 protocol with a registry.  ``get_oracle("all")`` checks a trace against
 all four platform variants in a **single vectored state-set pass** —
-the survey, merge and portability questions for the price of one — and
-``get_oracle("triaged:linux")`` uses the determinized reference file
-system (paper section 8) as a fast accept path.
+the survey, merge and portability questions for the price of one.
 
 Part 3 shows the same one-pass answer at suite scale:
 ``Session(..., check_on=[...])`` streams a test plan through
@@ -83,15 +81,6 @@ def multi_platform_oracle() -> None:
     print(f"\nmerged deviation records: {len(records)} "
           f"(platform sets: "
           f"{[','.join(r.configs) for r in records]})")
-
-    # The determinized reference oracle (paper section 8) triages
-    # conformant traces without any state-set work.
-    clean = execute_script(config_by_name("linux_ext4"),
-                           parse_script(SCRIPT))
-    triaged = get_oracle("triaged:linux")
-    print(f"\nreference triage of the clean trace: "
-          f"accepted={triaged.check(clean).accepted} "
-          f"(fast accepts so far: {triaged.fast_accepts})")
 
 
 def suite_one_pass_conformance() -> None:

@@ -12,9 +12,8 @@ al., SOSP 2015) in Python:
 * :mod:`repro.checker` -- state-set trace checking with diagnostics;
 * :mod:`repro.oracle` -- the unified oracle API: every way of deciding
   trace conformance (per-platform model oracles, the one-pass vectored
-  multi-platform oracle, the determinized reference triage) behind one
-  ``check(trace) -> Verdict`` protocol with a registry and
-  prefix-memoized checking;
+  multi-platform oracle) behind one ``check(trace) -> Verdict``
+  protocol with a registry and prefix-resumed checking;
 * :mod:`repro.testgen` -- equivalence-partitioning test generation;
 * :mod:`repro.gen` -- the composable TestPlan API: every generator
   family as a named, tagged strategy, with lazy plan combinators
@@ -85,16 +84,16 @@ Coverage comes from the same pass
 (``Session(..., collect_coverage=True).run().coverage_report()``), and
 a trace's portability from one verdict
 (``portability_report(get_oracle("all").check(trace))``).
-:class:`TraceChecker` is the single-platform reference checker the
-oracles' parity is measured against.
+``TraceChecker(intern=False)`` is the reference checker the oracles'
+parity is measured against.
 """
 
 from repro.core import (Errno, OpenFlag, PlatformSpec, SeekWhence, Stat,
                         spec_by_name)
 from repro.checker import TraceChecker, check_trace, render_checked_trace
 from repro.oracle import (ConformanceProfile, ModelOracle, Oracle,
-                          ReferenceOracle, VectoredOracle, Verdict,
-                          get_oracle, oracle_names)
+                          VectoredOracle, Verdict, get_oracle,
+                          oracle_names)
 from repro.script import (parse_script, parse_trace, print_script,
                           print_trace)
 from repro.executor import execute_script
@@ -117,8 +116,8 @@ __all__ = [
     "Errno", "OpenFlag", "PlatformSpec", "SeekWhence", "Stat",
     "spec_by_name",
     "TraceChecker", "check_trace", "render_checked_trace",
-    "ConformanceProfile", "ModelOracle", "Oracle", "ReferenceOracle",
-    "VectoredOracle", "Verdict", "get_oracle", "oracle_names",
+    "ConformanceProfile", "ModelOracle", "Oracle", "VectoredOracle",
+    "Verdict", "get_oracle", "oracle_names",
     "parse_script", "parse_trace", "print_script", "print_trace",
     "execute_script",
     "ALL_CONFIGS", "KernelFS", "Quirks", "ReferenceFS", "config_by_name",

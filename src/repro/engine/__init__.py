@@ -7,7 +7,9 @@ full :class:`~repro.osapi.os_state.OsState` dataclasses at every step,
 and re-derives transitions that generated suites repeat thousands of
 times (shared ``mkdir``/``open`` scaffolding, repeated trace families).
 
-This package is the engine both checking front ends share:
+This package is the engine the one interned check loop,
+:func:`repro.checker.checker.explore`, runs on for ``TraceChecker`` and
+every oracle alike:
 
 * :class:`InternTable` hash-conses ``OsStateOrSpecial`` values into
   small integer ids — each distinct state is hashed **once**, at
@@ -34,12 +36,12 @@ Tables and memos live in one process: each checking worker keeps its
 own, warm for its whole life.
 
 Layering (``tests/test_architecture.py``): the package sits directly
-above ``repro.osapi`` and *below* ``repro.checker``, so both the
-reference :class:`~repro.checker.checker.TraceChecker` and the
-:mod:`repro.oracle` engines may build on it.  Results are bit-for-bit
-identical to uninterned exploration — interning is injective, and the
-parity is test-enforced (handwritten suite plus a randomized
-interned-vs-uninterned property test).
+above ``repro.osapi`` and *below* ``repro.checker``, so the check loop
+there, and the :mod:`repro.oracle` front ends that own its tables, may
+build on it.  Results are bit-for-bit identical to uninterned
+exploration — interning is injective, and the parity is test-enforced
+(handwritten suite plus a randomized interned-vs-uninterned property
+test).
 
 Coverage caveat: a memo hit does not re-execute the transition body, so
 specification-clause ``cover()`` calls fire only on first derivation.

@@ -16,13 +16,12 @@ call, so ``closure(S) == union(closure({s}) for s in S)`` and the
 closure of a successor is a subset of the closure of its predecessor
 (which lets the worklist splice in already-memoized closures).
 
-The recovery and pruning rules of
-:class:`~repro.checker.checker.TraceChecker` live here too, expressed
-over ids, so the interned and uninterned paths share one definition:
-:func:`recover_states` is the canonical "resume after a failed return
-match" body (the checker's uninterned loop calls it directly), and
-:meth:`TransitionMemo.prune` keeps the checker's deterministic
-keep-by-repr rule.
+The checker's recovery and pruning rules live here too, expressed over
+ids, so the interned loop (:func:`~repro.checker.checker.explore`) and
+the uninterned one share one definition: :func:`recover_states` is the
+canonical "resume after a failed return match" body (the uninterned
+loop calls it directly), and :meth:`TransitionMemo.prune` keeps the
+uninterned loop's deterministic keep-by-repr rule.
 
 Memos for several specs over one table may share their tau steps.
 Only the tau step (``exec_call`` on the pending call) consults the

@@ -4,9 +4,9 @@ An oracle answers exactly one question — ``check(trace) -> Verdict`` —
 and declares which platforms its verdicts cover.  Everything that used
 to drive the model ad hoc (``TraceChecker`` consumers, the portability
 and merge analyses, the differential harness, the pipeline backends)
-now goes through this protocol, so multi-platform conformance, the
-determinized reference triage and prefix-memoized checking are
-interchangeable behind one surface.
+now goes through this protocol, so single- and multi-platform
+conformance and prefix-resumed checking are interchangeable behind one
+surface.
 """
 
 from __future__ import annotations

@@ -12,11 +12,6 @@ freebsd``                      over that platform variant
                                over every variant (one pass, shared states)
 ``vectored:A+B[+...]``         vectored oracle over the named variants, in
                                order (first = primary) — parsed, not listed
-``reference:<platform>``       :class:`~repro.oracle.reference.ReferenceOracle`
-                               — determinized fast triage (conservative
-                               rejects)
-``triaged:<platform>``         reference triage with a ``ModelOracle``
-                               fallback: exact verdicts, cheap accept path
 =============================  ==============================================
 
 ``get`` memoizes instances (so a long-lived backend, or each pool
@@ -31,7 +26,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.platform import SPECS
 from repro.oracle.base import Oracle
-from repro.oracle.reference import ReferenceOracle
 from repro.oracle.vectored import ModelOracle, VectoredOracle
 
 
@@ -104,13 +98,6 @@ for _platform in SPECS:
     REGISTRY.register(
         _platform,
         lambda cache, p=_platform: ModelOracle(p, cache=cache))
-    REGISTRY.register(
-        f"reference:{_platform}",
-        lambda cache, p=_platform: ReferenceOracle(p))
-    REGISTRY.register(
-        f"triaged:{_platform}",
-        lambda cache, p=_platform: ReferenceOracle(
-            p, fallback=ModelOracle(p, cache=cache)))
 REGISTRY.register(
     "all", lambda cache: VectoredOracle(tuple(SPECS), cache=cache))
 

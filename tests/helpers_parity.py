@@ -28,6 +28,12 @@ it produces must be ``==`` to a fresh
 :func:`~repro.executor.execute_script` of the same script.
 :func:`execution_scripts` and :func:`execution_orders` are the streams
 that axis runs on every configuration.
+
+The envelope axis joins the two: the quirk-free executor is the
+determinized model (paper section 8), so every trace it produces on
+``Quirks(name="reference-<p>", platform=p)`` must be accepted by the
+``p`` model.  :func:`envelope_scripts` is its tier-1 stream;
+``benchmarks/smoke_envelope.py`` runs the full plan.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from repro.checker.checker import TraceChecker
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
-from repro.gen import RandomizedStrategy
+from repro.gen import RandomizedStrategy, default_plan
 from repro.oracle import VectoredOracle
 from repro.script import Script, parse_script
 from repro.testgen.generator import gen_handwritten_tests
@@ -294,6 +300,14 @@ def execution_scripts() -> tuple:
                                        multi_process=True).scripts())
             + tuple(script for case in RESUMPTION_CASES
                     for script in resumption_scripts(case)))
+
+
+@functools.lru_cache(maxsize=None)
+def envelope_scripts() -> tuple:
+    """The envelope axis's tier-1 stream: :func:`execution_scripts`
+    plus every 20th default-plan script."""
+    return execution_scripts() + tuple(
+        itertools.islice(default_plan().scripts(), 0, None, 20))
 
 
 def execution_orders(scripts: Sequence) -> List[List[int]]:

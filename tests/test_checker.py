@@ -1,5 +1,7 @@
 """Tests for the trace checker (the oracle itself)."""
 
+import pytest
+
 from repro.checker import TraceChecker, check_trace, render_checked_trace
 from repro.core.platform import LINUX_SPEC, OSX_SPEC, POSIX_SPEC
 from repro.script import parse_trace
@@ -186,6 +188,29 @@ class TestMultiProcess:
         # HEADER constant; the second create is not allowed.
         assert not checked.accepted
         assert checked.deviations[0].kind == "structural"
+
+    @pytest.mark.parametrize("text", [
+        # second call while one is in flight
+        '@type trace\n# Test two_calls\n1: mkdir "d" 0o755\n'
+        '1: mkdir "e" 0o755\nRV_none\n',
+        # destroy of a never-created process
+        '@type trace\n# Test destroy_unknown\n@process destroy p7\n',
+        # destroy with a call still pending
+        '@type trace\n# Test destroy_pending\n'
+        '1: mkdir "d" 0o755\n@process destroy p1\n',
+        # duplicate create
+        '@type trace\n# Test dup_create\n'
+        '@process create p1 uid=0 gid=0\n'
+        '@process create p1 uid=0 gid=0\n',
+    ], ids=["two_calls", "destroy_unknown", "destroy_pending",
+            "dup_create"])
+    def test_structurally_invalid_traces_are_rejected(self, text):
+        trace = parse_trace(text)
+        for intern in (True, False):
+            checked = TraceChecker(LINUX_SPEC, intern=intern).check(trace)
+            assert not checked.accepted, (trace.name, intern)
+            assert checked.deviations[0].kind == "structural", \
+                (trace.name, intern)
 
     def test_default_uid_flag(self):
         from repro.checker import TraceChecker

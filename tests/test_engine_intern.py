@@ -166,10 +166,11 @@ class TestWarmMemoReuse:
         checker = TraceChecker(LINUX)
         for trace in traces:
             checker.check(trace)
-        derived = checker._memo.stats()["transitions"]
+        (memo,) = checker._memos
+        derived = memo.stats()["transitions"]
         results = [checker.check(trace) for trace in traces]
         # Re-checking the same traces derives nothing new...
-        assert checker._memo.stats()["transitions"] == derived
+        assert memo.stats()["transitions"] == derived
         # ...and still yields the uninterned results.
         baseline = TraceChecker(LINUX, intern=False)
         assert results == [baseline.check(trace) for trace in traces]
@@ -180,9 +181,9 @@ class TestEngineWithPrefixCache:
         trace = parse_trace("@type trace\n# Test t\n"
                             '1: mkdir "a" 0o755\nRV_none\n')
         oracle.check(trace)
-        first = oracle._table
+        first = oracle._memos[0].table
         oracle.check(trace)
-        assert oracle._table is not first    # coverage-safe freshness
+        assert oracle._memos[0].table is not first  # coverage-safe freshness
 
 
 class TestTauSharing:

@@ -11,7 +11,9 @@ included) plus a seeded randomized property sweep, and an end-to-end
 :class:`~repro.harness.backends.ShardedBackend` pass against the
 serial artifact.  The execution axis holds prefix-resumed execution
 (:class:`~repro.executor.ScriptExecutor`) to fresh
-:func:`~repro.executor.execute_script` runs on every configuration.
+:func:`~repro.executor.execute_script` runs on every configuration, and
+the envelope axis holds the quirk-free executor's traces inside the
+model.
 """
 
 import dataclasses
@@ -22,13 +24,15 @@ import threading
 import pytest
 
 from helpers_parity import (ENGINES, PARITY_CONFIGS, RESUMPTION_CASES,
-                            baseline_rows, execution_orders,
-                            execution_scripts, handwritten_traces,
-                            resumption_scripts, trace_orders)
+                            baseline_rows, envelope_scripts,
+                            execution_orders, execution_scripts,
+                            handwritten_traces, resumption_scripts,
+                            trace_orders)
 from repro.api import SerialBackend, Session, ShardedBackend
 from repro.core.platform import SPECS
 from repro.executor import ScriptExecutor, execute_script
-from repro.fsimpl import ALL_CONFIGS, KernelFS, config_by_name
+from repro.fsimpl import ALL_CONFIGS, KernelFS, Quirks, config_by_name
+from repro.oracle import ModelOracle
 from repro.osapi.os_state import OsState
 from repro.osapi.process import Process
 from repro.script import parse_script
@@ -158,6 +162,21 @@ def test_resumed_execution_parity(config):
         for i in order:
             assert executor.execute(quirks, scripts[i]) == fresh[i], \
                 (config, scripts[i].name)
+
+
+@pytest.mark.parametrize("platform", ALL_PLATFORMS)
+def test_reference_traces_lie_inside_the_envelope(platform):
+    """The envelope axis: every trace the quirk-free executor produces
+    on ``reference-<platform>`` is accepted by that platform's model.
+    Prefix resumption is sound because the executor is the
+    determinized model; this holds it to the model it determinizes."""
+    quirks = Quirks(name=f"reference-{platform}", platform=platform)
+    executor = ScriptExecutor()
+    oracle = ModelOracle(platform)
+    for script in envelope_scripts():
+        verdict = oracle.check(executor.execute(quirks, script))
+        assert verdict.accepted, \
+            (platform, script.name, verdict.primary.deviations[:1])
 
 
 def test_kernel_fields_are_the_snapshot():

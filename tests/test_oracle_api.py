@@ -2,7 +2,7 @@
 
 Covers: the vectored multi-platform oracle's bit-for-bit parity with
 independent ``TraceChecker`` passes (the acceptance criterion), prefix
-memoization, the determinized reference triage, the oracle registry,
+memoization, the oracle registry,
 ``Session(check_on=...)`` with RunArtifact v3/v4 (exact round trips
 plus loading checked-in v1/v2/v3 fixtures), portability and merge
 folds, and the CLI surface (``repro check --platforms``, ``repro oracles``).
@@ -22,9 +22,8 @@ from repro.core.platform import SPECS, real_platforms, spec_by_name
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
 from repro.harness import merge_verdicts, portability_report
-from repro.oracle import (ModelOracle, ReferenceOracle, VectoredOracle,
-                          create_oracle, get_oracle, oracle_name_for,
-                          oracle_names)
+from repro.oracle import (ModelOracle, VectoredOracle, create_oracle,
+                          get_oracle, oracle_name_for, oracle_names)
 from repro.script import parse_script, parse_trace
 from repro.testgen.generator import gen_handwritten_tests
 
@@ -78,8 +77,9 @@ class TestVectoredParity:
     # specific behaviours around them.
 
     def test_model_oracle_is_tracechecker_shim_parity(self):
-        """Satellite: TraceChecker stays a working deprecated shim —
-        same verdicts as the oracle path on the handwritten suite."""
+        """``TraceChecker`` and a model oracle run the same loop: the
+        same verdicts on the handwritten suite, and a verdict's
+        ``primary_checked`` is the checker's ``CheckedTrace``."""
         oracle = ModelOracle("linux")
         checker = TraceChecker(spec_by_name("linux"))
         for trace in _handwritten_traces("linux_sshfs_tmpfs"):
@@ -158,78 +158,9 @@ class TestPrefixCache:
         assert oracle.check(t1).accepted  # hit, not cross-talk
 
 
-class TestReferenceOracle:
-    def test_fast_accept_on_clean_config(self):
-        oracle = ReferenceOracle("linux")
-        for trace in _handwritten_traces("linux_ext4"):
-            model = get_oracle("linux").check(trace)
-            if model.accepted:
-                verdict = oracle.check(trace)
-                assert verdict.accepted, trace.name
-        assert oracle.fast_accepts > 0
-
-    def test_triaged_oracle_is_exact(self):
-        # Exact in verdicts and deviations; the fast-accept path
-        # reports its own (trivial) state-set stats.
-        quirks = config_by_name("linux_sshfs_tmpfs")
-        triaged = create_oracle("triaged:linux")
-        model = ModelOracle("linux", cache=False)
-        for trace in [execute_script(quirks, s) for s in SMALL_SUITE]:
-            got = triaged.check(trace)
-            want = model.check(trace)
-            assert got.accepted == want.accepted, trace.name
-            assert got.primary.deviations == want.primary.deviations
-        assert triaged.escalations > 0  # fig4 leaves the fast path
-        assert triaged.fast_accepts > 0
-
-    def test_structurally_invalid_traces_are_not_fast_accepted(self):
-        # The determinized kernel is tolerant of structural breakage
-        # the model rejects; the replay must not accept it (soundness
-        # of the fast path — and exactness of triaged verdicts).
-        bad = [
-            # second call while one is in flight
-            '@type trace\n# Test two_calls\n1: mkdir "d" 0o755\n'
-            '1: mkdir "e" 0o755\nRV_none\n',
-            # destroy of a never-created process
-            '@type trace\n# Test destroy_unknown\n'
-            '@process destroy p7\n',
-            # destroy with a call still pending
-            '@type trace\n# Test destroy_pending\n'
-            '1: mkdir "d" 0o755\n@process destroy p1\n',
-            # duplicate create
-            '@type trace\n# Test dup_create\n'
-            '@process create p1 uid=0 gid=0\n'
-            '@process create p1 uid=0 gid=0\n',
-        ]
-        reference = create_oracle("reference:linux")
-        triaged = create_oracle("triaged:linux")
-        model = ModelOracle("linux", cache=False)
-        for text in bad:
-            trace = parse_trace(text)
-            assert not model.check(trace).accepted, trace.name
-            assert not reference.check(trace).accepted, trace.name
-            assert not triaged.check(trace).accepted, trace.name
-
-    def test_plain_reference_reject_is_conservative(self):
-        # A partial write is inside the envelope but off the
-        # determinized path: the bare reference oracle rejects it, the
-        # triaged one accepts.
-        trace = parse_trace(
-            '@type trace\n# Test partial\n'
-            '1: open "f" [O_CREAT;O_WRONLY] 0o644\nRV_num(3)\n'
-            '2: write 3 "hello"\nRV_num(2)\n')
-        assert not create_oracle("reference:linux").check(trace).accepted
-        assert create_oracle("triaged:linux").check(trace).accepted
-
-
 class TestRegistry:
     def test_builtin_names(self):
-        names = oracle_names()
-        for platform in SPECS:
-            assert platform in names
-            assert f"reference:{platform}" in names
-            assert f"triaged:{platform}" in names
-        assert "all" in names
+        assert oracle_names() == [*SPECS, "all"]
 
     def test_get_memoizes_create_does_not(self):
         assert get_oracle("linux") is get_oracle("linux")
@@ -491,8 +422,8 @@ class TestCliOracle:
     def test_oracles_listing(self, capsys):
         assert main(["oracles"]) == 0
         out = capsys.readouterr().out
-        assert "all" in out and "reference:linux" in out
-        assert "vectored:" in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [*oracle_names(), "vectored:A+B[+...]"]
 
     def test_run_check_on_writes_v3_artifact(self, tmp_path, capsys):
         blob = tmp_path / "artifact.json"

@@ -166,7 +166,7 @@ class TestPartitions:
         osx.check(TRACE)
         assert osx.cache is not linux.cache
         assert osx.cache.hits == 0
-        assert linux._table is not osx._table
+        assert linux._memos[0].table is not osx._memos[0].table
 
 
 class TestInternedSnapshots:

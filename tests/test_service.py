@@ -47,6 +47,7 @@ from repro.service import (CheckingService, CheckResult, ServiceClient,
                            ShardPool, ShardWorkerState, run_server)
 from repro.service.client import LINE_TOO_LONG, MAX_LINE_BYTES
 from repro.service.pool import VERDICT_MEMO_MAX
+from repro.service.server import ServiceServer
 
 CONFIG = "linux_sshfs_tmpfs"
 
@@ -788,13 +789,15 @@ class TestServerProtocol:
 
     @pytest.mark.parametrize("vanish", ["close", "reset"])
     @pytest.mark.parametrize("shards", [0, 2])
-    def test_client_vanishing_mid_batch(self, shards, vanish, tmp_path):
+    def test_client_vanishing_mid_batch(self, shards, vanish, tmp_path,
+                                        monkeypatch):
         """A client sends a ``batch`` and vanishes without reading a
         reply: it closes, or resets (``SO_LINGER`` 0).  The server
-        drops its replies; the next connection's ``check`` gets the
-        serial verdict, every distinct trace of the abandoned batch is
-        in the store once the service drains, and ``shutdown`` still
-        ends the server."""
+        stops answering the batch (it sends far fewer replies after the
+        vanish than the batch holds); the next connection's ``check``
+        gets the serial verdict, every distinct trace of the abandoned
+        batch is in the store once the service drains, and
+        ``shutdown`` still ends the server."""
         from helpers_parity import handwritten_traces
         from repro.store import CampaignStore
 
@@ -802,7 +805,20 @@ class TestServerProtocol:
         texts = [print_trace(t) for t in suite] * 20
         trace = _traces(1)[0]
         path = tmp_path / "served"
+        sent = []   # one entry per reply to the abandoned batch
+        send = ServiceServer._send
+
+        async def counting_send(writer, payload):
+            if payload.get("id") == 1:
+                sent.append(payload["op"])
+            await send(writer, payload)
+        monkeypatch.setattr(ServiceServer, "_send",
+                            staticmethod(counting_send))
         service = CheckingService("all", shards=shards, store=str(path))
+        # Fork the shards before the connection that vanishes is
+        # opened: a shard forked after it would inherit its socket, and
+        # closing the socket here would then not end the connection.
+        service.start()
         with _Server(service) as server:
             host, port = server.address.rsplit(":", 1)
             gone = socket.create_connection((host, int(port)), timeout=30)
@@ -819,11 +835,13 @@ class TestServerProtocol:
                 if vanish == "reset":
                     gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                     struct.pack("ii", 1, 0))
+                before = len(sent)
                 gone.close()
                 after = client.check(print_trace(trace))
                 assert service.drain(timeout=120)
                 stats = client.status()["engine_stats"]
         assert not server.thread.is_alive()
+        assert len(sent) - before < len(texts) // 10, (before, len(sent))
         assert _profiles(after) == _serial_rows([trace])[0]
         assert stats["traces_submitted"] == len(texts) + 1
         with CampaignStore(path, create=False) as store:
