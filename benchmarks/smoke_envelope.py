@@ -6,12 +6,16 @@ the quirk-free ``Quirks(name="reference-<p>", platform=p)``
 configuration it picks one of the outcomes the ``p`` model allows at
 every step, so every trace it produces must be accepted by the ``p``
 model.  Prefix resumption's soundness argument rests on this (README,
-"Why resuming is sound").  Every default-plan script and the 300
+"Why resuming is sound").  Every default-plan script, the 300
 randomized scripts of perfbench's ``random_check`` population
-(``RandomizedStrategy`` base seed 0, length 25, multi-process) are
+(``RandomizedStrategy`` base seed 0, length 25, multi-process) and the
+registry's ``fault`` and ``crash_recovery`` scenario families are
 executed on the four reference configurations and checked on their
-platform.  Tier-1's envelope axis (``tests/test_engine_parity.py``)
-runs a slice of the same property.
+platform.  The scenario families observe the file system after a
+rename, which almost no default-plan script does (they end at their
+first rename), so an executor whose renames change nothing is caught
+here.  Tier-1's envelope axis (``tests/test_engine_parity.py``) runs a
+slice of the same property.
 
 Usage::
 
@@ -30,7 +34,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 from repro.core.platform import SPECS  # noqa: E402
 from repro.executor import ScriptExecutor  # noqa: E402
 from repro.fsimpl import Quirks  # noqa: E402
-from repro.gen import RandomizedStrategy, default_plan  # noqa: E402
+from repro.gen import (RandomizedStrategy, default_plan,  # noqa: E402
+                       get_strategy)
 from repro.oracle import ModelOracle  # noqa: E402
 
 
@@ -40,6 +45,8 @@ def main() -> int:
         ("default plan", list(default_plan().scripts())),
         ("randomized", list(RandomizedStrategy(
             count=300, seed=0, length=25, multi_process=True).scripts())),
+        *((family, list(get_strategy(family).scripts()))
+          for family in ("fault", "crash_recovery")),
     ]
     traces = 0
     for population, scripts in populations:

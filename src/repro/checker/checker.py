@@ -43,6 +43,12 @@ class Deviation:
     message: str
 
 
+#: Label classes that use their pid's process: a trace that uses a pid
+#: this way before creating it gets an implicit create (a DESTROY does
+#: not).
+_USES_PID = frozenset({OsCall, OsReturn, OsSignal, OsSpin})
+
+
 def implicit_creates(trace: Trace, default_uid: int = 0,
                      default_gid: int = 0) -> List[OsCreate]:
     """CREATE labels for pids the trace uses but never creates.
@@ -57,13 +63,12 @@ def implicit_creates(trace: Trace, default_uid: int = 0,
     implicit: List[OsCreate] = []
     for event in trace.events:
         label = event.label
-        if isinstance(label, OsCreate):
+        cls = label.__class__
+        if cls is OsCreate:
             created.add(label.pid)
-        elif isinstance(label, (OsCall, OsReturn, OsSignal, OsSpin)):
-            if label.pid not in created:
-                created.add(label.pid)
-                implicit.append(OsCreate(label.pid, default_uid,
-                                         default_gid))
+        elif cls in _USES_PID and label.pid not in created:
+            created.add(label.pid)
+            implicit.append(OsCreate(label.pid, default_uid, default_gid))
     return implicit
 
 
@@ -120,13 +125,15 @@ def explore(memos: Sequence[TransitionMemo], trace: Trace, *,
     clean = cache is not None
     new: list = []
 
-    def track_peaks() -> None:
+    def track_peaks() -> int:
         """Per-step peak tracking: every platform's set size is folded
         into its max after every label application, not only at
-        return-time closures."""
-        for i, count in enumerate(_member_counts(states, n)):
+        return-time closures.  Returns the largest set size."""
+        counts = _member_counts(states, n)
+        for i, count in enumerate(counts):
             if count > maxs[i]:
                 maxs[i] = count
+        return max(counts)
 
     def entry(label: OsLabel) -> tuple:
         return (label, tuple(sorted(states.items())), tuple(maxs))
@@ -186,16 +193,16 @@ def explore(memos: Sequence[TransitionMemo], trace: Trace, *,
                     for sid in recovered:
                         nxt[sid] = nxt.get(sid, 0) | bit
             states = nxt
-            track_peaks()
-            for i in range(n):
+            if track_peaks() > max_states:
                 # A conformant trace collapses the set at every return;
                 # past the bound (only plausible after a deviation)
                 # prune and flag.
-                states, did = _prune_platform(memo0, states, i,
-                                              max_states)
-                if did:
-                    pruned[i] = True
-                    clean = False
+                for i in range(n):
+                    states, did = _prune_platform(memo0, states, i,
+                                                  max_states)
+                    if did:
+                        pruned[i] = True
+                        clean = False
             if clean:
                 new.append(entry(label))
             continue
@@ -276,6 +283,14 @@ def _members(states: MaskedStates, i: int) -> List[int]:
 
 def _member_counts(states: MaskedStates, n: int) -> List[int]:
     """Per-platform member counts in one pass over the mask table."""
+    full = (1 << n) - 1
+    for mask in states.values():
+        if mask != full:
+            break
+    else:
+        # Every state on every platform: the common case, and always
+        # so with one platform.
+        return [len(states)] * n
     counts = [0] * n
     for mask in states.values():
         i = 0

@@ -28,9 +28,10 @@ every oracle alike:
   in fields most steps never read, so a cold ``all`` check of the
   default plan's slice makes 3,752 ``exec_call`` calls instead of
   6,360.  Single-platform memos record nothing.
-* Compact id-set operations (:meth:`TransitionMemo.apply`,
-  :meth:`TransitionMemo.closure`, :meth:`TransitionMemo.recover`,
-  :meth:`TransitionMemo.prune`) replace frozenset-of-dataclass unions.
+* The check loop works per state id (:meth:`TransitionMemo.apply_one`,
+  :meth:`TransitionMemo.closure_one`) and carries platform masks
+  through; :meth:`TransitionMemo.recover` and
+  :meth:`TransitionMemo.prune` are its id-set rules after a deviation.
 
 Tables and memos live in one process: each checking worker keeps its
 own, warm for its whole life.

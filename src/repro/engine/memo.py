@@ -211,20 +211,6 @@ class TransitionMemo:
 
     # -- id-set operations ----------------------------------------------------
 
-    def apply(self, ids: Iterable[int], label: OsLabel) -> FrozenSet[int]:
-        """Union of per-state successors: one non-tau checker step."""
-        out: set = set()
-        for sid in ids:
-            out.update(self.apply_one(sid, label))
-        return frozenset(out)
-
-    def closure(self, ids: Iterable[int]) -> FrozenSet[int]:
-        """Tau closure of an id set (union of per-state closures)."""
-        out: set = set()
-        for sid in ids:
-            out.update(self.closure_one(sid))
-        return frozenset(out)
-
     def recover(self, ids: Iterable[int],
                 pid: int) -> Optional[FrozenSet[int]]:
         """:func:`recover_states` over ids (spec-independent)."""

@@ -9,11 +9,18 @@ trace by ``benchmarks/smoke_roundtrip.py``).
 
 Lines repeat heavily (about 95% of the default plan's trace lines repeat
 an earlier one), so the parser parses each distinct line once per
-process: :func:`~repro.script.parser.parse_script_line` and
-:func:`~repro.script.parser.parse_trace_line` are memoized, each keeping
-at most :data:`~repro.script.parser.LINE_MEMO_MAX` lines.  Parsed
-commands, labels and return values are therefore shared between scripts
-and traces; they are frozen, and must stay so.
+process.  :func:`~repro.script.parser.parse_script_line` is memoized on
+a script line's text.  Trace text has one memo, of events:
+:func:`~repro.script.parser.parse_trace_event` maps a line, the event
+number before it and the pending call's pid to the
+:class:`~repro.script.ast.TraceEvent` it makes.  Each memo keeps at most
+:data:`~repro.script.parser.LINE_MEMO_MAX` entries.  Parsed commands,
+events, labels and return values are therefore shared between scripts
+and traces, as a :class:`~repro.executor.ScriptExecutor`'s traces share
+their prefix events; they are frozen, and must stay so.  The one value
+derived and cached on an event is its line of text,
+:attr:`~repro.script.ast.TraceEvent.line`, so printing a trace renders
+only events no earlier trace printed.
 """
 
 from repro.script.ast import (CreateEvent, DestroyEvent, Script, ScriptStep,

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Tuple, Union
 
 from repro.core.commands import OsCommand, command_name
-from repro.core.labels import OsLabel
+from repro.core.labels import (OsCall, OsCreate, OsDestroy, OsLabel,
+                               OsReturn, OsSignal, OsSpin)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,10 +68,38 @@ class Script:
 
 @dataclasses.dataclass(frozen=True)
 class TraceEvent:
-    """One event of an observed trace: a label plus its source line."""
+    """One event of an observed trace: a label plus its source line.
+
+    Parsed and resumed traces share event objects (one per distinct
+    line in context), so :attr:`line` is rendered once per object, not
+    once per trace that holds it.
+    """
 
     line_no: int
     label: OsLabel
+
+    @functools.cached_property
+    def line(self) -> str:
+        """This event's line of trace text (paper Fig. 3), without the
+        newline.  Cached on the instance, outside the fields, so eq,
+        hash and repr are unchanged."""
+        label = self.label
+        if isinstance(label, OsCreate):
+            return (f"@process create p{label.pid} uid={label.uid} "
+                    f"gid={label.gid}")
+        if isinstance(label, OsDestroy):
+            return f"@process destroy p{label.pid}"
+        if isinstance(label, OsCall):
+            prefix = f"p{label.pid}: " if label.pid != 1 else ""
+            return f"{self.line_no}: {prefix}{label.cmd.render()}"
+        if isinstance(label, OsReturn):
+            prefix = f"p{label.pid}: " if label.pid != 1 else ""
+            return prefix + label.ret.render()
+        if isinstance(label, OsSignal):
+            return f"p{label.pid}: !signal {label.signal}"
+        if isinstance(label, OsSpin):
+            return f"p{label.pid}: !spin"
+        raise TypeError(f"unprintable label: {label!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -310,11 +310,13 @@ def _test_name(comment_line: str) -> str:
     return ""
 
 
-#: Distinct lines each line memo keeps (least recently used go first).
-#: One survey's lines fit: the full default plan has 5,394 distinct trace
-#: lines over all 43 configurations and 5,208 distinct script lines.
+#: Entries each memo keeps (least recently used go first): distinct
+#: script lines for :func:`parse_script_line`, distinct trace lines in
+#: context for :func:`parse_trace_event`.  One survey's lines fit: the
+#: full default plan has 5,208 distinct script lines, and 5,573 distinct
+#: trace events over all 43 configurations (5,520 on ``linux_ext4``).
 #: Standing processes (``repro serve``, ``repro fuzz``) stay bounded: a
-#: full memo holds about 4 MB.
+#: full trace memo holds about 5 MB.
 LINE_MEMO_MAX = 8192
 
 #: Kinds of trace line, as :func:`parse_trace_line` reports them, named
@@ -344,7 +346,6 @@ def parse_script_line(line: str) -> ScriptItem:
     return ScriptStep(pid=pid, cmd=parse_command(rest))
 
 
-@functools.lru_cache(maxsize=LINE_MEMO_MAX)
 def parse_trace_line(line: str
                      ) -> Tuple[str, Optional[int], int, object]:
     """What one stripped trace line (not a header or comment) means:
@@ -352,8 +353,8 @@ def parse_trace_line(line: str
 
     The payload is the label, except for a :data:`RETURN` line, whose
     payload is the ``ReturnValue``: its ``OsReturn`` takes the pid of
-    the pending call, which only the trace knows.  Memoized: every
-    occurrence of a line shares one immutable payload.
+    the pending call, which only the trace knows.  Not memoized: it
+    runs on a miss of :func:`parse_trace_event`'s memo.
     """
     # Each pattern is tried only on lines it can match: on a memo miss
     # this parse is the whole cost, and most lines are calls or returns.
@@ -388,6 +389,32 @@ def parse_trace_line(line: str
     return RETURN, None, pid, parse_return(rest)
 
 
+@functools.lru_cache(maxsize=LINE_MEMO_MAX)
+def parse_trace_event(line: str, number: int, pending: Optional[int]
+                      ) -> Tuple[TraceEvent, int, Optional[int]]:
+    """The event one stripped trace line makes in context:
+    ``(event, event number after, pending pid after)``, given the event
+    number before the line and the pid of the pending call (or None).
+
+    Event numbering: call lines carry an explicit ``N:`` prefix (the
+    executor's event counter); other events continue from the number
+    before, so ``parse(print(trace))`` keeps event numbers.  A return
+    takes the pid of the pending call.  Memoized: every occurrence of a
+    line in the same context shares one immutable event, so traces that
+    share lines share their events (and their labels).
+    """
+    kind, explicit, pid, payload = parse_trace_line(line)
+    number = number + 1 if explicit is None else explicit
+    if kind == RETURN:
+        payload = OsReturn(pid=pending if pending is not None else pid,
+                           ret=payload)
+    if kind == CALL:
+        pending = pid
+    elif kind != PROCESS:
+        pending = None
+    return TraceEvent(number, payload), number, pending
+
+
 def parse_script(text: str, name: str = "") -> Script:
     """Parse a script file into a :class:`Script`."""
     parsed_name, lines = _header_and_lines(text, "script")
@@ -405,25 +432,15 @@ def parse_trace(text: str, name: str = "") -> Trace:
     """Parse a trace file into a :class:`Trace`."""
     parsed_name, lines = _header_and_lines(text, "trace")
     events: List[TraceEvent] = []
-    pending_pid: Optional[int] = None
-    # Event numbering: call lines carry an explicit "N:" prefix (the
-    # executor's event counter); other events continue from the last
-    # number.  This makes parse(print(trace)) preserve event numbers.
-    counter = 0
+    number = 0
+    pending: Optional[int] = None
     for line_no, line in lines:
         try:
-            kind, explicit, pid, payload = parse_trace_line(line)
+            event, number, pending = parse_trace_event(line, number,
+                                                       pending)
         except ParseError as exc:
             raise ParseError(str(exc), line_no) from None
-        counter = counter + 1 if explicit is None else explicit
-        if kind == RETURN:
-            payload = OsReturn(pid=pending_pid if pending_pid is not None
-                               else pid, ret=payload)
-        events.append(TraceEvent(counter, payload))
-        if kind == CALL:
-            pending_pid = pid
-        elif kind != PROCESS:
-            pending_pid = None
+        events.append(event)
     return Trace(name=name or parsed_name or "unnamed",
                  events=tuple(events))
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.labels import (OsCall, OsCreate, OsDestroy, OsReturn,
-                               OsSignal, OsSpin)
 from repro.script.ast import (CreateEvent, DestroyEvent, Script, ScriptStep,
                               Trace)
 
@@ -27,25 +25,11 @@ def print_script(script: Script) -> str:
 
 
 def print_trace(trace: Trace) -> str:
-    """Render a :class:`Trace` in the file format of paper Fig. 3."""
+    """Render a :class:`Trace` in the file format of paper Fig. 3.
+
+    Each event renders its own line once (:attr:`TraceEvent.line`), and
+    traces share event objects, so a trace costs only its new events.
+    """
     lines: List[str] = ["@type trace", f"# Test {trace.name}"]
-    for event in trace.events:
-        label = event.label
-        if isinstance(label, OsCreate):
-            lines.append(f"@process create p{label.pid} uid={label.uid} "
-                         f"gid={label.gid}")
-        elif isinstance(label, OsDestroy):
-            lines.append(f"@process destroy p{label.pid}")
-        elif isinstance(label, OsCall):
-            prefix = f"p{label.pid}: " if label.pid != 1 else ""
-            lines.append(f"{event.line_no}: {prefix}{label.cmd.render()}")
-        elif isinstance(label, OsReturn):
-            prefix = f"p{label.pid}: " if label.pid != 1 else ""
-            lines.append(prefix + label.ret.render())
-        elif isinstance(label, OsSignal):
-            lines.append(f"p{label.pid}: !signal {label.signal}")
-        elif isinstance(label, OsSpin):
-            lines.append(f"p{label.pid}: !spin")
-        else:
-            raise TypeError(f"unprintable label: {label!r}")
+    lines.extend([event.line for event in trace.events])
     return "\n".join(lines) + "\n"

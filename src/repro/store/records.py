@@ -30,6 +30,7 @@ oracle sets are different facts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import Tuple, Union
@@ -61,8 +62,10 @@ class TraceRecord:
     exec_seconds: float = 0.0
     check_seconds: float = 0.0
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """:func:`record_key` of this row, hashed once per record
+        (``append`` reads it, then ``to_payload``)."""
         return record_key(self.partition, self.trace_text)
 
     @property

@@ -38,10 +38,15 @@ def _seed_states():
     """An initial state plus one with a pending call, interned."""
     table = InternTable()
     memo = TransitionMemo(LINUX, table)
-    start = table.intern(initial_os_state())
-    ids = memo.apply(frozenset({start}), OsCreate(1, 0, 0))
-    ids = memo.apply(ids, OsCall(1, C.Mkdir("a", 0o755)))
+    (sid,) = memo.apply_one(table.intern(initial_os_state()),
+                            OsCreate(1, 0, 0))
+    ids = frozenset(memo.apply_one(sid, OsCall(1, C.Mkdir("a", 0o755))))
     return table, memo, ids
+
+
+def _closed(memo, ids):
+    """The union of the per-state closures of ``ids``."""
+    return frozenset().union(*(memo.closure_one(sid) for sid in ids))
 
 
 class TestInternTable:
@@ -109,11 +114,10 @@ class TestTransitionMemo:
     def test_apply_matches_os_trans(self):
         table, memo, ids = _seed_states()
         label = OsCreate(2, 0, 0)
-        got = {table.state_of(sid) for sid in memo.apply(ids, label)}
-        want = set()
-        for state in table.states_of(ids):
-            want |= os_trans(LINUX, state, label)
-        assert got == want
+        for sid in ids:
+            got = {table.state_of(succ)
+                   for succ in memo.apply_one(sid, label)}
+            assert got == set(os_trans(LINUX, table.state_of(sid), label))
 
     def test_apply_one_is_memoized(self):
         table, memo, ids = _seed_states()
@@ -125,22 +129,28 @@ class TestTransitionMemo:
 
     def test_closure_matches_tau_closure(self):
         table, memo, ids = _seed_states()
-        got = {table.state_of(sid) for sid in memo.closure(ids)}
-        want = tau_closure(LINUX, frozenset(table.states_of(ids)))
-        assert got == set(want)
-        # Original states are retained (pending calls need not fire).
-        assert ids <= memo.closure(ids)
+        for sid in ids:
+            got = {table.state_of(succ) for succ in memo.closure_one(sid)}
+            assert got == set(tau_closure(
+                LINUX, frozenset({table.state_of(sid)})))
+            # The state is retained (a pending call need not fire).
+            assert sid in memo.closure_one(sid)
+        # Per-state closures compose into the set's closure.
+        got = {table.state_of(sid) for sid in _closed(memo, ids)}
+        assert got == set(tau_closure(LINUX,
+                                      frozenset(table.states_of(ids))))
 
     def test_closure_is_memoized_per_state(self):
         table, memo, ids = _seed_states()
-        memo.closure(ids)
+        first = {sid: memo.closure_one(sid) for sid in ids}
         derived = memo.stats()["transitions"]
-        memo.closure(ids)                    # fully cached second time
+        for sid in ids:                      # fully cached second time
+            assert memo.closure_one(sid) is first[sid]
         assert memo.stats()["transitions"] == derived
 
     def test_recover_matches_checker_recover(self):
         table, memo, ids = _seed_states()
-        closed = memo.closure(ids)
+        closed = _closed(memo, ids)
         got = memo.recover(closed, 1)
         # The checker's uninterned loop recovers through the same body.
         want = recover_states(frozenset(table.states_of(closed)), 1)
@@ -148,11 +158,11 @@ class TestTransitionMemo:
 
     def test_recover_none_when_pid_absent(self):
         table, memo, ids = _seed_states()
-        assert memo.recover(memo.closure(ids), 99) is None
+        assert memo.recover(_closed(memo, ids), 99) is None
 
     def test_prune_keeps_by_repr(self):
         table, memo, ids = _seed_states()
-        closed = memo.closure(ids)
+        closed = _closed(memo, ids)
         kept = memo.prune(closed, 1)
         want = sorted(table.states_of(closed), key=repr)[:1]
         assert table.states_of(kept) == want

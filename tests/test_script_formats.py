@@ -1,5 +1,7 @@
 """Tests for the script/trace parser and printer (paper Figs. 2-4)."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,8 +12,8 @@ from repro.core.flags import OpenFlag, SeekWhence
 from repro.core.labels import (OsCall, OsCreate, OsReturn, OsSignal,
                                OsSpin)
 from repro.core.values import Err, Ok, RvBytes, RvDirEntry, RvNone, RvNum
-from repro.executor import ScriptExecutor
-from repro.fsimpl import ALL_CONFIGS
+from repro.executor import ScriptExecutor, execute_script
+from repro.fsimpl import ALL_CONFIGS, config_by_name
 from repro.gen import RandomizedStrategy, default_plan
 from repro.script import (ParseError, parse_command, parse_return,
                           parse_script, parse_trace, print_script,
@@ -19,7 +21,7 @@ from repro.script import (ParseError, parse_command, parse_return,
 from repro.script.ast import CreateEvent, Script, ScriptStep, Trace, \
     TraceEvent
 from repro.script.parser import (LINE_MEMO_MAX, parse_script_line,
-                                 parse_trace_line, trace_name)
+                                 parse_trace_event, trace_name)
 
 FIG2 = '''
 @type script
@@ -138,12 +140,14 @@ class TestTraceParsing:
             '@type trace\n1: p2: mkdir "a" 0o755\nRV_none\n')
         assert trace.labels()[1] == OsReturn(2, Ok(RvNone()))
         # One RV_none line returns a p1 call, then a p2 call: the memo
-        # shares the line's value, never its pid.  Cold, then memo hot.
+        # keys each line on its pending pid, so neither return takes
+        # the other's.  Cold, then memo hot.
         text = ('@type trace\n1: mkdir "a" 0o755\nRV_none\n'
                 '3: p2: mkdir "b" 0o755\nRV_none\n')
-        parse_trace_line.cache_clear()
-        for _ in range(2):
+        parse_trace_event.cache_clear()
+        for hits in (0, 4):
             labels = parse_trace(text).labels()
+            assert parse_trace_event.cache_info().hits == hits
             assert labels[1] == OsReturn(1, Ok(RvNone()))
             assert labels[3] == OsReturn(2, Ok(RvNone()))
 
@@ -188,26 +192,34 @@ def test_malformed_input_raises_parse_error_naming_the_line(
 
 # -- the line memos: bounded, and never change a parse ------------------------
 
-def _novel_trace_line(i: int) -> str:
-    return f'{i}: mkdir "d" 0o755' if i % 2 else f"RV_num({i})"
+def _novel_script_line(i: int) -> tuple:
+    return (f'p{i % 3 + 1}: mkdir "d{i}" 0o755',)
+
+
+def _novel_trace_event(i: int) -> tuple:
+    """``parse_trace_event``'s arguments for a call or a return, each
+    new in its line or its context."""
+    if i % 2:
+        return (f'{i}: mkdir "d" 0o755', i - 1, None)
+    return ("RV_num(7)", i, i % 5 + 1)
 
 
 @pytest.mark.parametrize("memo,novel", [
-    (parse_script_line, lambda i: f'p{i % 3 + 1}: mkdir "d{i}" 0o755'),
-    (parse_trace_line, _novel_trace_line),
+    (parse_script_line, _novel_script_line),
+    (parse_trace_event, _novel_trace_event),
 ], ids=["script", "trace"])
 @pytest.mark.parametrize("stream", ["all-novel", "all-repeat",
                                     "alternating"])
 def test_line_memo_is_bounded_and_exact(memo, novel, stream):
     count = LINE_MEMO_MAX + 512
     hot = novel(count)
-    lines = {"all-novel": (novel(i) for i in range(count)),
+    calls = {"all-novel": (novel(i) for i in range(count)),
              "all-repeat": (hot for _ in range(count)),
-             "alternating": (line for i in range(count)
-                             for line in (novel(i), hot))}[stream]
+             "alternating": (args for i in range(count)
+                             for args in (novel(i), hot))}[stream]
     memo.cache_clear()
-    for line in lines:
-        assert memo(line) == memo.__wrapped__(line)
+    for args in calls:
+        assert memo(*args) == memo.__wrapped__(*args)
         assert memo.cache_info().currsize <= LINE_MEMO_MAX
     assert memo.cache_info().currsize == (
         1 if stream == "all-repeat" else LINE_MEMO_MAX)
@@ -254,6 +266,88 @@ def test_trace_name_is_the_parsed_name(text):
     """``trace_name`` reads the name without parsing the events, and
     agrees with the parser on every way a ``# Test`` line can sit."""
     assert trace_name(text) == parse_trace(text).name
+
+
+# -- shared events: printed once, and exactly as if printed fresh -----------
+
+_SHARED_PREFIX = ('mkdir "d" 0o755\n'
+                  'open "d/f" [O_CREAT;O_WRONLY] 0o644\n'
+                  'p2: write 3 "hi"\n')
+_SCRIPTS = [parse_script(f"@type script\n# Test {name}\n"
+                         + _SHARED_PREFIX + tail)
+            for name, tail in (("left", 'write 3 "ab"\nclose 3\n'),
+                               ("right", 'stat "d/f"\nrename "d" "e"\n'))]
+
+
+def _fresh(trace: Trace) -> Trace:
+    """``trace`` over new event objects, none of them printed yet."""
+    return Trace(trace.name, tuple(TraceEvent(event.line_no, event.label)
+                                   for event in trace.events))
+
+
+def _shared_events(a: Trace, b: Trace) -> int:
+    """How many leading events ``a`` and ``b`` share as objects."""
+    shared = 0
+    for left, right in zip(a.events, b.events):
+        if left is not right:
+            break
+        shared += 1
+    return shared
+
+
+def test_print_is_the_same_cold_and_warm_on_executor_traces():
+    """Traces of one executor share their prefix's events; printing
+    them, in either order and again, gives the text of the same traces
+    printed from events never printed before."""
+    quirks = config_by_name("linux_ext4")
+    executor = ScriptExecutor()
+    traces = [executor.execute(quirks, script) for script in _SCRIPTS]
+    assert _shared_events(*traces) >= 6
+    cold = [print_trace(_fresh(trace)) for trace in traces]
+    for _ in range(2):
+        for trace, text in zip(reversed(traces), reversed(cold)):
+            assert print_trace(trace) == text
+    for script, text in zip(_SCRIPTS, cold):
+        assert print_trace(execute_script(quirks, script)) == text
+        assert print_trace(parse_trace(text)) == text
+
+
+def test_print_is_the_same_cold_and_warm_on_parsed_traces():
+    """Parsed traces share the events of their common lines (one memo
+    entry per line in context); printing them gives back each text."""
+    quirks = config_by_name("linux_ext4")
+    texts = [print_trace(execute_script(quirks, script))
+             for script in _SCRIPTS]
+    parse_trace_event.cache_clear()
+    for _ in range(2):
+        traces = [parse_trace(text) for text in texts]
+        assert _shared_events(*traces) >= 6
+        for trace, text in zip(traces, texts):
+            assert print_trace(trace) == text
+            assert print_trace(_fresh(trace)) == text
+
+
+def test_print_survives_a_pickle_round_trip():
+    """A trace pickled after printing (its events carry their lines)
+    or before prints the same text, and compares equal."""
+    quirks = config_by_name("linux_ext4")
+    trace = ScriptExecutor().execute(quirks, _SCRIPTS[1])
+    text = print_trace(_fresh(trace))
+    before = pickle.loads(pickle.dumps(trace))
+    print_trace(trace)
+    after = pickle.loads(pickle.dumps(trace))
+    for copy in (before, after):
+        assert copy == trace
+        assert print_trace(copy) == text
+
+
+def test_event_line_leaves_eq_hash_and_repr_alone():
+    trace = parse_trace(FIG3)
+    for event in _fresh(trace).events:
+        before = (repr(event), hash(event))
+        assert event.line
+        assert (repr(event), hash(event)) == before
+        assert event == TraceEvent(event.line_no, event.label)
 
 
 # -- property tests: parse . print == id over generated commands ----------

@@ -792,17 +792,25 @@ class TestServerProtocol:
     def test_client_vanishing_mid_batch(self, shards, vanish, tmp_path,
                                         monkeypatch):
         """A client sends a ``batch`` and vanishes without reading a
-        reply: it closes, or resets (``SO_LINGER`` 0).  The server
-        stops answering the batch (it sends far fewer replies after the
-        vanish than the batch holds); the next connection's ``check``
-        gets the serial verdict, every distinct trace of the abandoned
-        batch is in the store once the service drains, and
-        ``shutdown`` still ends the server."""
+        reply: it closes, or resets (``SO_LINGER`` 0).  The vanish comes
+        before the batch's last reply, and the server stops answering
+        the batch (it sends far fewer replies after the vanish than the
+        batch holds); the next connection's ``check`` gets the serial
+        verdict, every distinct trace of the abandoned batch is in the
+        store once the service drains, and ``shutdown`` still ends the
+        server.
+
+        A parent-only server checks the whole batch inside ``submit``
+        and answers the client's ``status`` poll only when a reply's
+        ``drain()`` waits, so the replies must outgrow the socket
+        buffers: the batch holds the handwritten suite 200 times (about
+        7 MB of replies) and the vanishing client's receive buffer is
+        small."""
         from helpers_parity import handwritten_traces
         from repro.store import CampaignStore
 
         suite = handwritten_traces(CONFIG)
-        texts = [print_trace(t) for t in suite] * 20
+        texts = [print_trace(t) for t in suite] * 200
         trace = _traces(1)[0]
         path = tmp_path / "served"
         sent = []   # one entry per reply to the abandoned batch
@@ -821,7 +829,10 @@ class TestServerProtocol:
         service.start()
         with _Server(service) as server:
             host, port = server.address.rsplit(":", 1)
-            gone = socket.create_connection((host, int(port)), timeout=30)
+            gone = socket.socket()
+            gone.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            gone.settimeout(30)
+            gone.connect((host, int(port)))
             gone.sendall(json.dumps({"op": "batch", "id": 1,
                                      "traces": texts}).encode() + b"\n")
             with ServiceClient(server.address) as client:
@@ -841,6 +852,7 @@ class TestServerProtocol:
                 assert service.drain(timeout=120)
                 stats = client.status()["engine_stats"]
         assert not server.thread.is_alive()
+        assert before < len(texts), (before, len(sent))
         assert len(sent) - before < len(texts) // 10, (before, len(sent))
         assert _profiles(after) == _serial_rows([trace])[0]
         assert stats["traces_submitted"] == len(texts) + 1
