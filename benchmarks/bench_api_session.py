@@ -2,10 +2,9 @@
 
 The paper (section 7.1) reports checking 21 070 traces in ~79 s with 4
 worker processes — 266 traces/s.  This bench measures the same metric
-through the new ``repro.api.Session`` front door for the serial and the
-process-pool backends, giving future scaling PRs (sharding, batching,
-async) a stable perf baseline, and asserts the two backends produce
-identical artifacts modulo timings.
+through the ``repro.api.Session`` front door for the serial and the
+sharded backends (4 shards, the paper's 4 checking workers), and
+asserts the two backends produce identical artifacts modulo timings.
 """
 
 import dataclasses
@@ -13,17 +12,17 @@ import dataclasses
 import pytest
 from conftest import record_table
 
-from repro.api import ProcessPoolBackend, SerialBackend, Session
+from repro.api import SerialBackend, Session, ShardedBackend
 
 CONFIG = "linux_tmpfs"
-POOL_PROCESSES = 4
+SHARDS = 4
 
 
 @pytest.fixture(scope="module")
 def backends():
     made = {
         "serial": SerialBackend(),
-        f"process[{POOL_PROCESSES}]": ProcessPoolBackend(POOL_PROCESSES),
+        f"sharded[{SHARDS}]": ShardedBackend(SHARDS),
     }
     yield made
     for backend in made.values():
@@ -46,11 +45,11 @@ def test_api_session_backend_throughput(benchmark, bench_suite,
                     f"{artifact.check_rate:8.0f}")
     record_table("api_session_backends", "\n".join(rows))
 
-    # Backend parity: identical artifacts modulo timings and the
-    # backend descriptor (the acceptance criterion of the API redesign).
+    # Backend parity: identical artifacts modulo timings, the backend
+    # descriptor and its counters.
     stripped = [
         dataclasses.replace(a, backend="-", exec_seconds=0.0,
-                            check_seconds=0.0)
+                            check_seconds=0.0, engine_stats=())
         for a in artifacts.values()
     ]
     assert stripped[0] == stripped[1]

@@ -5,13 +5,12 @@ The multi-platform question — "which model variants allow each trace of
 the survey suite?" — used to cost one full pipeline pass (execute +
 check) per :class:`~repro.core.platform.PlatformSpec`.  The vectored
 oracle answers it in a single pass: one execution, one state-set
-exploration with platform-membership masks, one pool round-trip.
+exploration with platform-membership masks, one shard round-trip.
 
-This bench runs both on the process-pool backend, streaming (the
-configuration of the PR's acceptance criterion):
+This bench runs both on the sharded backend, streaming:
 
 * **baseline** — four sequential ``Session`` runs, one per model
-  variant, sharing one pool;
+  variant, sharing one shard pool;
 * **one-pass** — a single ``Session(check_on=[all four])`` run.
 
 It verifies the per-platform profiles of the one-pass artifact are
@@ -21,7 +20,7 @@ It verifies the per-platform profiles of the one-pass artifact are
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_oracle_vectored.py \
-        [--smoke] [--processes N] [--json OUT.json] [--strict]
+        [--smoke] [--shards N] [--json OUT.json] [--strict]
 
 ``--smoke`` runs a seeded 120-script sample (CI-friendly); the default
 is the full survey suite.  ``--strict`` exits non-zero if the ratio
@@ -36,7 +35,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro.api import ProcessPoolBackend, Session  # noqa: E402
+from repro.api import Session, ShardedBackend  # noqa: E402
 from repro.core.platform import SPECS  # noqa: E402
 from repro.gen import default_plan  # noqa: E402
 
@@ -62,7 +61,7 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="seeded 120-script sample instead of the "
                              "full survey suite")
-    parser.add_argument("--processes", type=int, default=4)
+    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--config", default="linux_ext4")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the result as JSON")
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     baseline = {}
-    with ProcessPoolBackend(args.processes) as backend:
+    with ShardedBackend(args.shards) as backend:
         for platform in platforms:
             baseline[platform] = Session(
                 args.config, model=platform, plan=plan,
@@ -86,7 +85,7 @@ def main(argv=None) -> int:
     baseline_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with ProcessPoolBackend(args.processes) as backend:
+    with ShardedBackend(args.shards) as backend:
         one_pass = Session(args.config, model=platforms[0],
                            check_on=platforms, plan=plan,
                            backend=backend).run()
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
     result = {
         "mode": "smoke" if args.smoke else "full",
         "config": args.config,
-        "processes": args.processes,
+        "shards": args.shards,
         "traces": one_pass.total,
         "platforms": platforms,
         "baseline_seconds": round(baseline_s, 3),
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
     }
 
     print(f"suite: {one_pass.total} traces on {args.config} "
-          f"({result['mode']}, {args.processes} workers)")
+          f"({result['mode']}, {args.shards} shards)")
     print(f"4x sequential : {baseline_s:7.2f} s")
     print(f"one-pass      : {one_pass_s:7.2f} s")
     print(f"ratio         : {ratio:7.2f}  (target <= {TARGET_RATIO})")

@@ -23,8 +23,7 @@ al., SOSP 2015) in Python:
   the simulated implementations-under-test (~40 configurations
   reproducing the paper's survey, including its documented defects);
 * :mod:`repro.harness` -- the pipeline engine (pluggable serial /
-  process-pool / sharded backends), merging, reports and trace
-  analyses;
+  sharded backends), merging, reports and trace analyses;
 * :mod:`repro.api` -- the :class:`Session` facade, the single front
   door to the pipeline: every suite runs as its one streaming pass;
 * :mod:`repro.service` -- the persistent checking service: a shard
@@ -51,15 +50,16 @@ pipeline pass; every report renders from the same
     html = artifact.render_html()       # same pass, no re-run
     blob = artifact.to_json()           # CI-diffable; records the plan
 
-Scale it with a persistent worker pool — generation streams into the
-pool, which starts checking while the plan is still producing::
+Check on persistent shard processes (the paper's section 7.1 split:
+this process executes, the shards check) — generation streams into the
+shards, which start checking while the plan is still producing::
 
-    from repro import ProcessPoolBackend, Session, default_plan
+    from repro import Session, default_plan
 
     with Session("linux_ext4", plan=default_plan(),
-                 backend=ProcessPoolBackend(4)) as s:
+                 backend="sharded", shards=4) as s:
         for checked in s.iter_checked():
-            ...                         # yields as workers finish
+            ...                         # yields as shards finish
 
 Check a single observed trace — against one model variant, or against
 all four in a single vectored pass::
@@ -104,9 +104,8 @@ from repro.gen import (REGISTRY, RandomizedStrategy, Strategy, TestPlan,
                        build_plan, default_plan, union)
 from repro.harness import (merge_results, render_merge,
                            render_suite_result, render_summary_table)
-from repro.api import (Backend, ProcessPoolBackend, RunArtifact,
-                       SerialBackend, Session, ShardedBackend,
-                       survey)
+from repro.api import (Backend, RunArtifact, SerialBackend, Session,
+                       ShardedBackend, survey)
 from repro.service import CheckingService, ServiceClient
 from repro.store import CampaignStore, StoreCorruption, TraceRecord
 
@@ -126,8 +125,8 @@ __all__ = [
     "build_plan", "default_plan", "union",
     "merge_results", "render_merge", "render_suite_result",
     "render_summary_table",
-    "Backend", "ProcessPoolBackend", "RunArtifact", "SerialBackend",
-    "Session", "ShardedBackend", "survey",
+    "Backend", "RunArtifact", "SerialBackend", "Session",
+    "ShardedBackend", "survey",
     "CheckingService", "ServiceClient",
     "CampaignStore", "StoreCorruption", "TraceRecord",
     "__version__",

@@ -16,14 +16,14 @@ coverage and surveying configurations all go through a
     blob = artifact.to_json()              # CI-diffable; records plan
 
 The plan streams: generation is consumed lazily by the backend's
-:meth:`~repro.harness.backends.Backend.run_iter`, so a process pool
-starts checking while the plan is still producing and the suite is
-never materialised.  That one pass is the only way a suite runs:
-execution and checking are delegated to a pluggable
-:class:`~repro.harness.backends.Backend` (:class:`SerialBackend`, the
-persistent :class:`ProcessPoolBackend` or the :class:`ShardedBackend`),
-results stream via :meth:`Session.iter_checked`, and
-:func:`survey` runs one session per configuration on a shared backend.
+:meth:`~repro.harness.backends.Backend.run_iter`, so the shards of a
+:class:`ShardedBackend` start checking while the plan is still
+producing and the suite is never materialised.  That one pass is the
+only way a suite runs: execution and checking are delegated to a
+pluggable :class:`~repro.harness.backends.Backend`
+(:class:`SerialBackend` or :class:`ShardedBackend`), results stream via
+:meth:`Session.iter_checked`, and :func:`survey` runs one session per
+configuration on a shared backend.
 """
 
 from repro.api.artifact import (FORMAT_VERSION, ArtifactRow,
@@ -31,15 +31,14 @@ from repro.api.artifact import (FORMAT_VERSION, ArtifactRow,
 from repro.api.campaign import (artifact_partition, export_artifact,
                                 import_artifact, import_artifact_file)
 from repro.api.session import Session, survey
-from repro.harness.backends import (Backend, CheckOutcome,
-                                    ProcessPoolBackend, RunRecord,
+from repro.harness.backends import (Backend, CheckOutcome, RunRecord,
                                     SerialBackend, ShardedBackend,
                                     make_backend)
 
 __all__ = [
     "ArtifactRow", "Backend", "CheckOutcome", "FORMAT_VERSION",
-    "ProcessPoolBackend", "RunArtifact", "RunRecord", "SerialBackend",
-    "ShardedBackend", "Session", "artifact_partition",
+    "RunArtifact", "RunRecord", "SerialBackend", "ShardedBackend",
+    "Session", "artifact_partition",
     "export_artifact", "import_artifact", "import_artifact_file",
     "iter_results", "make_backend", "read_header", "survey",
 ]

@@ -63,7 +63,7 @@ class RunArtifact:
     config: str
     model: str
     #: Descriptor of the backend that produced this artifact
-    #: (e.g. ``"serial"`` or ``"process[4]"``); informational only.
+    #: (e.g. ``"serial"`` or ``"sharded[4]"``); informational only.
     backend: str
     checked: Tuple[CheckedTrace, ...]
     #: Per-trace target function, parallel to ``checked`` (from the

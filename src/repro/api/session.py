@@ -9,13 +9,13 @@ report, coverage, CI baseline, survey merge — renders from the same
 :class:`RunArtifact` instead of re-running the pipeline.
 
 Generation *streams*: a :class:`repro.gen.TestPlan` is consumed lazily
-by the backend's ``run_iter`` — the suite is never materialised, and a
-process pool starts checking the first scripts while the plan is still
-producing the rest.  That streaming pass is the only way a session
-runs its suite: ``iter_checked()`` yields each :class:`CheckedTrace`
-as the backend completes it, with an optional progress callback, and
-:meth:`Session.run`, :attr:`Session.traces` and :func:`survey` all
-read the artifact that one pass leaves behind.
+by the backend's ``run_iter`` — the suite is never materialised, and
+the sharded backend's shards start checking the first scripts while
+the plan is still producing the rest.  That streaming pass is the only
+way a session runs its suite: ``iter_checked()`` yields each
+:class:`CheckedTrace` as the backend completes it, with an optional
+progress callback, and :meth:`Session.run`, :attr:`Session.traces` and
+:func:`survey` all read the artifact that one pass leaves behind.
 """
 
 from __future__ import annotations
@@ -72,19 +72,19 @@ class Session:
         across the many sessions of a survey.
     backend:
         A :class:`repro.harness.backends.Backend` instance, or a
-        family name (``"serial"`` / ``"process"`` / ``"sharded"``).
-        A *named* backend is built via
-        :func:`~repro.harness.backends.make_backend` (``processes`` /
-        ``shards`` / ``chunksize`` configure it), **owned** by the
-        session, and deterministically released by :meth:`close` —
-        shard worker processes included, so a ``with Session(...)``
-        block leaves no worker running past it.  A backend *instance* passed in explicitly is
-        shared — the session will not close it (use the backend's own
-        context manager).  Defaults to a private, owned
+        family name (``"serial"`` / ``"sharded"``).  A *named* backend
+        is built via :func:`~repro.harness.backends.make_backend`
+        (``shards`` sizes it), **owned** by the session, and
+        deterministically released by :meth:`close` — shard worker
+        processes included, so a ``with Session(...)`` block leaves no
+        worker running past it.  A backend *instance* passed in
+        explicitly is shared — the session will not close it (use the
+        backend's own context manager).  Defaults to a private, owned
         :class:`~repro.harness.backends.SerialBackend`.
-    processes / shards / chunksize:
-        Sizing for a named (or defaulted) backend; rejected alongside
-        a backend instance, whose construction already decided them.
+    shards:
+        Shard count for a named (or defaulted) backend: given alone it
+        selects the sharded backend.  Rejected alongside a backend
+        instance, whose construction already decided it.
     collect_coverage:
         Record which specification clauses the checking phase covers
         (needed for :meth:`RunArtifact.coverage_report`).
@@ -105,9 +105,7 @@ class Session:
                  scale: int = 1, limit: int = 0,
                  suite: Optional[Sequence[Script]] = None,
                  backend: Optional[Union[Backend, str]] = None,
-                 processes: Optional[int] = None,
                  shards: Optional[int] = None,
-                 chunksize: Optional[int] = None,
                  collect_coverage: bool = False,
                  store: Optional[Union[CampaignStore, str,
                                        pathlib.Path]] = None) -> None:
@@ -129,17 +127,14 @@ class Session:
         self.scale = scale
         self.limit = limit
         if backend is None or isinstance(backend, str):
-            self.backend = make_backend(processes or 1,
-                                        chunksize=chunksize,
-                                        backend=backend,
-                                        shards=shards)
+            self.backend = make_backend(backend, shards)
             self._owns_backend = True
         else:
-            if processes or shards or chunksize:
+            if shards is not None:
                 raise ValueError(
-                    "processes/shards/chunksize size a *named* "
-                    "backend; a backend instance was already built — "
-                    "pass one or the other")
+                    "shards sizes a *named* backend; a backend "
+                    "instance was already built — pass one or the "
+                    "other")
             self.backend = backend
             self._owns_backend = False
         self._closed = False
@@ -284,8 +279,8 @@ class Session:
 
     def _finalize_records(self, records: Sequence[RunRecord],
                           wall_seconds: float) -> None:
-        # The phases interleave (and under a pool the per-record times
-        # are summed worker time, not wall time), so apportion the
+        # The phases interleave (and under shards the check times are
+        # summed shard time, not wall time), so apportion the
         # measured wall clock by the phases' relative weight — artifact
         # timings stay comparable to the paper's wall-clock
         # traces/second.
@@ -377,7 +372,7 @@ def survey(configs: Optional[Sequence[str | Quirks]] = None, *,
            collect_coverage: bool = False) -> List[RunArtifact]:
     """Run the pipeline across many configurations, sharing the work.
 
-    The backend (with its caches and worker pool) is shared by every
+    The backend (with its caches and shard processes) is shared by every
     per-configuration session — the section 7.3 survey as a single API
     call.  The population is generated exactly once: a ``plan`` is
     :meth:`~repro.gen.TestPlan.materialize`-d up front (its provenance

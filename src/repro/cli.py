@@ -44,8 +44,8 @@ through :class:`repro.api.Session`: one pipeline pass produces a
 :class:`repro.api.RunArtifact` (with the plan's provenance and seeds
 recorded) that the text summary, the HTML report (``--html``) and the
 JSON artifact (``--artifact``) are all rendered from.  Generation
-streams into checking, so ``--processes N`` starts checking on the pool
-while the plan is still generating.
+streams into checking, so ``--shards N`` starts checking on N shard
+processes while the plan is still generating.
 
 Exit status: 0 if everything checked conformant, 1 otherwise (suitable
 for CI).
@@ -290,9 +290,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    with make_backend(args.processes, chunksize=args.chunksize,
-                      backend=args.backend,
-                      shards=args.shards) as backend:
+    with make_backend(args.backend, args.shards) as backend:
         with Session(args.config, model=args.model,
                      check_on=_parse_platforms(args.check_on)
                      if args.check_on else None,
@@ -321,9 +319,7 @@ def _cmd_run(args) -> int:
 def _cmd_survey(args) -> int:
     configs = (args.configs.split(",") if args.configs
                else [cfg.name for cfg in ALL_CONFIGS])
-    with make_backend(args.processes, chunksize=args.chunksize,
-                      backend=args.backend,
-                      shards=args.shards) as backend:
+    with make_backend(args.backend, args.shards) as backend:
         artifacts = survey(configs, plan=_plan_from_args(args),
                            backend=backend)
     print(render_summary_table([a.suite_result for a in artifacts]))
@@ -340,9 +336,7 @@ def _cmd_coverage(args) -> int:
     # exclude clauses a platform's spec switches statically preclude.
     install_dead_clauses()
 
-    with make_backend(args.processes, chunksize=args.chunksize,
-                      backend=args.backend,
-                      shards=args.shards) as backend:
+    with make_backend(args.backend, args.shards) as backend:
         session = Session(args.config, model=args.model,
                           plan=_plan_from_args(args),
                           backend=backend, collect_coverage=True)
@@ -400,8 +394,7 @@ def _cmd_fuzz(args) -> int:
         args.config, platforms=platforms,
         iterations=args.iterations, batch=args.batch, seed=args.seed,
         store=args.store,
-        backend=args.backend, processes=args.processes,
-        shards=args.shards, chunksize=args.chunksize,
+        backend=args.backend, shards=args.shards,
         progress=progress if args.progress else None)
     last = report.history[-1] if report.history else {}
     print(f"fuzz: {report.config} on "
@@ -569,23 +562,27 @@ def _cmd_campaign(args) -> int:
     raise AssertionError(f"unhandled campaign action {args.action!r}")
 
 
+def _shard_count(text: str) -> int:
+    """``--shards``: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value}")
+    return value
+
+
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--processes", type=int, default=1,
-                        help="worker processes (>1 selects the "
-                             "process-pool backend)")
-    parser.add_argument("--chunksize", type=int, default=None,
-                        help="traces per worker chunk (default: "
-                             "derived from the suite size)")
     parser.add_argument("--backend", default=None,
-                        choices=["serial", "process", "sharded"],
-                        help="backend family (default: derived from "
-                             "--processes/--shards); 'sharded' "
+                        choices=["serial", "sharded"],
+                        help="backend family (default: serial, or "
+                             "sharded with --shards); 'sharded' "
                              "executes in this process and checks on "
                              "persistent shard workers")
-    parser.add_argument("--shards", type=int, default=None,
+    parser.add_argument("--shards", type=_shard_count, default=None,
                         help="shard workers for the sharded backend "
-                             "(default: --processes, else CPU count); "
-                             "implies --backend sharded")
+                             "(default: CPU count, min 2); implies "
+                             "--backend sharded")
+    parser.set_defaults(usage_error=parser.error)
 
 
 def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
@@ -657,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'sharded' checks on a persistent shard pool; "
                         "'serial' checks in-process on the warm "
                         "oracle")
-    p.add_argument("--shards", type=int, default=None,
+    p.add_argument("--shards", type=_shard_count, default=None,
                    help="shard workers (default: CPU count, min 2)")
+    p.set_defaults(usage_error=p.error)
     p.add_argument("--stats-json", default=None, metavar="PATH",
                    help="write the service's cumulative stats as JSON "
                         "— periodically, on SIGTERM and on shutdown "
@@ -865,6 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) == "serial" and \
+            args.shards is not None:
+        args.usage_error("--backend serial takes no --shards")
     return args.func(args)
 
 

@@ -109,9 +109,7 @@ def run_fuzz(config: Union[str, Quirks], *,
              seed: int = 0,
              store: Optional[Union[CampaignStore, str]] = None,
              backend: Optional[Union[Backend, str]] = None,
-             processes: Optional[int] = None,
              shards: Optional[int] = None,
-             chunksize: Optional[int] = None,
              seed_strategies: Sequence[str] = SEED_STRATEGIES,
              progress=None) -> FuzzReport:
     """Run the coverage-guided loop and return its report.
@@ -145,11 +143,8 @@ def run_fuzz(config: Union[str, Quirks], *,
     store_obj: Optional[CampaignStore] = (
         CampaignStore(store) if owns_store else store)
     owns_backend = backend is None or isinstance(backend, str)
-    backend_obj = (make_backend(processes or 1, chunksize=chunksize,
-                                backend=backend
-                                if isinstance(backend, str) else None,
-                                shards=shards)
-                   if owns_backend else backend)
+    backend_obj = (make_backend(backend, shards) if owns_backend
+                   else backend)
 
     rng = random.Random(seed)
     corpus = (Corpus() if store_obj is None

@@ -1,7 +1,7 @@
 """Test-and-check harness and result analysis (paper Fig. 1, section 7).
 
-``backends`` is the engine: the serial, process-pool and sharded
-backends whose ``run_iter`` executes and checks a script stream for
+``backends`` is the engine: the serial and sharded backends whose
+``run_iter`` executes and checks a script stream for
 :class:`repro.api.Session`, the one way a suite is run.  ``run`` holds
 the :class:`SuiteResult` view of a run; ``merge``/``report``/``ci``
 combine, render and baseline results across configurations;
@@ -10,9 +10,8 @@ single traces and configuration pairs.
 """
 
 from repro.harness.backends import (Backend, CheckOutcome,
-                                    ProcessPoolBackend, SerialBackend,
-                                    ShardedBackend, make_backend,
-                                    owned_backend)
+                                    SerialBackend, ShardedBackend,
+                                    make_backend, owned_backend)
 from repro.harness.run import SuiteResult, TraceFailure, as_suite_result
 from repro.harness.merge import (DeviationRecord, merge_results,
                                  merge_verdicts)
@@ -30,8 +29,8 @@ from repro.harness.ci import (RegressionReport, compare_to_baseline,
                               save_baseline)
 
 __all__ = [
-    "Backend", "CheckOutcome", "ProcessPoolBackend", "SerialBackend",
-    "ShardedBackend", "make_backend", "owned_backend",
+    "Backend", "CheckOutcome", "SerialBackend", "ShardedBackend",
+    "make_backend", "owned_backend",
     "SuiteResult", "TraceFailure", "as_suite_result",
     "DeviationRecord", "merge_results", "merge_verdicts",
     "render_merge", "render_suite_result", "render_summary_table",

@@ -14,10 +14,11 @@ freebsd``                      over that platform variant
                                order (first = primary) — parsed, not listed
 =============================  ==============================================
 
-``get`` memoizes instances (so a long-lived backend, or each pool
-worker, keeps one warm oracle, with its stored path and memos, per
-name); ``create`` always builds a fresh one.  ``cache=False`` builds oracles without prefix memoization —
-the coverage-collection path needs every transition actually evaluated.
+``get`` memoizes instances (so a long-lived backend keeps one warm
+oracle, with its stored path and memos, per name); ``create`` always
+builds a fresh one.  ``cache=False`` builds oracles without prefix
+memoization — the coverage-collection path needs every transition
+actually evaluated.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ def register_oracle(name: str, factory: OracleFactory,
                     replace: bool = False) -> None:
     """Register a factory with the default registry.
 
-    Process-pool caveat: backends ship oracle *names* to workers, and
-    each worker resolves them against its own registry.  Under the
-    ``fork`` start method (Linux default) workers inherit custom
-    registrations; under ``spawn`` (macOS/Windows default) they rebuild
-    the registry at import time with only the built-ins, so a custom
-    name must be registered from an imported module (e.g. via an
+    Shard caveat: the sharded backend ships oracle *names* to its
+    shards, and each shard resolves them against its own registry.
+    Under the ``fork`` start method (Linux default) shards inherit
+    custom registrations; under ``spawn`` (macOS/Windows default) they
+    rebuild the registry at import time with only the built-ins, so a
+    custom name must be registered from an imported module (e.g. via an
     import-time ``register_oracle`` call in your package) to be
-    resolvable pool-side.
+    resolvable shard-side.
     """
     REGISTRY.register(name, factory, replace=replace)
 

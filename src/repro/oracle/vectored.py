@@ -92,7 +92,7 @@ class VectoredOracle:
         """The per-spec memos for one ``check`` call.
 
         A caching oracle's table and memos persist across checks (and
-        a pool worker's life), which is the cross-trace transition
+        a shard's life), which is the cross-trace transition
         reuse this engine exists for; its stored path holds their ids.
 
         Without a cache (the coverage-collection path) everything is

@@ -243,8 +243,8 @@ def _parse_py_string(literal: str) -> str:
     non-printable characters (``\\x00``, ``\\n``, …); decoding with
     :func:`ast.literal_eval` inverts every escape, so traces carrying
     e.g. NUL-padded read results round-trip exactly — which the
-    process-pool backend (workers exchange trace text) and the
-    RunArtifact JSON format depend on.
+    sharded backend (shards parse the trace text the parent printed)
+    and the RunArtifact JSON format depend on.
     """
     literal = literal.strip()
     if len(literal) >= 2 and literal[0] == literal[-1] and \

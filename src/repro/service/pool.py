@@ -65,6 +65,11 @@ from repro.script.parser import parse_trace
 #: Bound on the pool's verdict memo (entries, FIFO eviction).
 VERDICT_MEMO_MAX = 4096
 
+#: Items per task message: repeat-heavy checking is fast enough that
+#: per-item IPC would dominate, so items travel (and results return) in
+#: chunks.
+CHUNK = 16
+
 #: Chunks per shard a lazy stream is pulled ahead of its consumer.
 WINDOW = 16
 
@@ -282,10 +287,12 @@ class ShardPool:
     ``cold_starts`` counter in :meth:`run_stats` makes both visible).
     """
 
-    def __init__(self, shards: int, *, chunk: int = 16) -> None:
-        self.shards = max(1, shards)
-        #: Items per task message (per-item IPC would dominate).
-        self.chunk = max(1, chunk)
+    def __init__(self, shards: Optional[int] = None) -> None:
+        if shards is None:
+            shards = max(2, multiprocessing.cpu_count())
+        elif shards < 1:
+            raise ValueError(f"shards must be at least 1, got {shards}")
+        self.shards = shards
         self._ctx = multiprocessing.get_context()
         self._lock = threading.Lock()
         self._shards: List[Optional[_Shard]] = [None] * self.shards
@@ -419,9 +426,8 @@ class ShardPool:
             else:
                 future.set_result(payload)
         for shard, items in tasks.items():
-            for start in range(0, len(items), self.chunk):
-                shard.send((model, coverage,
-                            items[start:start + self.chunk]))
+            for start in range(0, len(items), CHUNK):
+                shard.send((model, coverage, items[start:start + CHUNK]))
 
     def submit(self, items: Iterable[Tuple[str, str]], *,
                model: Optional[str] = None,
@@ -451,13 +457,13 @@ class ShardPool:
         """Feed ``(name, trace_text)`` items to the pool lazily.
 
         ``items`` may be a lazy generator: one feeder thread pulls it
-        only ``WINDOW * chunk`` items per shard ahead of consumption
+        only ``WINDOW * CHUNK`` items per shard ahead of consumption
         (the window is released as :meth:`ShardCall.results` yields),
         so a generating plan stream stays lazy.  A stream that raises
         mid-generation fails the call with that exception rather than
         truncating it; the pool stays usable.
         """
-        call = ShardCall(WINDOW * self.chunk * self.shards,
+        call = ShardCall(WINDOW * CHUNK * self.shards,
                          functools.partial(self._dispatch, model,
                                            collect_coverage, partition))
         with self._lock:
@@ -480,7 +486,7 @@ class ShardPool:
                 call._entries.put((index, future))
                 with call._lock:
                     call._buffer.append((future, name, text))
-                    full = len(call._buffer) >= self.chunk * self.shards
+                    full = len(call._buffer) >= CHUNK * self.shards
                 if full:
                     call._flush()
             else:

@@ -24,7 +24,6 @@ thread on one warm oracle — no processes, same verdicts.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import threading
 from concurrent.futures import Future, wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -73,10 +72,19 @@ class CheckingService:
     ``shards=0``) with explicit lifecycle."""
 
     def __init__(self, model: str = "all", *,
-                 shards: Optional[int] = None, chunk: int = 16,
+                 shards: Optional[int] = None,
                  store: Optional[Union[CampaignStore, str]] = None
                  ) -> None:
         self.model = model
+        #: The parent-only mode's one warm oracle.
+        self._oracle: Optional[Oracle] = None
+        self._pool: Optional[ShardPool] = None
+        if shards == 0:
+            self.shards = 0
+            self._oracle = create_oracle(model, cache=True)
+        else:
+            self._pool = ShardPool(shards)
+            self.shards = self._pool.shards
         # Campaign store wiring (``repro serve --store DIR``): every
         # verdict the service produces is appended as it resolves,
         # under the "serve:<model>" partition — content-addressed, so
@@ -89,16 +97,6 @@ class CheckingService:
         else:
             self.store = CampaignStore(store)
             self._owns_store = True
-        #: The parent-only mode's one warm oracle.
-        self._oracle: Optional[Oracle] = None
-        self._pool: Optional[ShardPool] = None
-        if shards == 0:
-            self.shards = 0
-            self._oracle = create_oracle(model, cache=True)
-        else:
-            self.shards = shards or max(
-                2, multiprocessing.cpu_count())
-            self._pool = ShardPool(self.shards, chunk=chunk)
         self._lock = threading.Lock()
         self._outstanding: List[Future] = []
         self._submitted = 0

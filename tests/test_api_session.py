@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.api import (ProcessPoolBackend, RunArtifact, SerialBackend,
-                       Session, ShardedBackend, survey)
+from repro.api import (RunArtifact, SerialBackend, Session,
+                       ShardedBackend, survey)
 from repro.cli import main
 from repro.fsimpl import config_by_name
 from repro.harness import (compare_to_baseline, merge_results,
@@ -33,9 +33,11 @@ DUP_NAME_SUITE = [parse_script(text) for text in (
 
 
 def _strip_volatile(artifact: RunArtifact) -> RunArtifact:
-    """Identical-modulo-timings comparison helper."""
+    """Identical-modulo-timings comparison helper (the backend's name
+    and counters describe the run, not its verdicts)."""
     return dataclasses.replace(artifact, backend="-",
-                               exec_seconds=0.0, check_seconds=0.0)
+                               exec_seconds=0.0, check_seconds=0.0,
+                               engine_stats=())
 
 
 class TestSessionOnePass:
@@ -212,7 +214,7 @@ class TestBackendParity:
         with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE) as s:
             serial = s.run()
         with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE,
-                     backend=ProcessPoolBackend(2)) as s:
+                     backend=ShardedBackend(2)) as s:
             parallel = s.run()
         assert _strip_volatile(serial) == _strip_volatile(parallel)
 
@@ -221,7 +223,7 @@ class TestBackendParity:
                      collect_coverage=True) as s:
             serial = s.run()
         with Session("linux_ext4", suite=SMALL_SUITE,
-                     backend=ProcessPoolBackend(2),
+                     backend=ShardedBackend(2),
                      collect_coverage=True) as s:
             parallel = s.run()
         assert serial.covered_clauses == parallel.covered_clauses
@@ -231,9 +233,9 @@ class TestBackendParity:
         backend = SerialBackend()
         traces = list(backend.execute_iter(quirks, DUP_NAME_SUITE))
         serial = [o.checked for o in backend.check_iter("linux", traces)]
-        with ProcessPoolBackend(2) as pool:
+        with ShardedBackend(2) as sharded:
             parallel = [o.checked
-                        for o in pool.check_iter("linux", traces)]
+                        for o in sharded.check_iter("linux", traces)]
         assert [c.accepted for c in serial] == \
             [c.accepted for c in parallel]
         assert [c.labels_checked for c in serial] == \
@@ -241,20 +243,10 @@ class TestBackendParity:
         # The two same-named traces genuinely differ in outcome.
         assert serial[0].accepted != serial[1].accepted
 
-    def test_chunksize_heuristic_and_override(self):
-        backend = ProcessPoolBackend(4)
-        assert backend.pick_chunksize(3) == 1
-        assert backend.pick_chunksize(400) == 25
-        assert backend.pick_chunksize(100000) == 32
-        fixed = ProcessPoolBackend(4, chunksize=7)
-        assert fixed.pick_chunksize(400) == 7
-        backend.close()
-        fixed.close()
-
     def test_nul_byte_traces_parity_and_round_trip(self):
         # Reads of sparse/truncate-extended files return NUL-padded
         # data; the printer escapes it and the parser must invert the
-        # escapes, or the text-exchanging process backend (and the
+        # escapes, or the text-exchanging sharded backend (and the
         # JSON artifact) silently disagree with the serial backend.
         from repro import default_plan
 
@@ -265,20 +257,11 @@ class TestBackendParity:
         with Session("linux_ext4", suite=scripts) as s:
             serial = s.run()
         with Session("linux_ext4", suite=scripts,
-                     backend=ProcessPoolBackend(2)) as s:
+                     backend=ShardedBackend(2)) as s:
             parallel = s.run()
         assert all(c.accepted for c in serial.checked)
         assert _strip_volatile(serial) == _strip_volatile(parallel)
         assert RunArtifact.from_json(serial.to_json()) == serial
-
-    def test_pool_persists_across_calls(self):
-        with ProcessPoolBackend(2) as backend:
-            quirks = config_by_name("linux_ext4")
-            traces = list(backend.execute_iter(quirks, SMALL_SUITE))
-            first_pool = backend._pool
-            list(backend.check_iter("linux", traces))
-            assert backend._pool is first_pool
-        assert backend._pool is None
 
 
 class TestSessionClose:
@@ -341,11 +324,6 @@ class TestSurveyAndIntegration:
         report = compare_to_baseline(artifact, path)
         assert not report.regressed
 
-    def test_processes_with_explicit_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend instance"):
-            Session("linux_ext4", suite=SMALL_SUITE, processes=4,
-                    backend=SerialBackend())
-
 
 class TestCliExitCodes:
     def test_run_clean_config_exit_zero(self, capsys):
@@ -368,7 +346,28 @@ class TestCliExitCodes:
 
     def test_run_with_process_backend(self, capsys):
         assert main(["run", "--config", "linux_ext4", "--limit", "12",
-                     "--processes", "2", "--chunksize", "3"]) == 0
+                     "--shards", "2"]) == 0
+        assert "accepted: 12" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", "linux_ext4", "--backend", "serial",
+          "--shards", "2"], "--backend serial takes no --shards"),
+        (["run", "--config", "linux_ext4", "--shards", "-3"],
+         "must be at least 1, got -3"),
+        (["serve", "--shards", "-2"], "must be at least 1, got -2"),
+        (["serve", "--backend", "serial", "--shards", "4"],
+         "--backend serial takes no --shards"),
+    ], ids=["run-serial-shards", "run-negative-shards",
+            "serve-negative-shards", "serve-serial-shards"])
+    def test_bad_backend_flags_are_usage_errors(self, argv, message,
+                                                capsys):
+        # Exit 1 means "a trace failed" to CI; a bad flag must not look
+        # like one, nor run with a count it did not ask for.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
 
     def test_survey_exit_zero(self, capsys):
         assert main(["survey", "--configs",

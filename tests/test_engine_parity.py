@@ -370,31 +370,22 @@ class TestShardedBackendEndToEnd:
     def test_make_backend_wires_sharded_flags(self):
         from repro.harness.backends import make_backend
 
-        backend = make_backend(1, chunksize=3, backend="sharded",
-                               shards=2)
-        try:
-            assert backend.shards == 2
-            assert backend.chunk == 3
-        finally:
-            backend.close()
-
-    def test_make_backend_sharded_processes_mean_shards(self):
-        from repro.harness.backends import make_backend
-
-        backend = make_backend(3, backend="sharded")
-        try:
-            assert backend.shards == 3
-        finally:
-            backend.close()
+        for kwargs in (dict(backend="sharded", shards=2),
+                       dict(shards=2)):
+            backend = make_backend(**kwargs)
+            try:
+                assert backend.name == "sharded[2]"
+            finally:
+                backend.close()
 
     @pytest.mark.parametrize("kwargs, named", [
-        (dict(processes=4, backend="serial"), "processes=4"),
         (dict(shards=2, backend="serial"), "shards=2"),
-        (dict(chunksize=3, backend="serial"), "chunksize=3"),
-        (dict(shards=2, backend="process"), "shards=2"),
+        (dict(backend="process"), "family 'process'"),
         (dict(backend="shard"), "family 'shard'"),
-    ], ids=["serial-processes", "serial-shards", "serial-chunksize",
-            "process-shards", "unknown-family"])
+        (dict(shards=0), "at least 1, got 0"),
+        (dict(shards=-3, backend="sharded"), "at least 1, got -3"),
+    ], ids=["serial-shards", "process-family", "unknown-family",
+            "zero-shards", "negative-shards"])
     def test_make_backend_rejects_what_it_would_ignore(self, kwargs,
                                                       named):
         from repro.harness.backends import make_backend

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from helpers import generate_suite
-from repro.api import ProcessPoolBackend, RunArtifact, Session, survey
+from repro.api import RunArtifact, Session, ShardedBackend, survey
 from repro.cli import main
 from repro.fsimpl import config_by_name
 from repro.gen import (EMPTY, REGISTRY, DEFAULT_STRATEGY_NAMES,
@@ -17,6 +17,7 @@ from repro.gen import (EMPTY, REGISTRY, DEFAULT_STRATEGY_NAMES,
 from repro.harness.backends import SerialBackend
 from repro.harness.differential import differential_run
 from repro.script import parse_script, print_script
+from repro.service.pool import CHUNK, WINDOW
 
 SMALL_SUITE = [parse_script(text) for text in (
     '@type script\n# Test mkdir_ok\nmkdir "a" 0o755\nstat "a"\n',
@@ -30,7 +31,8 @@ SMALL_SUITE = [parse_script(text) for text in (
 
 def _strip_volatile(artifact: RunArtifact) -> RunArtifact:
     return dataclasses.replace(artifact, backend="-",
-                               exec_seconds=0.0, check_seconds=0.0)
+                               exec_seconds=0.0, check_seconds=0.0,
+                               engine_stats=())
 
 
 class TestRegistry:
@@ -263,7 +265,10 @@ class TestStreamingGeneration:
         assert session._suite is None  # nothing pinned the suite
 
     def test_process_pool_feed_is_bounded(self):
-        total = 60
+        # Longer than the sharded window (WINDOW * CHUNK items per
+        # shard), so only the window, not the timing, can stop the
+        # feeder from draining the stream before the first result.
+        total = 2001
         produced = []
 
         class Probe:
@@ -279,14 +284,17 @@ class TestStreamingGeneration:
                     yield script
 
         produced_at_first_check = None
+        assert total > WINDOW * CHUNK
         with Session("linux_ext4", plan=StrategyPlan(Probe()),
-                     backend=ProcessPoolBackend(2, chunksize=1)) as s:
+                     backend=ShardedBackend(1)) as s:
             for _checked in s.iter_checked():
                 if produced_at_first_check is None:
                     produced_at_first_check = len(produced)
         # The bounded window means the feeder cannot have drained the
-        # whole generator before the first result came back.
-        assert produced_at_first_check < total
+        # whole generator before the first result came back: it holds
+        # the window, the pull blocked on it, and one more per result
+        # the session took (it reads one record ahead).
+        assert produced_at_first_check <= WINDOW * CHUNK + 3
         assert len(produced) == total
 
     def test_streamed_pool_artifact_matches_serial(self):
@@ -294,7 +302,7 @@ class TestStreamingGeneration:
         with Session("linux_ext4", plan=plan) as s:
             serial = s.run()
         with Session("linux_ext4", plan=plan,
-                     backend=ProcessPoolBackend(2)) as s:
+                     backend=ShardedBackend(2)) as s:
             pooled = s.run()
         assert _strip_volatile(serial) == _strip_volatile(pooled)
 
@@ -323,7 +331,7 @@ class TestReproducibleRuns:
                 "--sample", "100", "--seed", "7"]
         assert main(argv + ["--artifact", str(blob_a)]) == 0
         assert main(argv + ["--artifact", str(blob_b),
-                            "--processes", "2"]) == 0
+                            "--shards", "2"]) == 0
         first = RunArtifact.load(blob_a)
         second = RunArtifact.load(blob_b)
         assert _strip_volatile(first) == _strip_volatile(second)

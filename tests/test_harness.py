@@ -2,8 +2,8 @@
 
 from repro.api import Session
 from repro.core.coverage import REGISTRY, CoverageRegistry
-from repro.harness import (DeviationRecord, ProcessPoolBackend,
-                           SerialBackend, merge_results, render_merge,
+from repro.harness import (DeviationRecord, SerialBackend,
+                           ShardedBackend, merge_results, render_merge,
                            render_suite_result, render_summary_table)
 from repro.fsimpl import config_by_name
 from repro.script import parse_script
@@ -50,9 +50,9 @@ class TestRunAndCheck:
         traces = list(serial_backend.execute_iter(quirks, SMALL_SUITE))
         serial = [o.checked
                   for o in serial_backend.check_iter("linux", traces)]
-        with ProcessPoolBackend(2) as pool:
+        with ShardedBackend(2) as sharded:
             parallel = [o.checked
-                        for o in pool.check_iter("linux", traces)]
+                        for o in sharded.check_iter("linux", traces)]
         assert [c.accepted for c in serial] == \
             [c.accepted for c in parallel]
         assert [c.deviations for c in serial] == \

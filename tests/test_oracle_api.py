@@ -14,8 +14,8 @@ import pathlib
 
 import pytest
 
-from repro.api import (ProcessPoolBackend, RunArtifact, SerialBackend,
-                       Session)
+from repro.api import (RunArtifact, SerialBackend, Session,
+                       ShardedBackend)
 from repro.checker.checker import TraceChecker
 from repro.cli import main
 from repro.core.platform import SPECS, real_platforms, spec_by_name
@@ -189,7 +189,7 @@ class TestRegistry:
 
 def _strip_volatile(artifact):
     return dataclasses.replace(artifact, backend="-", exec_seconds=0.0,
-                               check_seconds=0.0)
+                               check_seconds=0.0, engine_stats=())
 
 
 class TestSessionCheckOn:
@@ -238,8 +238,6 @@ class TestRunArtifactV5:
         """RunArtifact v6: the sharded backend's shard count, verdict
         memo hits and persistent-pool counters survive an exact JSON
         round trip."""
-        from repro.api import ShardedBackend
-
         with ShardedBackend(2) as backend, \
                 Session("linux_sshfs_tmpfs", model="posix",
                         check_on=list(SPECS), suite=SMALL_SUITE * 3,
@@ -328,7 +326,7 @@ class TestRunArtifactV5:
             serial = s.run()
         with Session("linux_sshfs_tmpfs", check_on=list(SPECS),
                      suite=SMALL_SUITE,
-                     backend=ProcessPoolBackend(2)) as s:
+                     backend=ShardedBackend(2)) as s:
             pooled = s.run()
         assert _strip_volatile(serial) == _strip_volatile(pooled)
         assert serial.profiles == pooled.profiles

@@ -46,7 +46,7 @@ from repro.script import (ParseError, parse_script, parse_trace,
 from repro.service import (CheckingService, CheckResult, ServiceClient,
                            ShardPool, ShardWorkerState, run_server)
 from repro.service.client import LINE_TOO_LONG, MAX_LINE_BYTES
-from repro.service.pool import VERDICT_MEMO_MAX
+from repro.service.pool import CHUNK, VERDICT_MEMO_MAX
 from repro.service.server import ServiceServer
 
 CONFIG = "linux_sshfs_tmpfs"
@@ -266,11 +266,10 @@ class TestShardPool:
         script to make one): once the consumer abandons a call, its
         feeder finishes the pull in progress and stops, even while the
         in-flight window has room."""
-        chunk = 8
         text = print_trace(_traces(1)[0])
         gate, done = threading.Event(), threading.Event()
         pulled = []
-        with ShardPool(2, chunk=chunk) as pool:
+        with ShardPool(2) as pool:
             # Every item routes to one shard, so the first chunk is
             # flushed and checked before the stream blocks on the gate.
             names = [name for name in (f"t{i}" for i in range(1000))
@@ -279,7 +278,7 @@ class TestShardPool:
             def items():
                 try:
                     for i in range(100):
-                        if i >= chunk:
+                        if i >= CHUNK:
                             gate.wait(timeout=60)
                         pulled.append(i)
                         yield (names[i], text)
@@ -292,7 +291,17 @@ class TestShardPool:
             results.close()
             gate.set()
             assert done.wait(timeout=60)
-        assert len(pulled) == chunk + 1
+        assert len(pulled) == CHUNK + 1
+
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_shard_count_below_one_is_rejected(self, shards):
+        """A count below one is an error, not one shard under another
+        name (``shards=0`` is only the service's parent-only mode)."""
+        with pytest.raises(ValueError, match="at least 1"):
+            ShardPool(shards)
+        if shards < 0:
+            with pytest.raises(ValueError, match="at least 1"):
+                CheckingService("all", shards=shards)
 
     def test_repeat_submission_is_answered_from_the_pool_memo(self):
         """An exact repeat, through either submission path, is answered
