@@ -9,7 +9,7 @@ dataflow figure.
 from conftest import record_table
 
 from repro.api import Session
-from repro.harness import render_suite_result
+from repro.harness import render_artifact_summary
 
 
 def run_suite(suite):
@@ -29,7 +29,7 @@ def test_fig1_pipeline(benchmark, bench_suite):
         f"({result.check_seconds:.2f}s)\n"
         f"accepted        : {result.accepted}\n"
         f"failing         : {len(result.failing)}\n\n"
-        + render_suite_result(result))
+        + render_artifact_summary(result))
     assert result.total == len(bench_suite)
     # The pipeline is discriminating but near-clean on the standard
     # configuration (only jail artefacts may fail).

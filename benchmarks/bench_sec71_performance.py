@@ -13,20 +13,26 @@ import time
 import pytest
 from conftest import record_table
 
-from repro.api import SerialBackend, ShardedBackend
+from repro.executor import ScriptExecutor
 from repro.fsimpl import config_by_name
+from repro.oracle import get_oracle
+from repro.service import CheckingService
+
+MODEL = "linux"
 
 
 def execute_all(quirks, suite):
-    return list(SerialBackend().execute_iter(quirks, suite))
+    executor = ScriptExecutor()
+    return [executor.execute(quirks, script) for script in suite]
 
 
 def check_all(traces, shards=None):
+    """Check ``traces`` in process, or on a pool of ``shards``."""
     if shards is None:
-        backend = SerialBackend()
-        return [o.checked for o in backend.check_iter("linux", traces)]
-    with ShardedBackend(shards) as sharded:
-        return [o.checked for o in sharded.check_iter("linux", traces)]
+        oracle = get_oracle(MODEL)
+        return [oracle.check(trace) for trace in traces]
+    with CheckingService(MODEL, shards=shards) as service:
+        return [future.result() for future in service.submit(traces)]
 
 
 @pytest.fixture(scope="module")

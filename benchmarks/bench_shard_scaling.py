@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Sharded-checking benchmark: parity + shard scaling.
 
-The :class:`~repro.harness.backends.ShardedBackend` must be invisible
-in results and visible in throughput.  This bench checks both on a
-*repeat-heavy* generated sample (a seeded sample of the default plan,
-repeated several times — what long checking campaigns look like), on a
-clean and a quirky configuration:
+Checking on a shard pool (a :class:`~repro.service.CheckingService`)
+must be invisible in results and visible in throughput.  This bench
+checks both on a *repeat-heavy* generated sample (a seeded sample of
+the default plan, repeated several times — what long checking
+campaigns look like), on a clean and a quirky configuration:
 
 * **parity** — every per-platform conformance profile from the sharded
-  pool must be identical to the :class:`SerialBackend` profiles, both
-  configurations (any mismatch fails the bench in every mode);
+  pool must be identical to the in-process oracle's
+  (``get_oracle(MODEL)``), both configurations (any mismatch fails the
+  bench in every mode);
 * **scaling** — the checking phase is timed at 1, 2 and 4 shards; the
   recorded speedup is ``time(1 shard) / time(N shards)`` (acceptance:
   >= 1.8x at 4 shards on this repeat-heavy shape).  Scaling is
@@ -18,8 +19,8 @@ clean and a quirky configuration:
   CPUs are schedulable (a 1-CPU container cannot exhibit parallel
   speedup no matter how the work is sharded; parity is enforced
   everywhere regardless);
-* **amortization** — the persistent-pool story: one backend, many
-  ``check_iter`` calls.  The first call pays the cold start (spawn +
+* **amortization** — the persistent-pool story: one service, many
+  ``submit`` calls.  The first call pays the cold start (spawn +
   cold oracles); later calls re-use the standing workers, their warm
   oracles and verdict memos.  Recorded per call: ``cold_call_s``, the
   mean
@@ -49,8 +50,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 from repro.executor import execute_script  # noqa: E402
 from repro.fsimpl import config_by_name  # noqa: E402
 from repro.gen import default_plan  # noqa: E402
-from repro.harness.backends import (SerialBackend,  # noqa: E402
-                                    ShardedBackend)
+from repro.oracle import get_oracle  # noqa: E402
+from repro.service import CheckingService  # noqa: E402
 
 TARGET_SPEEDUP = 1.8
 SHARD_COUNTS = (1, 2, 4)
@@ -65,45 +66,58 @@ def build_traces(config: str, sample: int, repeats: int, seed: int):
     return traces * repeats
 
 
-def check_profiles(backend, traces):
+def serial_profiles(traces):
+    """Seconds and per-trace profiles of one in-process pass."""
+    oracle = get_oracle(MODEL)
     t0 = time.perf_counter()
-    profiles = [outcome.profiles
-                for outcome in backend.check_iter(MODEL, traces)]
+    profiles = [oracle.check(trace).profiles for trace in traces]
+    return time.perf_counter() - t0, profiles
+
+
+def pool_profiles(service, traces):
+    """Seconds and per-trace profiles of one ``submit`` call (the first
+    call on a service spawns its shards)."""
+    t0 = time.perf_counter()
+    profiles = [future.result().profiles
+                for future in service.submit(traces)]
     return time.perf_counter() - t0, profiles
 
 
 def measure_amortization(config: str, sample: int, seed: int,
                          calls: int = 5, shards: int = 2) -> dict:
-    """Cold-start vs amortized per-call cost of a persistent backend.
+    """Cold-start vs amortized per-call cost of a persistent pool.
 
-    One suite, ``calls`` sequential ``check_iter`` calls against the
-    *same* backend: call 1 pays the spawn and the cold oracles; the rest
-    ride the standing pool (and its verdict memos).  The serial baseline is
-    measured per call over the same repeats.
+    One suite, ``calls`` sequential ``submit`` calls against the *same*
+    service: call 1 pays the spawn and the cold oracles; the rest ride
+    the standing pool (and its verdict memos).  The serial baseline is
+    measured per call over the same repeats.  ``verdict_hits`` counts
+    the last call's memo hits.
     """
     traces = build_traces(config, sample, repeats=1, seed=seed)
-    serial = SerialBackend()
     serial_times = []
     want = None
     for _ in range(calls):
-        seconds, got = check_profiles(serial, traces)
+        seconds, got = serial_profiles(traces)
         serial_times.append(seconds)
         want = got if want is None else want
     serial_call_s = sum(serial_times[1:]) / max(1, calls - 1)
 
-    backend = ShardedBackend(shards)
+    service = CheckingService(MODEL, shards=shards)
     mismatches = 0
     try:
-        cold_call_s, got = check_profiles(backend, traces)
+        cold_call_s, got = pool_profiles(service, traces)
         mismatches += sum(1 for g, w in zip(got, want) if g != w)
         warm_times = []
+        hits_before = 0
         for _ in range(calls - 1):
-            seconds, got = check_profiles(backend, traces)
+            hits_before = service.stats()["verdict_hits"]
+            seconds, got = pool_profiles(service, traces)
             warm_times.append(seconds)
             mismatches += sum(1 for g, w in zip(got, want) if g != w)
-        stats = backend.run_stats()
+        stats = service.stats()
+        stats["verdict_hits"] -= hits_before
     finally:
-        backend.close()
+        service.shutdown()
     amortized_call_s = sum(warm_times) / max(1, len(warm_times))
     return {
         "config": config,
@@ -160,19 +174,19 @@ def main(argv=None) -> int:
 
     for config in CONFIGS:
         traces = build_traces(config, sample, args.repeats, args.seed)
-        serial_s, want = check_profiles(SerialBackend(), traces)
+        serial_s, want = serial_profiles(traces)
         row = {"traces": len(traces),
                "serial_seconds": round(serial_s, 3),
                "serial_traces_per_s": round(len(traces) / serial_s, 1),
                "shards": {}}
         times = {}
         for shards in SHARD_COUNTS:
-            backend = ShardedBackend(shards)
+            service = CheckingService(MODEL, shards=shards)
             try:
-                shard_s, got = check_profiles(backend, traces)
-                stats = backend.run_stats()
+                shard_s, got = pool_profiles(service, traces)
+                stats = service.stats()
             finally:
-                backend.close()
+                service.shutdown()
             bad = sum(1 for g, w in zip(got, want) if g != w)
             mismatches += bad
             times[shards] = shard_s
@@ -236,7 +250,8 @@ def main(argv=None) -> int:
         print(f"result written to {out}")
 
     if mismatches:
-        print("FAIL: sharded profiles differ from the serial backend")
+        print("FAIL: sharded profiles differ from the in-process "
+              "oracle's")
         return 1
     if args.strict and worst < TARGET_SPEEDUP:
         if cpus < max(SHARD_COUNTS):

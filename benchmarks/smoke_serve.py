@@ -5,7 +5,7 @@ Starts a real ``repro serve`` subprocess (fresh interpreter, its own
 shard workers), submits the handwritten suite over the line-JSON
 socket through :class:`~repro.service.ServiceClient`, and asserts every
 served per-platform conformance profile is **bit-for-bit** identical to
-what an in-process :class:`~repro.api.SerialBackend` computes for the
+what the in-process oracle (``get_oracle(MODEL)``) computes for the
 same traces.  Between the suite's two halves it sends a trace whose
 check raises (``OverflowError``) and one that does not parse, which the
 server passes to its shard unparsed (``ParseError``): those two requests
@@ -40,8 +40,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 from repro.executor import execute_script  # noqa: E402
 from repro.fsimpl import config_by_name  # noqa: E402
-from repro.harness.backends import SerialBackend  # noqa: E402
-from repro.oracle import ConformanceProfile  # noqa: E402
+from repro.oracle import ConformanceProfile, get_oracle  # noqa: E402
 from repro.script import print_trace  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.testgen.generator import gen_handwritten_tests  # noqa: E402
@@ -96,8 +95,8 @@ def main(argv=None) -> int:
     quirks = config_by_name(CONFIG)
     traces = [execute_script(quirks, script)
               for script in gen_handwritten_tests()]
-    want = [outcome.profiles
-            for outcome in SerialBackend().check_iter(MODEL, traces)]
+    oracle = get_oracle(MODEL)
+    want = [oracle.check(trace).profiles for trace in traces]
 
     texts = [print_trace(t) for t in traces]
     half = len(texts) // 2
@@ -136,7 +135,7 @@ def main(argv=None) -> int:
 
     print(f"\nserved {len(traces)} traces from {CONFIG} "
           f"(model={MODEL}, {args.shards} shards) via {address}")
-    print(f"parity vs SerialBackend: {mismatches} mismatches")
+    print(f"parity vs in-process oracle: {mismatches} mismatches")
     print(f"second pass vs first: {repeat_mismatches} mismatches")
     print(f"error replies: {errors}")
     memo_hits = status.get("verdict_hits", 0) - first.get("verdict_hits", 0)

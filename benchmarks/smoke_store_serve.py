@@ -11,8 +11,8 @@ exist, so this smoke drives one through two server processes:
    *whole* suite (the first half again — content addressing must
    refuse it — plus the second half), terminate;
 3. open the store and assert the folded survey view equals what a
-   single-shot in-process :class:`~repro.api.SerialBackend` pass over
-   the full suite computes: same trace total, same per-platform
+   single-shot pass of the in-process oracle (``get_oracle(MODEL)``)
+   over the full suite computes: same trace total, same per-platform
    accepted counts, zero duplicate rows across the restart.
 
 The canonical survey view JSON is written for the CI artifact trail.
@@ -40,7 +40,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 from repro.executor import execute_script  # noqa: E402
 from repro.fsimpl import config_by_name  # noqa: E402
-from repro.harness.backends import SerialBackend  # noqa: E402
+from repro.oracle import get_oracle  # noqa: E402
 from repro.script import print_trace  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.store import CampaignStore  # noqa: E402
@@ -106,8 +106,9 @@ def main(argv=None) -> int:
 
     # The single-shot baseline: one in-process pass over everything.
     expected = {"total": len(traces), "accepted": {}}
-    for outcome in SerialBackend().check_iter(MODEL, traces):
-        for profile in outcome.profiles:
+    oracle = get_oracle(MODEL)
+    for trace in traces:
+        for profile in oracle.check(trace).profiles:
             counts = expected["accepted"]
             counts.setdefault(profile.platform, 0)
             if profile.accepted:
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
     if got.get("total") != expected["total"] or \
             got.get("accepted") != expected["accepted"]:
         print("FAIL: folded survey differs from the single-shot "
-              "SerialBackend pass")
+              "in-process pass")
         failed = True
     if not failed:
         print("OK: folded survey matches the single-shot run "

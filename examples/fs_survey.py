@@ -61,15 +61,15 @@ def main() -> None:
 
     # One survey call: the backend is shared across configurations and
     # each one streams the plan straight into checking.
-    results = [a.suite_result for a in survey(plan=plan)]
+    artifacts = survey(plan=plan)
 
     print("=== acceptance per configuration (paper §7.2) ===")
-    print(render_summary_table(results))
+    print(render_summary_table(artifacts))
 
     print("\n=== merged deviations (paper §7.3) ===")
     print("deviations exhibited by many configurations are platform "
           "conventions;\nsingle-configuration rows are the defects:\n")
-    print(render_merge(merge_results(results)))
+    print(render_merge(merge_results(artifacts)))
 
 
 if __name__ == "__main__":

@@ -102,8 +102,8 @@ from repro.fsimpl import (ALL_CONFIGS, KernelFS, Quirks, ReferenceFS,
 from repro.testgen import SuiteSummary, summarize
 from repro.gen import (REGISTRY, RandomizedStrategy, Strategy, TestPlan,
                        build_plan, default_plan, union)
-from repro.harness import (merge_results, render_merge,
-                           render_suite_result, render_summary_table)
+from repro.harness import (merge_results, render_artifact_summary,
+                           render_merge, render_summary_table)
 from repro.api import (Backend, RunArtifact, SerialBackend, Session,
                        ShardedBackend, survey)
 from repro.service import CheckingService, ServiceClient
@@ -123,7 +123,7 @@ __all__ = [
     "SuiteSummary", "summarize",
     "REGISTRY", "RandomizedStrategy", "Strategy", "TestPlan",
     "build_plan", "default_plan", "union",
-    "merge_results", "render_merge", "render_suite_result",
+    "merge_results", "render_artifact_summary", "render_merge",
     "render_summary_table",
     "Backend", "RunArtifact", "SerialBackend", "Session",
     "ShardedBackend", "survey",

@@ -93,9 +93,6 @@ class ScriptReport:
     steps: Tuple[StepVerdict, ...]
     verdict: str
 
-    def doomed_steps(self) -> List[StepVerdict]:
-        return [s for s in self.steps if s.verdict == DOOMED]
-
     def render(self) -> str:
         lines = [f"script {self.script.name}: {self.verdict}"]
         lines.extend(step.render() for step in self.steps)

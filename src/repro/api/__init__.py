@@ -27,7 +27,8 @@ configuration on a shared backend.
 """
 
 from repro.api.artifact import (FORMAT_VERSION, ArtifactRow,
-                                RunArtifact, iter_results, read_header)
+                                RunArtifact, TraceFailure, iter_results,
+                                read_header)
 from repro.api.campaign import (artifact_partition, export_artifact,
                                 import_artifact, import_artifact_file)
 from repro.api.session import Session, survey
@@ -38,7 +39,7 @@ from repro.harness.backends import (Backend, CheckOutcome, RunRecord,
 __all__ = [
     "ArtifactRow", "Backend", "CheckOutcome", "FORMAT_VERSION",
     "RunArtifact", "RunRecord", "SerialBackend", "ShardedBackend",
-    "Session", "artifact_partition",
+    "Session", "TraceFailure", "artifact_partition",
     "export_artifact", "import_artifact", "import_artifact_file",
     "iter_results", "make_backend", "read_header", "survey",
 ]

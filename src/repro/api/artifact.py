@@ -3,9 +3,9 @@
 A :class:`RunArtifact` is everything one execute-and-check pass over a
 suite produced — the observed traces, the checked results, phase
 timings, and (optionally) the specification clauses covered — in a form
-every consumer renders from: the CLI summary, the HTML report, CI
-baselines, surveys and merges all read the *same* artifact instead of
-re-running the pipeline.
+every consumer renders from: the CLI summary, the HTML report, the
+summary table, surveys and merges all read the *same* artifact instead
+of re-running the pipeline.
 
 Artifacts serialise to JSON (``to_json``/``from_json``) for CI diffing;
 traces are stored in the paper's trace file format (Fig. 3), which
@@ -36,11 +36,10 @@ import json
 import pathlib
 from typing import IO, Iterator, Tuple
 
-from repro.checker.checker import CheckedTrace
+from repro.checker.checker import CheckedTrace, Deviation
 from repro.core.coverage import REGISTRY, CoverageReport
 from repro.harness.html import render_artifact_html
-from repro.harness.report import render_suite_result
-from repro.harness.run import SuiteResult, TraceFailure
+from repro.harness.report import render_artifact_summary
 from repro.oracle import (ConformanceProfile, deviation_from_dict,
                           deviation_to_dict)
 from repro.script.parser import parse_trace
@@ -54,6 +53,16 @@ FORMAT_VERSION = 6
 #: the amortization counters, v5 the counters of the since-removed
 #: compiled engine).
 _READABLE_VERSIONS = (1, 2, 3, 4, 5, 6)
+
+
+@dataclasses.dataclass(frozen=True)
+class TraceFailure:
+    """One failing trace of a run, as :attr:`RunArtifact.failing`
+    lists it."""
+
+    trace_name: str
+    target_function: str
+    deviations: Tuple[Deviation, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,15 +169,6 @@ class RunArtifact:
                     break
         return tuple(failures)
 
-    @property
-    def suite_result(self) -> SuiteResult:
-        """The :class:`SuiteResult` view of this artifact, for the
-        renderers, merge and CI baseline machinery."""
-        return SuiteResult(config=self.config, model=self.model,
-                           total=self.total, failing=self.failing,
-                           exec_seconds=self.exec_seconds,
-                           check_seconds=self.check_seconds)
-
     def coverage_report(self) -> CoverageReport:
         """Model coverage of the checking phase (section 7.2)."""
         if not self.coverage_collected:
@@ -186,7 +186,7 @@ class RunArtifact:
         Multi-platform runs append the per-platform conformance counts
         produced by the same single pass.
         """
-        text = render_suite_result(self.suite_result)
+        text = render_artifact_summary(self)
         if self.check_on:
             lines = ["conformance by platform (same pass):"]
             for platform, count in self.conformance_counts().items():

@@ -1,9 +1,8 @@
 """RunArtifact <-> campaign store interchange.
 
 The store speaks :class:`~repro.store.TraceRecord` rows; the rest of
-the world (CI baselines, ``repro run --artifact``, the v1–v5 JSON
-format) speaks :class:`~repro.api.RunArtifact`.  This module is the
-bridge:
+the world (``repro run --artifact``, the v1–v6 JSON format) speaks
+:class:`~repro.api.RunArtifact`.  This module is the bridge:
 
 * :func:`import_artifact` / :func:`import_artifact_file` append an
   artifact's checked results as trace rows (content-addressed — a

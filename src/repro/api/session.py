@@ -5,7 +5,7 @@ effort for the user)" in development and CI.  A :class:`Session` is that
 routine entry point: configured once with a configuration, model
 variant, test plan and backend, it generates, executes and checks
 **exactly once**, caching each stage so every consumer — summary, HTML
-report, coverage, CI baseline, survey merge — renders from the same
+report, coverage, survey merge — renders from the same
 :class:`RunArtifact` instead of re-running the pipeline.
 
 Generation *streams*: a :class:`repro.gen.TestPlan` is consumed lazily
@@ -32,7 +32,7 @@ from repro.fsimpl.configs import ALL_CONFIGS, config_by_name
 from repro.fsimpl.quirks import Quirks
 from repro.gen import TestPlan, default_plan, explicit
 from repro.harness.backends import (Backend, ProgressFn, RunRecord,
-                                    make_backend, owned_backend)
+                                    owned_backend, resolve_backend)
 from repro.oracle import oracle_name_for
 from repro.script.ast import Script, Trace
 from repro.script.printer import print_trace
@@ -126,17 +126,8 @@ class Session:
         self._oracle_name = oracle_name_for(platforms)
         self.scale = scale
         self.limit = limit
-        if backend is None or isinstance(backend, str):
-            self.backend = make_backend(backend, shards)
-            self._owns_backend = True
-        else:
-            if shards is not None:
-                raise ValueError(
-                    "shards sizes a *named* backend; a backend "
-                    "instance was already built — pass one or the "
-                    "other")
-            self.backend = backend
-            self._owns_backend = False
+        self.backend, self._owns_backend = resolve_backend(backend,
+                                                           shards)
         self._closed = False
         self.collect_coverage = collect_coverage
         if store is None or isinstance(store, CampaignStore):

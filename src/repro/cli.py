@@ -322,7 +322,7 @@ def _cmd_survey(args) -> int:
     with make_backend(args.backend, args.shards) as backend:
         artifacts = survey(configs, plan=_plan_from_args(args),
                            backend=backend)
-    print(render_summary_table([a.suite_result for a in artifacts]))
+    print(render_summary_table(artifacts))
     print()
     print(render_merge(merge_results(artifacts)))
     return 0

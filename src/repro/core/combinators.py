@@ -19,7 +19,7 @@ tight:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, FrozenSet, Iterable, Tuple, TypeVar
+from typing import Callable, FrozenSet, TypeVar
 
 from repro.core.errors import Errno
 from repro.core.values import Err, Ok, ReturnValue, RvNone, Special
@@ -132,14 +132,6 @@ def special(state: S, kind: str, detail: str = "") -> Outcomes:
 
 def union(*outcome_sets: Outcomes) -> Outcomes:
     """Nondeterministic choice between alternative behaviours."""
-    out: set[Outcome] = set()
-    for outcomes in outcome_sets:
-        out |= outcomes
-    return frozenset(out)
-
-
-def union_all(outcome_sets: Iterable[Outcomes]) -> Outcomes:
-    """Nondeterministic choice over an iterable of alternatives."""
     out: set[Outcome] = set()
     for outcomes in outcome_sets:
         out |= outcomes

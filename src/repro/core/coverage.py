@@ -38,7 +38,6 @@ class CoverageRegistry:
     def __init__(self) -> None:
         self._points: Dict[str, _Point] = {}
         self._lock = threading.Lock()
-        self._enabled = True
         #: platform -> clause names proven statically unreachable there
         #: (installed by :func:`repro.analysis.dead.install_dead_clauses`).
         self._static_dead: Dict[str, FrozenSet[str]] = {}
@@ -63,8 +62,6 @@ class CoverageRegistry:
         unlocked read-modify-write would silently lose hits — exactly
         the counts :meth:`hit_names` ships between processes.
         """
-        if not self._enabled:
-            return
         with self._lock:
             point = self._points.get(name)
             if point is None:
@@ -80,10 +77,6 @@ class CoverageRegistry:
         with self._lock:
             for point in self._points.values():
                 point.hits = 0
-
-    def set_enabled(self, enabled: bool) -> None:
-        """Cheaply disable recording (for performance benchmarks)."""
-        self._enabled = enabled
 
     def hit_names(self) -> FrozenSet[str]:
         """The clauses hit since the last reset.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Union
 
-from repro.core.commands import OsCommand, command_name
+from repro.core.commands import OsCommand
 from repro.core.values import ReturnValue, render_return
 
 
@@ -93,10 +93,3 @@ class OsSpin:
 
 
 OsLabel = Union[OsCall, OsReturn, OsCreate, OsDestroy, OsTau, OsSignal, OsSpin]
-
-
-def label_function(label: OsLabel) -> str | None:
-    """The libc function a CALL label targets, or None for other labels."""
-    if isinstance(label, OsCall):
-        return command_name(label.cmd)
-    return None

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pathlib
 import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,7 +42,7 @@ from repro.fsimpl.configs import config_by_name
 from repro.fuzz.corpus import Corpus, script_from_trace
 from repro.fuzz.mutate import mutate, probe
 from repro.gen.registry import REGISTRY as STRATEGIES
-from repro.harness.backends import Backend, make_backend
+from repro.harness.backends import Backend, resolve_backend
 from repro.oracle import oracle_name_for
 from repro.script.ast import Script
 from repro.script.parser import parse_trace
@@ -107,7 +108,8 @@ def run_fuzz(config: Union[str, Quirks], *,
              iterations: int = 8,
              batch: int = 8,
              seed: int = 0,
-             store: Optional[Union[CampaignStore, str]] = None,
+             store: Optional[Union[CampaignStore, str,
+                                   pathlib.Path]] = None,
              backend: Optional[Union[Backend, str]] = None,
              shards: Optional[int] = None,
              seed_strategies: Sequence[str] = SEED_STRATEGIES,
@@ -120,6 +122,12 @@ def run_fuzz(config: Union[str, Quirks], *,
     platform) is the primary model.  ``progress`` is called as
     ``progress(iteration, total_iterations, stats_dict)`` after each
     iteration.
+
+    ``store`` and ``backend`` follow :class:`~repro.api.Session`'s
+    rules: a store given as a path, and a backend given by name (sized
+    by ``shards``), are owned by the run and closed at its end;
+    instances are shared.  ``shards`` with a backend instance raises
+    :class:`ValueError`.
     """
     # Statically-dead clauses leave the frontier before the first
     # iteration: probing them would be guaranteed-wasted energy, and
@@ -139,12 +147,13 @@ def run_fuzz(config: Union[str, Quirks], *,
     model, check_on = platform_list[0], platform_list[1:]
     partition = f"{quirks.name}:{oracle_name_for(platform_list)}"
 
-    owns_store = isinstance(store, str)
+    # The backend first: a named one that rejects its sizing raises
+    # before a store is opened (a pool spawns only on its first call).
+    backend_obj, owns_backend = resolve_backend(backend, shards)
+    owns_store = store is not None and not isinstance(store,
+                                                      CampaignStore)
     store_obj: Optional[CampaignStore] = (
         CampaignStore(store) if owns_store else store)
-    owns_backend = backend is None or isinstance(backend, str)
-    backend_obj = (make_backend(backend, shards) if owns_backend
-                   else backend)
 
     rng = random.Random(seed)
     corpus = (Corpus() if store_obj is None

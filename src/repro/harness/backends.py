@@ -30,9 +30,10 @@ transition derived for one trace is free for every later trace the
 same process checks.
 
 Backends yield results as they complete, which is what makes
-``Session.iter_checked()`` a true streaming iterator.  Each backend
-also keeps the two single-phase halves, ``execute_iter`` and
-``check_iter``, for callers that already hold scripts or traces.
+``Session.iter_checked()`` a true streaming iterator.  A caller that
+already holds traces checks them on an oracle
+(``get_oracle(name).check``), or on a shard pool through
+:class:`repro.service.CheckingService`.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ import dataclasses
 import itertools
 import time
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator,
-                    Optional, Protocol, Sequence, Tuple, Union,
-                    runtime_checkable)
+                    Optional, Protocol, Tuple, Union, runtime_checkable)
 
 from repro.checker.checker import CheckedTrace
 from repro.core.coverage import REGISTRY
@@ -59,7 +59,6 @@ from repro.service.pool import ShardPool
 # ``backends.parse_trace``: perfbench/spans.py wraps that name.
 from repro.script.parser import parse_trace  # noqa: F401
 from repro.script.printer import print_trace
-from repro.store import CampaignStore, TraceRecord
 
 #: Progress callback: ``(completed, total, last_checked_trace)``.
 ProgressFn = Callable[[int, int, CheckedTrace], None]
@@ -107,25 +106,12 @@ class Backend(Protocol):
     """Where the pipeline's two parallel phases actually run.
 
     :meth:`run_iter` is the pipeline; :class:`repro.api.Session` calls
-    nothing else to run a suite.  A custom backend must implement all
-    four methods.
+    nothing else to run a suite.  A custom backend implements it and
+    :meth:`close`.
     """
 
     #: Short descriptor recorded in artifacts (e.g. ``"serial"``).
     name: str
-
-    def execute_iter(self, quirks: Quirks,
-                     scripts: Iterable[Script]) -> Iterator[Trace]:
-        """Execute scripts on fresh instances of a configuration,
-        yielding traces in script order as they complete."""
-        ...
-
-    def check_iter(self, model: str, traces: Sequence[Trace], *,
-                   collect_coverage: bool = False
-                   ) -> Iterator[CheckOutcome]:
-        """Check traces against a model variant, yielding outcomes in
-        trace order as they complete."""
-        ...
 
     def run_iter(self, quirks: Quirks, model: str,
                  scripts: Iterable[Script], *,
@@ -189,24 +175,6 @@ class SerialBackend(_BackendBase):
         artifacts record an empty ``engine_stats``."""
         return {}
 
-    def execute_iter(self, quirks: Quirks,
-                     scripts: Iterable[Script]) -> Iterator[Trace]:
-        for script in scripts:
-            yield self._executor.execute(quirks, script)
-
-    def check_iter(self, model: str, traces: Sequence[Trace], *,
-                   collect_coverage: bool = False
-                   ) -> Iterator[CheckOutcome]:
-        oracle = get_oracle(model, cache=not collect_coverage)
-        for trace in traces:
-            if collect_coverage:
-                REGISTRY.reset_hits()
-            verdict = oracle.check(trace)
-            covered = (REGISTRY.hit_names() if collect_coverage
-                       else frozenset())
-            yield CheckOutcome(verdict.primary_checked, covered,
-                               verdict.profiles)
-
     def run_iter(self, quirks: Quirks, model: str,
                  scripts: Iterable[Script], *,
                  collect_coverage: bool = False
@@ -260,27 +228,14 @@ class ShardedBackend(_BackendBase):
       the shard whose memos already know them.
 
     The pool keeps one bounded verdict memo in the parent, so an exact
-    repeat (in ``run_iter`` and ``check_iter`` alike) costs a dict
-    lookup instead of a round trip.  Counters come back in
-    :meth:`run_stats` (surfaced as RunArtifact ``engine_stats``).
+    repeat costs a dict lookup instead of a round trip.  Counters come
+    back in :meth:`run_stats` (surfaced as RunArtifact
+    ``engine_stats``).
     """
 
-    def __init__(self, shards: Optional[int] = None, *,
-                 store: Optional[Union[CampaignStore, str]] = None
-                 ) -> None:
+    def __init__(self, shards: Optional[int] = None) -> None:
         self._pool = ShardPool(shards)
         self.shards = self._pool.shards
-        # Campaign store wiring: every verdict this backend produces is
-        # appended as it arrives (content-addressed, so repeats and
-        # retries dedup).  ``run_iter`` rows share the Session
-        # partition convention ("<config>:<oracle>"); ``check_iter``
-        # has no configuration in scope and uses "check:<oracle>".
-        if store is None or isinstance(store, CampaignStore):
-            self.store = store
-            self._owns_store = False
-        else:
-            self.store = CampaignStore(store)
-            self._owns_store = True
         self._last_stats: Dict[str, int] = {}
 
     @property
@@ -305,45 +260,6 @@ class ShardedBackend(_BackendBase):
 
     # -- the Backend protocol -------------------------------------------------
 
-    def execute_iter(self, quirks: Quirks,
-                     scripts: Iterable[Script]) -> Iterator[Trace]:
-        executor = ScriptExecutor()
-        for script in scripts:
-            yield executor.execute(quirks, script)
-
-    def _store_append(self, partition: str, name: str,
-                      trace_text: str, profiles: tuple,
-                      covered: tuple = (), target: str = "",
-                      exec_seconds: float = 0.0,
-                      check_seconds: float = 0.0) -> None:
-        if self.store is None or not profiles:
-            return
-        self.store.append(TraceRecord(
-            partition=partition, name=name, target_function=target,
-            trace_text=trace_text, profiles=tuple(profiles),
-            covered=tuple(sorted(covered)),
-            exec_seconds=exec_seconds, check_seconds=check_seconds))
-
-    def check_iter(self, model: str, traces: Sequence[Trace], *,
-                   collect_coverage: bool = False
-                   ) -> Iterator[CheckOutcome]:
-        traces = list(traces)
-        texts = [print_trace(trace) for trace in traces]
-        hits_before = self._pool.verdict_hits
-        futures = self._pool.submit(
-            [(trace.name, text) for trace, text in zip(traces, texts)],
-            model=model, collect_coverage=collect_coverage,
-            partition=model)
-        for trace, text, future in zip(traces, texts, futures):
-            # An item whose check raised (or that a dead shard lost)
-            # raises here, at that item.
-            profiles, covered, _seconds = future.result()
-            self._store_append(f"check:{model}", trace.name, text,
-                               profiles, covered)
-            yield CheckOutcome(profiles[0].as_checked(trace),
-                               frozenset(covered), profiles)
-        self._finish_call(hits_before)
-
     def run_iter(self, quirks: Quirks, model: str,
                  scripts: Iterable[Script], *,
                  collect_coverage: bool = False
@@ -355,7 +271,7 @@ class ShardedBackend(_BackendBase):
             self._finish_call(hits_before)
             return
         executor = ScriptExecutor()
-        # Store rows and shard routing share the Session partition.
+        # Shards are routed by the Session's store partition.
         partition = f"{quirks.name}:{model}"
         # Filled on the call's feeder thread, emptied here: an index's
         # result can only arrive after its item was yielded.
@@ -379,11 +295,6 @@ class ShardedBackend(_BackendBase):
                     raise payload
                 profiles, covered, check_s = payload
                 target, trace, trace_text, exec_s = held.pop(i)
-                self._store_append(partition, trace.name,
-                                   trace_text, profiles, covered,
-                                   target=target,
-                                   exec_seconds=exec_s,
-                                   check_seconds=check_s)
                 yield RunRecord(
                     target_function=target,
                     outcome=CheckOutcome(
@@ -400,11 +311,6 @@ class ShardedBackend(_BackendBase):
 
     def close(self) -> None:
         self._pool.close()
-        if self.store is not None:
-            if self._owns_store:
-                self.store.close()
-            else:
-                self.store.flush()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:
@@ -433,6 +339,25 @@ def make_backend(backend: Optional[str] = None,
         raise ValueError(f"the serial backend does not take "
                          f"shards={shards!r}")
     return SerialBackend()
+
+
+def resolve_backend(backend: Optional[Union[Backend, str]],
+                    shards: Optional[int] = None
+                    ) -> Tuple[Backend, bool]:
+    """``(backend, owned)`` for a caller's ``backend`` argument.
+
+    A family name, or None, is built by :func:`make_backend` (sized by
+    ``shards``) and owned by the caller, which must close it; an
+    instance is shared.  ``shards`` beside an instance raises
+    :class:`ValueError`: the instance's construction decided it.
+    """
+    if backend is None or isinstance(backend, str):
+        return make_backend(backend, shards), True
+    if shards is not None:
+        raise ValueError(
+            "shards sizes a *named* backend; a backend instance was "
+            "already built — pass one or the other")
+    return backend, False
 
 
 @contextlib.contextmanager

@@ -12,13 +12,14 @@ envelope — separating benign variation from genuine deviation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.labels import OsReturn
+from repro.executor.executor import ScriptExecutor
 from repro.fsimpl.configs import config_by_name
 from repro.fsimpl.quirks import Quirks
 from repro.gen.plan import TestPlan
-from repro.harness.backends import Backend, owned_backend
+from repro.oracle import get_oracle
 from repro.script.ast import Script, Trace
 
 
@@ -94,61 +95,42 @@ def _first_difference(left: Trace,
 
 def differential_run(left: str | Quirks, right: str | Quirks,
                      scripts: Union[Sequence[Script], TestPlan],
-                     model: Optional[str] = None,
-                     backend: Optional[Backend] = None
-                     ) -> DifferentialResult:
+                     model: Optional[str] = None) -> DifferentialResult:
     """Execute every script on both configurations and classify the
     behavioural differences against the model envelope.
 
     ``scripts`` may be a materialised suite or a
-    :class:`repro.gen.TestPlan`, in which case each side streams the
-    plan's generator independently (re-iterable by construction) and
+    :class:`repro.gen.TestPlan`, whose generator is streamed once, so
     the suite is never held in memory.  ``model`` is an oracle name
     resolved through :mod:`repro.oracle` — a platform (default: the
     *left* configuration's platform, the typical baseline-vs-port
     comparison), ``"all"``, or any ``"vectored:A+B"`` combination;
-    conformance of each side is the oracle's primary verdict.
-    Execution and checking run on ``backend`` (default serial); only
-    the traces that actually differ are checked.
+    conformance of each side is the oracle's primary verdict.  Both
+    sides execute on one :class:`~repro.executor.ScriptExecutor`, and
+    only the traces that actually differ are checked.
     """
     left_q = left if isinstance(left, Quirks) else config_by_name(left)
     right_q = right if isinstance(right, Quirks) else \
         config_by_name(right)
-    if isinstance(scripts, TestPlan):
-        left_scripts: Iterator[Script] | Sequence[Script] = \
-            scripts.scripts()
-        right_scripts: Iterator[Script] | Sequence[Script] = \
-            scripts.scripts()
-    else:
-        left_scripts = right_scripts = scripts
-    with owned_backend(backend) as be:
-        # Stream the two executions pairwise, retaining only the
-        # differing traces — a suite-sized run holds O(differences)
-        # traces, not O(suite).
-        pairs = []
-        total = 0
-        for lt, rt in zip(be.execute_iter(left_q, left_scripts),
-                          be.execute_iter(right_q, right_scripts)):
-            total += 1
-            first = _first_difference(lt, rt)
-            if first is not None:
-                pairs.append((lt.name, first, lt, rt))
-        model_name = model or left_q.platform
-        left_checked = [o.checked for o in be.check_iter(
-            model_name, [lt for _, _, lt, _ in pairs])]
-        right_checked = [o.checked for o in be.check_iter(
-            model_name, [rt for _, _, _, rt in pairs])]
-
-    differences: List[Difference] = [
-        Difference(
-            script_name=name,
-            left_obs=first[0], right_obs=first[1],
-            left_conformant=lc.accepted,
-            right_conformant=rc.accepted,
-        )
-        for (name, first, _, _), lc, rc in zip(pairs, left_checked,
-                                               right_checked)
-    ]
+    stream = (scripts.scripts() if isinstance(scripts, TestPlan)
+              else scripts)
+    oracle = get_oracle(model or left_q.platform)
+    executor = ScriptExecutor()
+    # Each script runs on both sides before the next is pulled: a
+    # suite-sized run holds O(differences) records, not O(suite) traces.
+    differences: List[Difference] = []
+    total = 0
+    for script in stream:
+        total += 1
+        lt = executor.execute(left_q, script)
+        rt = executor.execute(right_q, script)
+        first = _first_difference(lt, rt)
+        if first is not None:
+            differences.append(Difference(
+                script_name=lt.name,
+                left_obs=first[0], right_obs=first[1],
+                left_conformant=oracle.check(lt).primary.accepted,
+                right_conformant=oracle.check(rt).primary.accepted))
     return DifferentialResult(left=left_q.name, right=right_q.name,
                               total=total,
                               differences=tuple(differences))

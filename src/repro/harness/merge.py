@@ -8,8 +8,8 @@ each — the raw material of the section 7.3 survey.
 
 Two merge axes share one record shape:
 
-* :func:`merge_results` merges *across configurations* (suite results
-  or run artifacts, as before);
+* :func:`merge_results` merges *across configurations*, from run
+  artifacts;
 * :func:`merge_verdicts` merges *across platforms* from multi-platform
   oracle verdicts — the one-pass vectored check of a trace set folded
   into "which model variants exhibit which deviation".
@@ -21,7 +21,6 @@ import dataclasses
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.platform import real_platforms
-from repro.harness.run import SuiteResult, as_suite_result
 from repro.oracle import Verdict
 
 
@@ -47,23 +46,21 @@ class DeviationRecord:
         return set(real_platforms()) <= set(self.configs)
 
 
-def merge_results(results: Sequence) -> List[DeviationRecord]:
-    """Group identical deviations across suite results.
+def merge_results(artifacts: Sequence) -> List[DeviationRecord]:
+    """Group identical deviations across the
+    :class:`repro.api.RunArtifact` values of several configurations.
 
-    Accepts :class:`SuiteResult` values or :class:`repro.api.RunArtifact`
-    values (anything with a ``suite_result`` view).  Deviations
-    exhibited by many configurations usually indicate model or harness
-    artefacts (or platform-wide conventions); deviations unique to one
-    configuration are the interesting defects.
+    Deviations exhibited by many configurations usually indicate model
+    or harness artefacts (or platform-wide conventions); deviations
+    unique to one configuration are the interesting defects.
     """
     grouped: Dict[Tuple, List[str]] = {}
-    for result in results:
-        result = as_suite_result(result)
-        for failure in result.failing:
+    for artifact in artifacts:
+        for failure in artifact.failing:
             for dev in failure.deviations:
                 key = (failure.trace_name, dev.kind, dev.observed,
                        dev.allowed)
-                grouped.setdefault(key, []).append(result.config)
+                grouped.setdefault(key, []).append(artifact.config)
     return _records(grouped)
 
 

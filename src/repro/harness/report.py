@@ -1,8 +1,9 @@
-"""Plain-text rendering of suite results and merged surveys.
+"""Plain-text rendering of run artifacts and merged surveys.
 
 The paper renders checked traces to HTML with autogenerated indexes;
 here the same summaries are rendered as text tables (suitable for the
-terminal and for EXPERIMENTS.md).
+terminal and for EXPERIMENTS.md), from :class:`repro.api.RunArtifact`
+values.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.harness.merge import DeviationRecord
-from repro.harness.run import SuiteResult, as_suite_result
 
 
 def _table(headers: List[str], rows: List[List[str]]) -> str:
@@ -24,39 +24,39 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_suite_result(result: SuiteResult) -> str:
-    """One configuration's acceptance summary (of a
-    :class:`SuiteResult` or a :class:`repro.api.RunArtifact`)."""
-    result = as_suite_result(result)
+def render_artifact_summary(artifact) -> str:
+    """One configuration's acceptance summary, of a
+    :class:`repro.api.RunArtifact`."""
+    failing = artifact.failing
     lines = [
-        f"configuration: {result.config}  (checked against the "
-        f"{result.model} model)",
-        f"traces: {result.total}  accepted: {result.accepted}  "
-        f"failing: {len(result.failing)}",
-        f"execute: {result.exec_seconds:.2f}s  "
-        f"check: {result.check_seconds:.2f}s  "
-        f"({result.check_rate:.0f} traces/s)",
+        f"configuration: {artifact.config}  (checked against the "
+        f"{artifact.model} model)",
+        f"traces: {artifact.total}  accepted: {artifact.accepted}  "
+        f"failing: {len(failing)}",
+        f"execute: {artifact.exec_seconds:.2f}s  "
+        f"check: {artifact.check_seconds:.2f}s  "
+        f"({artifact.check_rate:.0f} traces/s)",
     ]
-    if result.failing:
+    if failing:
         rows = []
-        for failure in result.failing[:40]:
+        for failure in failing[:40]:
             first = failure.deviations[0]
             rows.append([failure.trace_name, first.kind,
                          first.observed[:48],
                          ", ".join(first.allowed)[:48]])
         lines.append(_table(
             ["trace", "kind", "observed", "allowed"], rows))
-        if len(result.failing) > 40:
-            lines.append(f"... and {len(result.failing) - 40} more")
+        if len(failing) > 40:
+            lines.append(f"... and {len(failing) - 40} more")
     return "\n".join(lines)
 
 
-def render_summary_table(results: Sequence[SuiteResult]) -> str:
+def render_summary_table(artifacts: Sequence) -> str:
     """Acceptance counts across configurations (section 7.2's shape),
-    of :class:`SuiteResult` or :class:`repro.api.RunArtifact` values."""
-    rows = [[r.config, r.model, str(r.total), str(r.accepted),
-             str(len(r.failing))]
-            for r in map(as_suite_result, results)]
+    of :class:`repro.api.RunArtifact` values."""
+    rows = [[a.config, a.model, str(a.total), str(a.accepted),
+             str(len(a.failing))]
+            for a in artifacts]
     return _table(["configuration", "model", "traces", "accepted",
                    "failing"], rows)
 

@@ -18,7 +18,7 @@ is test-enforced.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.checker.checker import CheckedTrace, Deviation
 from repro.script.ast import Trace
@@ -136,12 +136,6 @@ class Verdict:
         raise KeyError(
             f"verdict has no profile for {platform!r}; covered: "
             f"{', '.join(p.platform for p in self.profiles)}")
-
-    def checked_for(self, platform: str) -> CheckedTrace:
-        return self.profile_for(platform).as_checked(self.trace)
-
-    def by_platform(self) -> Dict[str, ConformanceProfile]:
-        return {p.platform: p for p in self.profiles}
 
     def render(self) -> str:
         """A compact per-platform conformance summary."""

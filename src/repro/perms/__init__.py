@@ -7,8 +7,6 @@ both.  The trait can be disabled wholesale ("core without permissions"):
 :class:`PermEnv` carries an ``enabled`` switch.
 """
 
-from repro.perms.permissions import (PermEnv, has_perm_bits, may_exec,
-                                     may_read, may_write)
+from repro.perms.permissions import PermEnv, has_perm_bits, may_exec
 
-__all__ = ["PermEnv", "has_perm_bits", "may_exec", "may_read",
-           "may_write"]
+__all__ = ["PermEnv", "has_perm_bits", "may_exec"]

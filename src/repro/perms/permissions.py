@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Tuple
 
-from repro.core.flags import R_BITS, W_BITS, X_BITS
+from repro.core.flags import X_BITS
 from repro.state.meta import Meta
 
 
@@ -49,14 +49,6 @@ def has_perm_bits(env: PermEnv, meta: Meta,
     if meta.gid in env.all_groups():
         return bool(meta.mode & group_bit)
     return bool(meta.mode & other_bit)
-
-
-def may_read(env: PermEnv, meta: Meta) -> bool:
-    return has_perm_bits(env, meta, R_BITS)
-
-
-def may_write(env: PermEnv, meta: Meta) -> bool:
-    return has_perm_bits(env, meta, W_BITS)
 
 
 def may_exec(env: PermEnv, meta: Meta) -> bool:

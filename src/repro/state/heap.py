@@ -14,7 +14,7 @@ Everything is immutable: every mutator returns a fresh :class:`FsState`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.core.flags import FileKind
 from repro.state.meta import Meta
@@ -140,9 +140,6 @@ class FsState:
             seen.add(cur)
             cur = self.dirs[cur].parent
         return False
-
-    def iter_dirs(self) -> Iterator[Tuple[DirRef, Dir]]:
-        return iter(sorted(self.dirs.items(), key=lambda kv: kv[0]))
 
     # -- reference allocation --------------------------------------------------
     def _fresh(self) -> Tuple["FsState", int]:

@@ -7,9 +7,7 @@ import pytest
 from repro.api import (RunArtifact, SerialBackend, Session,
                        ShardedBackend, survey)
 from repro.cli import main
-from repro.fsimpl import config_by_name
-from repro.harness import (compare_to_baseline, merge_results,
-                           save_baseline)
+from repro.harness import merge_results
 from repro.script import parse_script
 
 SMALL_SUITE = [parse_script(text) for text in (
@@ -159,9 +157,8 @@ class TestSessionOnePass:
             artifact = session.run()
         assert artifact.total == 3
         assert "fig4" in {f.trace_name for f in artifact.failing}
-        assert artifact.suite_result.accepted == \
+        assert artifact.accepted == \
             artifact.total - len(artifact.failing)
-        assert artifact.accepted == artifact.suite_result.accepted
 
     def test_session_generates_suite_with_limit(self):
         with Session("linux_ext4", limit=5) as session:
@@ -229,13 +226,11 @@ class TestBackendParity:
         assert serial.covered_clauses == parallel.covered_clauses
 
     def test_duplicate_trace_names_do_not_collide(self):
-        quirks = config_by_name("linux_sshfs_tmpfs")
-        backend = SerialBackend()
-        traces = list(backend.execute_iter(quirks, DUP_NAME_SUITE))
-        serial = [o.checked for o in backend.check_iter("linux", traces)]
-        with ShardedBackend(2) as sharded:
-            parallel = [o.checked
-                        for o in sharded.check_iter("linux", traces)]
+        with Session("linux_sshfs_tmpfs", suite=DUP_NAME_SUITE) as s:
+            serial = s.run().checked
+        with Session("linux_sshfs_tmpfs", suite=DUP_NAME_SUITE,
+                     backend="sharded", shards=2) as s:
+            parallel = s.run().checked
         assert [c.accepted for c in serial] == \
             [c.accepted for c in parallel]
         assert [c.labels_checked for c in serial] == \
@@ -315,14 +310,6 @@ class TestSurveyAndIntegration:
         assert all(a.total == 3 for a in artifacts)
         records = merge_results(artifacts)  # artifacts merge directly
         assert any(r.trace_name == "fig4" for r in records)
-
-    def test_ci_baseline_accepts_artifacts(self, tmp_path):
-        with Session("linux_sshfs_tmpfs", suite=SMALL_SUITE) as s:
-            artifact = s.run()
-        path = tmp_path / "baseline.json"
-        save_baseline(artifact, path)
-        report = compare_to_baseline(artifact, path)
-        assert not report.regressed
 
 
 class TestCliExitCodes:

@@ -15,7 +15,7 @@ import sys
 import threading
 
 from helpers_parity import handwritten_traces
-from repro.api import SerialBackend
+from repro.api import Session
 from repro.checker.checker import TraceChecker
 from repro.core.labels import OsCall, OsCreate, OsReturn, OsTau
 from repro.core.platform import PlatformSpec, spec_by_name
@@ -310,13 +310,16 @@ class TestTauSharing:
         """Each trace covers the same clauses on ``all`` as the union
         of four single-platform coverage runs: a reused step's clauses
         were fired by the evaluation it reuses."""
-        traces = handwritten_traces("linux_sshfs_tmpfs")
-        backend = SerialBackend()
-        combined = [outcome.covered for outcome in backend.check_iter(
-            "all", traces, collect_coverage=True)]
-        union = [set() for _ in traces]
+        def covered(model, check_on=None):
+            with Session("linux_sshfs_tmpfs", model, check_on=check_on,
+                         suite=gen_handwritten_tests(),
+                         collect_coverage=True) as session:
+                return [record.outcome.covered
+                        for record in session.iter_records()]
+
+        combined = covered("posix", check_on=self.PLATFORMS)  # "all"
+        union = [set() for _ in combined]
         for platform in self.PLATFORMS:
-            for covered, outcome in zip(union, backend.check_iter(
-                    platform, traces, collect_coverage=True)):
-                covered |= outcome.covered
+            for clauses, hits in zip(union, covered(platform)):
+                clauses |= hits
         assert combined == union

@@ -333,16 +333,18 @@ class TestShardedBackendEndToEnd:
         import os
 
         from repro.service import pool as pool_mod
+        from repro.testgen.generator import gen_handwritten_tests
 
-        def dying_worker(shard_index, in_q, out_q):
+        def dying_worker(*_args):
             os._exit(3)
 
         monkeypatch.setattr(pool_mod, "_pool_worker", dying_worker)
         backend = ShardedBackend(2)
-        traces = handwritten_traces("linux_ext4")[:4]
+        scripts = gen_handwritten_tests()[:4]
         try:
             with pytest.raises(RuntimeError, match="died"):
-                list(backend.check_iter("linux", traces))
+                list(backend.run_iter(config_by_name("linux_ext4"),
+                                      "linux", scripts))
         finally:
             backend.close()
 

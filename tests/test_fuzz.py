@@ -236,6 +236,32 @@ def test_fuzz_resumes_from_store(tmp_path):
     assert set(first.corpus_texts) <= set(second.corpus_texts)
 
 
+def test_fuzz_resumes_from_path_store(tmp_path):
+    """A store given as a ``pathlib.Path`` is opened and owned by the
+    run, as a ``str`` one is, and a second run resumes from it."""
+    store_dir = tmp_path / "campaign"
+    first = run_fuzz("linux_sshfs_tmpfs", iterations=1, batch=2,
+                     seed=5, store=store_dir)
+    second = run_fuzz("linux_sshfs_tmpfs", iterations=1, batch=2,
+                      seed=6, store=store_dir)
+    assert second.history[0].get("resumed")
+    assert second.history[0]["corpus_size"] == first.corpus_size
+    assert set(first.corpus_texts) <= set(second.corpus_texts)
+
+
+def test_fuzz_rejects_shards_with_backend_instance(tmp_path):
+    """``shards`` sizes a named backend only: with a backend instance
+    it raises, as :class:`~repro.api.Session` does, before a store is
+    opened."""
+    from repro.api import SerialBackend
+
+    with pytest.raises(ValueError, match="backend instance"):
+        run_fuzz("linux_ext4", iterations=1, batch=2,
+                 backend=SerialBackend(), shards=4,
+                 store=tmp_path / "campaign")
+    assert not (tmp_path / "campaign").exists()
+
+
 def test_fuzz_view_tracks_frontier(tmp_path):
     store_dir = str(tmp_path / "campaign")
     report = run_fuzz("linux_ext4", iterations=1, batch=4, seed=2,

@@ -9,13 +9,15 @@ import pytest
 from helpers import generate_suite
 from repro.api import RunArtifact, Session, ShardedBackend, survey
 from repro.cli import main
+from repro.core.coverage import REGISTRY as COVERAGE
+from repro.executor import execute_script
 from repro.fsimpl import config_by_name
 from repro.gen import (EMPTY, REGISTRY, DEFAULT_STRATEGY_NAMES,
                        FunctionStrategy, RandomizedStrategy,
                        StrategyPlan, StrategyRegistry, build_plan,
                        default_plan, explicit, get_strategy, union)
-from repro.harness.backends import SerialBackend
 from repro.harness.differential import differential_run
+from repro.oracle import get_oracle
 from repro.script import parse_script, print_script
 from repro.service.pool import CHUNK, WINDOW
 
@@ -311,15 +313,15 @@ class TestStreamingGeneration:
         with Session("linux_ext4", plan=plan,
                      collect_coverage=True) as s:
             streamed = s.run()
-        # The same suite executed, then checked, in two backend calls.
-        backend = SerialBackend()
-        traces = list(backend.execute_iter(config_by_name("linux_ext4"),
-                                           SMALL_SUITE))
-        outcomes = list(backend.check_iter("linux", traces,
-                                           collect_coverage=True))
-        assert set(streamed.covered_clauses) == \
-            set().union(*(o.covered for o in outcomes))
-        assert streamed.checked == tuple(o.checked for o in outcomes)
+        # The same suite executed, then checked on an uncached oracle.
+        quirks = config_by_name("linux_ext4")
+        traces = [execute_script(quirks, script) for script in SMALL_SUITE]
+        oracle = get_oracle("linux", cache=False)
+        COVERAGE.reset_hits()
+        verdicts = [oracle.check(trace) for trace in traces]
+        assert set(streamed.covered_clauses) == COVERAGE.hit_names()
+        assert streamed.checked == tuple(v.primary_checked
+                                         for v in verdicts)
 
 
 class TestReproducibleRuns:

@@ -2,10 +2,9 @@
 
 from repro.api import Session
 from repro.core.coverage import REGISTRY, CoverageRegistry
-from repro.harness import (DeviationRecord, SerialBackend,
-                           ShardedBackend, merge_results, render_merge,
-                           render_suite_result, render_summary_table)
-from repro.fsimpl import config_by_name
+from repro.harness import (DeviationRecord, merge_results,
+                           render_artifact_summary, render_merge,
+                           render_summary_table)
 from repro.script import parse_script
 
 SMALL_SUITE = [parse_script(text) for text in (
@@ -18,9 +17,9 @@ SMALL_SUITE = [parse_script(text) for text in (
 )]
 
 
-def run_artifact(config, suite, model=None):
+def run_artifact(config, suite, model=None, **kwargs):
     """One configuration's artifact, from a single Session pass."""
-    with Session(config, model, suite=suite) as session:
+    with Session(config, model, suite=suite, **kwargs) as session:
         return session.run()
 
 
@@ -45,14 +44,9 @@ class TestRunAndCheck:
         assert result.accepted == 3
 
     def test_parallel_checking_agrees_with_serial(self):
-        quirks = config_by_name("linux_sshfs_tmpfs")
-        serial_backend = SerialBackend()
-        traces = list(serial_backend.execute_iter(quirks, SMALL_SUITE))
-        serial = [o.checked
-                  for o in serial_backend.check_iter("linux", traces)]
-        with ShardedBackend(2) as sharded:
-            parallel = [o.checked
-                        for o in sharded.check_iter("linux", traces)]
+        serial = run_artifact("linux_sshfs_tmpfs", SMALL_SUITE).checked
+        parallel = run_artifact("linux_sshfs_tmpfs", SMALL_SUITE,
+                                backend="sharded", shards=2).checked
         assert [c.accepted for c in serial] == \
             [c.accepted for c in parallel]
         assert [c.deviations for c in serial] == \
@@ -115,9 +109,9 @@ class TestMergeAndReport:
                       if r.configs == ("linux_sshfs_tmpfs",)]
         assert any(r.trace_name == "fig4" for r in sshfs_only)
 
-    def test_render_suite_result(self):
-        text = render_suite_result(run_artifact("linux_sshfs_tmpfs",
-                                                 SMALL_SUITE))
+    def test_render_artifact_summary(self):
+        text = render_artifact_summary(run_artifact("linux_sshfs_tmpfs",
+                                                     SMALL_SUITE))
         assert "linux_sshfs_tmpfs" in text
         assert "failing" in text
 

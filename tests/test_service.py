@@ -6,7 +6,7 @@ The service stack has four layers, tested here bottom-up:
   parent): futures, restart after close, a raising check or an
   unpicklable exception failing only its own item, a dead shard failing
   the items it held and being replaced (also through
-  ``ShardedBackend.check_iter``), the pool's bounded verdict memo,
+  ``ShardedBackend.run_iter``), the pool's bounded verdict memo,
   stats.
 * :class:`CheckingService` — lifecycle (start/submit/drain/stats/
   shutdown), every trace served by the pool, text routed as sent (no
@@ -15,8 +15,8 @@ The service stack has four layers, tested here bottom-up:
 * The asyncio front door + blocking client — protocol round trips,
   error replies (a raising check, a dead shard, a malformed trace, also
   inside a ``batch``), shutdown, the request line limit, and
-  bit-for-bit verdict parity with :class:`~repro.api.SerialBackend`
-  through the wire format.
+  bit-for-bit verdict parity with the in-process oracle through the
+  wire format.
 * The CLI wiring — ``repro check --server`` against a live server.
 
 Cross-engine checking parity is enforced separately by
@@ -37,10 +37,10 @@ import time
 
 import pytest
 
-from repro.api import SerialBackend, ShardedBackend
+from repro.api import ShardedBackend
 from repro.executor import execute_script
 from repro.fsimpl import config_by_name
-from repro.oracle import ConformanceProfile, create_oracle
+from repro.oracle import ConformanceProfile, create_oracle, get_oracle
 from repro.script import (ParseError, parse_script, parse_trace,
                           print_trace)
 from repro.service import (CheckingService, CheckResult, ServiceClient,
@@ -61,12 +61,19 @@ OVERFLOWING = ('@type trace\n# Test overflowing\n'
 MANGLED = "@type trace\nmangled"
 
 
-def _traces(n=6, prefix="t"):
-    quirks = config_by_name(CONFIG)
-    scripts = [parse_script(
+def _scripts(n=6, prefix="t"):
+    return [parse_script(
         '@type script\n# Test %s%d\nmkdir "d%d" 0o755\nrmdir "d%d"\n'
         % (prefix, i, i, i)) for i in range(n)]
+
+
+def _executed(scripts):
+    quirks = config_by_name(CONFIG)
     return [execute_script(quirks, s) for s in scripts]
+
+
+def _traces(n=6, prefix="t"):
+    return _executed(_scripts(n, prefix))
 
 
 def _profiles(verdict):
@@ -76,9 +83,9 @@ def _profiles(verdict):
 
 
 def _serial_rows(traces, model="all"):
-    """Per-trace profile tuples via the serial backend baseline."""
-    return [outcome.profiles
-            for outcome in SerialBackend().check_iter(model, traces)]
+    """Per-trace profile tuples from the in-process oracle."""
+    oracle = get_oracle(model)
+    return [oracle.check(trace).profiles for trace in traces]
 
 
 class _Server:
@@ -114,10 +121,15 @@ class _Server:
             self.service.shutdown()
 
 
+def _named_script(name):
+    """A short script named ``name``."""
+    return parse_script(
+        f'@type script\n# Test {name}\nmkdir "x" 0o755\nrmdir "x"\n')
+
+
 def _named(name):
     """A short trace named ``name``."""
-    return execute_script(config_by_name(CONFIG), parse_script(
-        f'@type script\n# Test {name}\nmkdir "x" 0o755\nrmdir "x"\n'))
+    return execute_script(config_by_name(CONFIG), _named_script(name))
 
 
 def _on_trace(monkeypatch, name, action):
@@ -141,14 +153,24 @@ def _raise_unpicklable():
     raise ValueError("carries a lambda", lambda: None)
 
 
-def _after(pool, shard):
-    """A trace sharing :data:`OVERFLOWING`'s first call, named to land
-    on ``shard``."""
+def _raise_overflow():
+    raise OverflowError("the check overflowed")
+
+
+def _after_script(pool, shard, partition="all"):
+    """A script sharing :data:`OVERFLOWING`'s first call, named to land
+    on ``shard`` under ``partition``."""
     name = next(f"after{i}" for i in itertools.count()
-                if pool.shard_of("all", f"after{i}") == shard)
-    return execute_script(config_by_name(CONFIG), parse_script(
+                if pool.shard_of(partition, f"after{i}") == shard)
+    return parse_script(
         f'@type script\n# Test {name}\n'
-        'open "f" [O_CREAT;O_RDWR] 0o644\nclose 3\n'))
+        'open "f" [O_CREAT;O_RDWR] 0o644\nclose 3\n')
+
+
+def _after(pool, shard):
+    """The trace of :func:`_after_script`, routed as ``"all"``."""
+    return execute_script(config_by_name(CONFIG),
+                          _after_script(pool, shard))
 
 
 def _alive(pid):
@@ -385,46 +407,60 @@ class TestShardPool:
 
 
 class TestShardedBackendErrors:
-    def test_raising_check_fails_check_iter_at_that_item(self):
-        """``check_iter`` yields the verdicts before a raising check,
+    """``ShardedBackend.run_iter`` fails its call at the item whose
+    check raised, or whose shard died, and the same backend then runs
+    like the in-process oracle."""
+
+    #: The pool partition ``run_iter`` routes :data:`CONFIG` under.
+    PARTITION = f"{CONFIG}:all"
+
+    @staticmethod
+    def _rows(backend, scripts):
+        return [record.outcome.profiles for record in backend.run_iter(
+            config_by_name(CONFIG), "all", scripts)]
+
+    def test_raising_check_fails_run_iter_at_that_item(self,
+                                                       monkeypatch):
+        """``run_iter`` yields the records before a raising check,
         raises the shard's exception at it, and the same backend then
-        checks like the serial backend on the same workers."""
-        traces = _traces(4)
-        want = _serial_rows(traces)
+        runs like the in-process oracle on the same workers."""
+        _on_trace(monkeypatch, "overflowing", _raise_overflow)
+        scripts = _scripts(4)
+        want = _serial_rows(_executed(scripts))
         got = []
         with ShardedBackend(2) as backend:
-            stream = backend.check_iter(
-                "all", traces[:2] + [parse_trace(OVERFLOWING)]
-                + traces[2:])
+            stream = backend.run_iter(
+                config_by_name(CONFIG), "all",
+                scripts[:2] + [_named_script("overflowing")]
+                + scripts[2:])
             with pytest.raises(OverflowError) as excinfo:
-                for outcome in stream:
-                    got.append(outcome.profiles)
+                for record in stream:
+                    got.append(record.outcome.profiles)
             assert any("'overflowing'" in note
                        for note in excinfo.value.__notes__)
             assert got == want[:2]
-            after = _after(backend._pool, backend._pool.shard_of(
-                "all", "overflowing"))
-            assert [o.profiles for o in backend.check_iter(
-                "all", [after, *traces])] == \
-                _serial_rows([after, *traces])
+            after = _after_script(backend._pool, backend._pool.shard_of(
+                self.PARTITION, "overflowing"), self.PARTITION)
+            assert self._rows(backend, [after, *scripts]) == \
+                _serial_rows(_executed([after, *scripts]))
             assert backend.run_stats()["pool_cold_starts"] == 1
 
-    def test_dead_shard_fails_check_iter_at_that_item(self, monkeypatch):
-        """``check_iter`` raises at the item a dead shard held, naming
-        it; the same backend then checks like the serial backend, on a
+    def test_dead_shard_fails_run_iter_at_that_item(self, monkeypatch):
+        """``run_iter`` raises at the item a dead shard held, naming
+        it; the same backend then runs like the in-process oracle, on a
         fresh worker."""
         _on_trace(monkeypatch, "doomed", _die)
-        traces = _traces(4)
         with ShardedBackend(2) as backend:
             with pytest.raises(RuntimeError, match="died") as excinfo:
-                list(backend.check_iter("all",
-                                        [_named("doomed"), *traces]))
+                self._rows(backend, [_named_script("doomed"),
+                                     *_scripts(4)])
             assert "'doomed'" in str(excinfo.value)
             pool = backend._pool
-            later = [_after(pool, pool.shard_of("all", "doomed")),
-                     *_traces(3, prefix="u")]
-            assert [o.profiles for o in backend.check_iter(
-                "all", later)] == _serial_rows(later)
+            later = [_after_script(pool, pool.shard_of(
+                self.PARTITION, "doomed"), self.PARTITION),
+                *_scripts(3, prefix="u")]
+            assert self._rows(backend, later) == \
+                _serial_rows(_executed(later))
             assert backend.run_stats()["pool_cold_starts"] == 2
 
 
@@ -451,9 +487,9 @@ def _memo_text(i):
 
 class TestVerdictMemoBound:
     """``VERDICT_MEMO_MAX`` bounds the pool's verdict memo on every
-    stream shape, through both submission paths and the sharded
-    backend's ``check_iter``; a memoized verdict is always what a fresh
-    oracle computes, and no coverage call is answered from the memo."""
+    stream shape, through both submission paths and the checking
+    service; a memoized verdict is always what a fresh oracle computes,
+    and no coverage call is answered from the memo."""
 
     @staticmethod
     def _check_stream(pool, path, texts, fresh):
@@ -501,14 +537,13 @@ class TestVerdictMemoBound:
         traces = [parse_trace(_memo_text(i))
                   for i in _MEMO_STREAMS[stream]]
         fresh = create_oracle("all", cache=True)
-        with ShardedBackend(2) as backend:
+        with CheckingService("all", shards=2) as service:
             for start in range(0, len(traces), 512):
                 calls = traces[start:start + 512]
-                for trace, outcome in zip(
-                        calls, backend.check_iter("all", calls)):
-                    assert outcome.profiles == fresh.check(
-                        trace).profiles
-                assert len(backend._pool._verdicts) <= VERDICT_MEMO_MAX
+                for trace, future in zip(calls, service.submit(calls)):
+                    assert future.result(timeout=120).profiles == \
+                        fresh.check(trace).profiles
+                assert len(service._pool._verdicts) <= VERDICT_MEMO_MAX
 
 
 class TestCheckingService:
