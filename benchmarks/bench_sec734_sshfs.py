@@ -17,9 +17,8 @@ import pytest
 from conftest import record_table
 
 from repro.core import commands as C
-from repro.core.errors import Errno
 from repro.core.flags import OpenFlag
-from repro.core.values import Err, Ok
+from repro.core.values import Ok
 from repro.fsimpl import KernelFS, config_by_name
 
 SSHFS_CONFIGS = [

@@ -16,7 +16,7 @@ from conftest import record_table
 
 from repro.core import commands as C
 from repro.core.errors import Errno
-from repro.core.values import Err, Ok
+from repro.core.values import Err
 from repro.core.flags import OpenFlag
 from repro.fsimpl import KernelFS, Quirks, config_by_name
 

@@ -27,7 +27,6 @@ Exit codes: 0 = durable campaign matches the single-shot run;
 """
 
 import argparse
-import json
 import os
 import pathlib
 import re

@@ -21,6 +21,10 @@ The repo enforces several invariants that ordinary tooling cannot see:
   declared clause; every ``declare``\\ d reachable clause has a cover
   site; an explicit ``platforms=`` annotation must not list a platform
   the dead-clause analysis proves the clause unreachable on.
+* **unused-import** — an imported name that nothing in the module
+  reads is dead weight that hides what the module depends on.
+  ``__init__.py`` re-exports, ``from __future__`` imports and names
+  listed in ``__all__`` are exempt.
 
 ``repro lint src/repro`` runs all rules and is a CI gate (clean on the
 current tree).  Suppress a finding by appending ``# lint:
@@ -96,7 +100,7 @@ _MUTATOR_METHODS = frozenset({
 })
 
 ALL_RULES = ("layering", "lock-discipline", "determinism",
-             "pickle-safety", "clause-consistency")
+             "pickle-safety", "clause-consistency", "unused-import")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -400,6 +404,38 @@ def _rule_pickle_safety(module: str, path: str,
 
 
 # ---------------------------------------------------------------------------
+# rule: unused-import
+# ---------------------------------------------------------------------------
+
+def _rule_unused_import(module: str, path: str,
+                        tree: ast.AST) -> List[Finding]:
+    if pathlib.Path(path).name == "__init__.py":
+        return []  # a package's imports are its re-exports
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            read.update(elt.value for elt in ast.walk(node.value)
+                        if isinstance(elt, ast.Constant))
+    findings = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in read:
+                findings.append(Finding(
+                    "unused-import", path, alias.lineno,
+                    f"{bound!r} is imported but nothing in the module "
+                    "reads it"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # rule: clause-consistency
 # ---------------------------------------------------------------------------
 
@@ -495,6 +531,7 @@ _PER_FILE_RULES = {
     "lock-discipline": _rule_lock_discipline,
     "determinism": _rule_determinism,
     "pickle-safety": _rule_pickle_safety,
+    "unused-import": _rule_unused_import,
 }
 
 

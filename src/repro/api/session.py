@@ -32,7 +32,7 @@ from repro.fsimpl.configs import ALL_CONFIGS, config_by_name
 from repro.fsimpl.quirks import Quirks
 from repro.gen import TestPlan, default_plan, explicit
 from repro.harness.backends import (Backend, ProgressFn, RunRecord,
-                                    owned_backend, resolve_backend)
+                                    resolve_backend)
 from repro.oracle import oracle_name_for
 from repro.script.ast import Script, Trace
 from repro.script.printer import print_trace
@@ -385,10 +385,14 @@ def survey(configs: Optional[Sequence[str | Quirks]] = None, *,
         if limit:
             generated = generated.take(limit)
         suite = tuple(generated.scripts())
-    with owned_backend(backend) as shared:
+    shared, owned = resolve_backend(backend)
+    try:
         return [
             Session(q, plan=plan, suite=suite, backend=shared,
                     check_on=check_on,
                     collect_coverage=collect_coverage).run()
             for q in quirks
         ]
+    finally:
+        if owned:
+            shared.close()

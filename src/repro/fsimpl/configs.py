@@ -9,7 +9,6 @@ the interesting entries carry the deviations of sections 7.3.2-7.3.5.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List
 
 from repro.core.errors import Errno

@@ -22,7 +22,7 @@ allowed set):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Union
+from typing import Optional
 
 from repro.core import commands as C
 from repro.core.errors import Errno
@@ -37,7 +37,6 @@ from repro.osapi.process import RsCalling, RsRunning
 from repro.osapi.transition import exec_call
 from repro.pathres.resname import Follow, RnFile
 from repro.pathres.resolve import PermEnv, resolve
-from repro.state.heap import DirRef, FileRef
 
 
 class SignalKill(Exception):

@@ -9,7 +9,6 @@ from repro.core.errors import Errno
 from repro.core.flags import FileKind, MODE_MASK, R_BITS, W_BITS, X_BITS
 from repro.core.platform import PlatformSpec, TimestampMode
 from repro.core.values import Stat
-from repro.pathres.resname import ResName, RnDir, RnError, RnFile, RnNone
 from repro.perms.permissions import PermEnv, has_perm_bits
 from repro.state.heap import DirRef, FileRef, FsState
 from repro.state.meta import Meta
@@ -67,29 +66,6 @@ def check_parent_writable(env: FsEnv, fs: FsState,
         return fails(Errno.EACCES)
     if not may_search_dir(env, fs, parent):
         return fails(Errno.EACCES)
-    return PASS
-
-
-def check_resolution(rn: ResName) -> CheckResult:
-    """Propagate a resolution error as a mandatory failure."""
-    if isinstance(rn, RnError):
-        return fails(rn.errno)
-    return PASS
-
-
-def check_exists(rn: ResName) -> CheckResult:
-    """The path must name an existing object."""
-    if isinstance(rn, RnError):
-        return fails(rn.errno)
-    if isinstance(rn, RnNone):
-        return fails(Errno.ENOENT)
-    return PASS
-
-
-def check_file_not_trailing_slash(rn: ResName) -> CheckResult:
-    """A non-directory named with a trailing slash is normally ENOTDIR."""
-    if isinstance(rn, RnFile) and rn.trailing_slash:
-        return fails(Errno.ENOTDIR)
     return PASS
 
 

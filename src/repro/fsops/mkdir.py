@@ -6,8 +6,7 @@ from repro.core.combinators import (Outcomes, PASS, fails, guarded, ok,
                                     parallel)
 from repro.core.coverage import cover, declare
 from repro.core.errors import Errno
-from repro.fsops.common import (FsEnv, check_parent_writable,
-                                check_resolution, touch_mtime)
+from repro.fsops.common import FsEnv, check_parent_writable, touch_mtime
 from repro.pathres.resname import ResName, RnDir, RnError, RnFile, RnNone
 from repro.state.heap import FsState
 

@@ -12,7 +12,7 @@ script by script (paper section 8).
 
 from repro.harness.backends import (Backend, CheckOutcome,
                                     SerialBackend, ShardedBackend,
-                                    make_backend, owned_backend)
+                                    make_backend)
 from repro.harness.merge import (DeviationRecord, merge_results,
                                  merge_verdicts)
 from repro.harness.report import (render_artifact_summary, render_merge,
@@ -28,7 +28,7 @@ from repro.harness.differential import (Difference, DifferentialResult,
 
 __all__ = [
     "Backend", "CheckOutcome", "SerialBackend", "ShardedBackend",
-    "make_backend", "owned_backend",
+    "make_backend",
     "DeviationRecord", "merge_results", "merge_verdicts",
     "render_artifact_summary", "render_merge", "render_summary_table",
     "DebugStep", "debug_trace", "render_debug",

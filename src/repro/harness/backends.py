@@ -38,26 +38,27 @@ already holds traces checks them on an oracle
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import dataclasses
-import itertools
 import time
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator,
+from typing import (Callable, Deque, Dict, FrozenSet, Iterable, Iterator,
                     Optional, Protocol, Tuple, Union, runtime_checkable)
 
 from repro.checker.checker import CheckedTrace
 from repro.core.coverage import REGISTRY
+from repro.executor.executor import ScriptExecutor
 # ``execute_script`` is unused here but stays importable as
 # ``backends.execute_script``: perfbench/spans.py wraps that name.
-from repro.executor.executor import (  # noqa: F401
-    ScriptExecutor, execute_script)
+from repro.executor.executor import (
+    execute_script)  # lint: ignore[unused-import]
 from repro.fsimpl.quirks import Quirks
 from repro.oracle import ConformanceProfile, get_oracle
 from repro.script.ast import Script, Trace
 from repro.service.pool import ShardPool
 # ``parse_trace`` is unused here but stays importable as
 # ``backends.parse_trace``: perfbench/spans.py wraps that name.
-from repro.script.parser import parse_trace  # noqa: F401
+from repro.script.parser import (
+    parse_trace)  # lint: ignore[unused-import]
 from repro.script.printer import print_trace
 
 #: Progress callback: ``(completed, total, last_checked_trace)``.
@@ -209,14 +210,16 @@ class ShardedBackend(_BackendBase):
 
     * **Execute in the parent, check on the shards.**  As in the paper
       (§7.1), only checking runs on worker processes.  ``run_iter``
-      executes on the call's feeder thread with a per-call
-      :class:`~repro.executor.ScriptExecutor` (an abandoned call's
-      feeder may still be running), keeps each :class:`Trace` and ships
-      its text once; a shard parses and checks it.  A script or a check
-      that raises fails its call at that item, not the pool.  That one
-      thread bounds the call's throughput: cheap on prefix-sharing
-      streams, it becomes the limit at a few shards when scripts share
-      little.
+      executes on the caller's thread, as the pool's
+      :meth:`~repro.service.pool.ShardCall.results` pulls each script,
+      with the backend's one :class:`~repro.executor.ScriptExecutor`
+      (as :class:`SerialBackend` does, so, like it, a backend serves
+      one thread at a time); it keeps each :class:`Trace` and ships its
+      text once; a shard parses and checks it.  A script or a check
+      that raises fails its call at that item, not the pool.  That
+      one thread bounds the call's throughput: cheap on
+      prefix-sharing streams, it becomes the limit at a few shards when
+      scripts share little.
     * **Persistent workers.**  Shard processes are spawned on the first
       call and *reused* across calls, each keeping one warm oracle per
       model (stored path, intern table, transition memos) for its whole
@@ -236,6 +239,7 @@ class ShardedBackend(_BackendBase):
     def __init__(self, shards: Optional[int] = None) -> None:
         self._pool = ShardPool(shards)
         self.shards = self._pool.shards
+        self._executor = ScriptExecutor()
         self._last_stats: Dict[str, int] = {}
 
     @property
@@ -264,37 +268,31 @@ class ShardedBackend(_BackendBase):
                  scripts: Iterable[Script], *,
                  collect_coverage: bool = False
                  ) -> Iterator[RunRecord]:
-        stream = iter(scripts)
         hits_before = self._pool.verdict_hits
-        first = next(stream, None)
-        if first is None:  # nothing to run: leave the pool unspawned
-            self._finish_call(hits_before)
-            return
-        executor = ScriptExecutor()
         # Shards are routed by the Session's store partition.
         partition = f"{quirks.name}:{model}"
-        # Filled on the call's feeder thread, emptied here: an index's
-        # result can only arrive after its item was yielded.
-        held: Dict[int, Tuple[str, Trace, str, float]] = {}
+        # An item is held when the call pulls it and taken when the
+        # call yields its result: both in input order.
+        held: Deque[Tuple[str, Trace, str, float]] = collections.deque()
 
         def items() -> Iterator[Tuple[str, str]]:
-            for i, script in enumerate(itertools.chain([first], stream)):
+            for script in scripts:
                 t0 = time.perf_counter()
-                trace = executor.execute(quirks, script)
+                trace = self._executor.execute(quirks, script)
                 text = print_trace(trace)
-                held[i] = (script.target_function, trace, text,
-                           time.perf_counter() - t0)
+                held.append((script.target_function, trace, text,
+                             time.perf_counter() - t0))
                 yield (script.name, text)
 
         results = self._pool.submit_stream(
             items(), model=model, collect_coverage=collect_coverage,
             partition=partition).results()
         try:
-            for i, payload in results:
+            for _index, payload in results:
                 if isinstance(payload, BaseException):
                     raise payload
                 profiles, covered, check_s = payload
-                target, trace, trace_text, exec_s = held.pop(i)
+                target, trace, trace_text, exec_s = held.popleft()
                 yield RunRecord(
                     target_function=target,
                     outcome=CheckOutcome(
@@ -303,7 +301,7 @@ class ShardedBackend(_BackendBase):
                     exec_seconds=exec_s, check_seconds=check_s,
                     trace_text=trace_text)
         finally:
-            # Stop the feeder now, also when an item raised: the
+            # Stop pulling now, also when an item raised: the
             # exception's traceback keeps this frame (and an unclosed
             # ``results``) alive.
             results.close()
@@ -358,18 +356,3 @@ def resolve_backend(backend: Optional[Union[Backend, str]],
             "shards sizes a *named* backend; a backend instance was "
             "already built — pass one or the other")
     return backend, False
-
-
-@contextlib.contextmanager
-def owned_backend(backend: Optional[Backend]):
-    """Yield ``backend``, or a serial one owned by this scope.
-
-    The shared create-if-absent/close-only-if-created pattern: an
-    explicitly supplied backend is the caller's to manage; a created
-    one is closed on exit.
-    """
-    if backend is not None:
-        yield backend
-        return
-    with SerialBackend() as created:
-        yield created

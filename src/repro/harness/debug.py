@@ -16,9 +16,9 @@ from typing import FrozenSet, List, Tuple
 from repro.core.labels import OsReturn
 from repro.core.platform import PlatformSpec
 from repro.core.values import render_return
-from repro.osapi.os_state import (OsState, OsStateOrSpecial,
-                                  SpecialOsState, initial_os_state)
-from repro.osapi.process import RsCalling, RsReturning, RsRunning
+from repro.osapi.os_state import (OsStateOrSpecial, SpecialOsState,
+                                  initial_os_state)
+from repro.osapi.process import RsCalling, RsRunning
 from repro.osapi.transition import os_trans, tau_closure
 from repro.script.ast import Trace
 

@@ -12,8 +12,7 @@ candidates share long unchanged prefixes by construction.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.executor.executor import execute_script
 from repro.fsimpl.configs import config_by_name

@@ -14,7 +14,7 @@ expansion counts towards the ELOOP limit.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.coverage import cover, declare
 from repro.core.errors import Errno
@@ -23,7 +23,7 @@ from repro.core.platform import PlatformSpec
 from repro.pathres.resname import (Follow, ResName, RnDir, RnError, RnFile,
                                    RnNone)
 from repro.perms.permissions import PermEnv, may_exec
-from repro.state.heap import DirRef, FileRef, FsState
+from repro.state.heap import DirRef, FsState
 
 #: POSIX limits (PATH_MAX / NAME_MAX on the tested platforms).  Both
 #: are *byte* limits: the kernel sees encoded bytes, so a multibyte

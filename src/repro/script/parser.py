@@ -27,8 +27,8 @@ from typing import List, Optional, Tuple
 from repro.core import commands as C
 from repro.core.errors import Errno
 from repro.core.flags import OpenFlag, SeekWhence, parse_open_flags
-from repro.core.labels import (OsCall, OsCreate, OsDestroy, OsLabel,
-                               OsReturn, OsSignal, OsSpin)
+from repro.core.labels import (OsCall, OsCreate, OsDestroy, OsReturn,
+                               OsSignal, OsSpin)
 from repro.core.values import (Err, Ok, ReturnValue, RvBytes, RvDirEntry,
                                RvNone, RvNum, RvStat, Stat)
 from repro.core.flags import FileKind

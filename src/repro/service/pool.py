@@ -5,11 +5,12 @@ across calls.  Shards only check (the caller executes, §7.1): work is
 ``(name, trace_text)`` items, each answered with ``(profiles, covered,
 parse_and_check_seconds)`` through **one future per item**.
 :meth:`ShardPool.submit` routes a materialised list and sends it on the
-caller's thread; :meth:`ShardPool.submit_stream` has one feeder thread
-pull a lazy stream under a bounded in-flight window, and
-:meth:`ShardCall.results` yields the same futures' results in input
-order.  One reader thread per shard resolves each future as its result
-arrives.
+caller's thread; :meth:`ShardPool.submit_stream` returns a
+:class:`ShardCall` whose :meth:`~ShardCall.results` pulls a lazy stream
+on the consumer's thread, under a bounded in-flight window, and yields
+the futures' results in input order.  One reader thread per shard
+resolves each future as its result arrives; the pool starts no other
+thread.
 
 The verdict memo lives in the parent, here: an exact ``(model,
 trace_text)`` repeat of a verdict the pool already computed, or of an
@@ -45,10 +46,9 @@ reads EOF on its task pipe and exits.
 
 from __future__ import annotations
 
-import functools
+import collections
 import itertools
 import multiprocessing
-import queue as queue_mod
 import threading
 import time
 import traceback
@@ -56,7 +56,7 @@ import weakref
 import zlib
 from concurrent.futures import Future
 from multiprocessing.reduction import ForkingPickler
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.coverage import REGISTRY
 from repro.oracle import Oracle, create_oracle, get_oracle
@@ -218,35 +218,24 @@ class _Shard:
 
 
 class ShardCall:
-    """One lazily fed stream: :meth:`results` yields its items' results
-    in input order, each as soon as it and every earlier item resolved.
+    """One lazily pulled stream: :meth:`results` pulls its items on the
+    consumer's thread and yields their results in input order, each as
+    soon as it and every earlier item resolved.
 
-    The feeder thread puts ``(index, future)`` entries, then the end
-    marker or the exception the stream raised; ``_window`` bounds the
-    items fed but not yet consumed.  Fed items wait in ``_buffer`` until
-    a flush dispatches them as one batch: the feeder flushes a full
-    buffer and the stream's end, and the consumer flushes before it
-    waits on an item still buffered, so a stream that blocks can never
-    hold back the item its consumer waits for.
+    Pulled items wait in a buffer until ``CHUNK * shards`` of them (or
+    the stream's end) make a batch to send.  Before waiting on its
+    oldest item, the call pulls until ``WINDOW`` batches are in flight:
+    the window is a multiple of the batch, so the item it waits on has
+    always been sent.
     """
 
-    _END = object()
-
-    def __init__(self, window_items: int, dispatch) -> None:
-        self._entries: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
-        self._window = threading.Semaphore(window_items)
-        self._stop = threading.Event()
-        self._dispatch = dispatch
-        self._lock = threading.Lock()
-        self._buffer: List[Tuple[Future, str, str]] = []
-        self._flushed = 0  # items dispatched: indices below are sent
-
-    def _flush(self) -> None:
-        with self._lock:
-            batch, self._buffer = self._buffer, []
-            self._flushed += len(batch)
-        if batch and not self._stop.is_set():  # no one waits if stopped
-            self._dispatch(batch)
+    def __init__(self, pool: "ShardPool",
+                 items: Iterable[Tuple[str, str]], model: Optional[str],
+                 coverage: bool, partition: str) -> None:
+        self._pool = pool
+        self._items = items
+        self._task = (model, coverage, partition)
+        self._started = False
 
     def results(self) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, result)`` in input order as they complete.
@@ -255,27 +244,47 @@ class ShardCall:
         the item's check raised (or that lost it): the consumer decides
         whether one item fails the call (the backends raise it) or only
         its own future.  A stream that raised mid-generation raises
-        here after its last item.
+        here after its last item.  Closed, the call pulls no more;
+        items already sent finish in the background.
         """
-        try:
-            while True:
-                entry = self._entries.get()
-                if entry is ShardCall._END:
-                    return
-                if isinstance(entry, BaseException):
-                    raise entry
-                index, future = entry
-                if index >= self._flushed:
-                    self._flush()
-                error = future.exception()
-                self._window.release()
-                yield index, (future.result() if error is None
-                              else error)
-        finally:
-            # Abandonment (or error): the feeder stops pulling; items
-            # already sent finish in the background.
-            self._stop.set()
-            self._window.release()  # wake a feeder waiting for room
+        batch_size = CHUNK * self._pool.shards
+        window = WINDOW * batch_size
+        stream: Optional[Iterator] = iter(self._items)
+        inflight: Deque[Future] = collections.deque()
+        buffer: List[Tuple[Future, str, str]] = []
+        failure: Optional[Exception] = None
+        for index in itertools.count():
+            while stream is not None and len(inflight) < window:
+                try:
+                    name, text = next(stream)
+                except StopIteration:
+                    stream = None
+                except Exception as exc:
+                    # The lazy stream raised mid-generation: it fails
+                    # the call after the items before it.
+                    failure, stream = exc, None
+                else:
+                    future = _future()
+                    inflight.append(future)
+                    buffer.append((future, name, text))
+                if len(buffer) == batch_size or (buffer and stream is None):
+                    self._send(buffer)
+                    buffer = []
+            if not inflight:
+                break
+            future = inflight.popleft()
+            error = future.exception()
+            yield index, (future.result() if error is None else error)
+        if failure is not None:
+            raise failure
+
+    def _send(self, batch: List[Tuple[Future, str, str]]) -> None:
+        """Dispatch ``batch``; the first send starts the call, so an
+        empty stream spawns nothing."""
+        if not self._started:
+            self._started = True
+            self._pool._begin_call()
+        self._pool._dispatch(*self._task, batch)
 
 
 class ShardPool:
@@ -335,10 +344,9 @@ class ShardPool:
             self._spawn_missing()
 
     def _spawn_missing(self) -> None:
-        # Called with the lock held, on a submitting caller's thread
-        # only: forking while another thread of the call may hold a
-        # lock (the feeder executing a script) would hand the child
-        # that lock held.
+        # Called with the lock held, on a submitting caller's thread:
+        # the pool's only other threads are the readers, which take no
+        # lock the child could inherit held but the pool's own.
         missing = [i for i, shard in enumerate(self._shards)
                    if shard is None]
         if not missing:
@@ -357,8 +365,8 @@ class ShardPool:
 
     def close(self) -> None:
         """Stop every worker now and drop the verdict memo; items still
-        in flight fail with ``shard pool closed``, and a stream still
-        feeding fails its later items."""
+        in flight fail with ``shard pool closed``, and a call still
+        pulling its stream fails its later items."""
         with self._lock:
             shards = [s for s in self._shards if s is not None]
             self._shards = [None] * self.shards
@@ -384,6 +392,12 @@ class ShardPool:
         """Stable item routing: repeats of a name land on the shard
         whose caches already know it."""
         return zlib.crc32(f"{partition}:{name}".encode()) % self.shards
+
+    def _begin_call(self) -> None:
+        """Spawn the missing workers and count a call."""
+        with self._lock:
+            self._spawn_missing()
+            self.calls_started += 1
 
     def _dispatch(self, model: Optional[str], coverage: bool,
                   partition: str,
@@ -444,9 +458,7 @@ class ShardPool:
         batch = [(_future(), name, text) for name, text in items]
         if not batch:
             return []
-        with self._lock:
-            self._spawn_missing()
-            self.calls_started += 1
+        self._begin_call()
         self._dispatch(model, collect_coverage, partition, batch)
         return [future for future, _name, _text in batch]
 
@@ -456,47 +468,14 @@ class ShardPool:
                       partition: str = "") -> ShardCall:
         """Feed ``(name, trace_text)`` items to the pool lazily.
 
-        ``items`` may be a lazy generator: one feeder thread pulls it
-        only ``WINDOW * CHUNK`` items per shard ahead of consumption
-        (the window is released as :meth:`ShardCall.results` yields),
-        so a generating plan stream stays lazy.  A stream that raises
-        mid-generation fails the call with that exception rather than
-        truncating it; the pool stays usable.
+        ``items`` may be a lazy generator: :meth:`ShardCall.results`
+        pulls it on the consumer's thread, only ``WINDOW * CHUNK`` items
+        per shard ahead of the result it yields, so a generating plan
+        stream stays lazy.  The call spawns missing workers at its first
+        send.  A stream that raises mid-generation fails the call with
+        that exception rather than truncating it; the pool stays usable.
         """
-        call = ShardCall(WINDOW * CHUNK * self.shards,
-                         functools.partial(self._dispatch, model,
-                                           collect_coverage, partition))
-        with self._lock:
-            self._spawn_missing()
-            self.calls_started += 1
-        threading.Thread(target=self._feed, args=(call, items),
-                         daemon=True, name="repro-shard-feeder").start()
-        return call
-
-    def _feed(self, call: ShardCall, items) -> None:
-        end: object = ShardCall._END
-        try:
-            for index, (name, text) in enumerate(items):
-                call._window.acquire()
-                # Pulling an item can be costly (the caller may execute
-                # a script to make it): an abandoned call pulls no more.
-                if call._stop.is_set():
-                    break
-                future = _future()
-                call._entries.put((index, future))
-                with call._lock:
-                    call._buffer.append((future, name, text))
-                    full = len(call._buffer) >= CHUNK * self.shards
-                if full:
-                    call._flush()
-            else:
-                call._flush()
-        except BaseException as exc:
-            # The lazy stream raised mid-generation: the consumer
-            # re-raises it after the items before it, flushing what is
-            # still buffered when it reaches them.
-            end = exc
-        call._entries.put(end)
+        return ShardCall(self, items, model, collect_coverage, partition)
 
     # -- collection -----------------------------------------------------------
 

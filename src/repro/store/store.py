@@ -16,10 +16,11 @@ Write path: :meth:`append` takes a :class:`~repro.store.records
 address (``(config-partition, trace-hash)``), and streams the encoded
 row to the current segment — one buffered write + flush, so a crash
 loses at most the row being written.  The packed index is a *cache*:
-it is rewritten every ``index_flush_every`` appends and on
-:meth:`flush`/:meth:`close`; on open, any rows the index does not yet
-cover are recovered by scanning each segment only from its indexed
-watermark — completed, fully indexed segments are never re-read.
+:meth:`flush`/:meth:`close` rewrite it only when it is stale (a row was
+added, or recovery found rows it does not cover); on open, any rows the
+index does not yet cover are recovered by scanning each segment only
+from its indexed watermark — completed, fully indexed segments are
+never re-read.
 
 Crash safety: a torn tail record (short header/payload, missing
 terminator, or checksum mismatch at end-of-file) is detected on open
@@ -95,17 +96,17 @@ class CampaignStore:
 
     def __init__(self, path, *, create: bool = True,
                  segment_bytes: int = 8 << 20,
-                 index_flush_every: int = 256,
                  fsync: bool = False) -> None:
         self.path = pathlib.Path(path)
         self.segment_bytes = max(1, segment_bytes)
-        self.index_flush_every = max(1, index_flush_every)
         self.fsync = fsync
         self._lock = threading.RLock()
         #: digest bytes -> (segment number, offset, row length).
         self._keys: Dict[bytes, Tuple[int, int, int]] = {}
         self._dedup_hits = 0
-        self._pending = 0
+        #: Whether the index on disk differs from ``_keys``: the next
+        #: flush rewrites it.
+        self._stale = False
         self._closed = False
         self._handle = None
         manifest = self.path / _MANIFEST
@@ -214,16 +215,14 @@ class CampaignStore:
                 if digest not in self._keys:
                     self._keys[digest] = (number, start + offset,
                                           end - offset)
-                else:
-                    stale = True  # duplicate row: gc-able
+                stale = True  # a row the index misses, or a duplicate
             absolute_end = start + valid_end
             if absolute_end < size:
                 # Torn tail: drop the partial record durably.
                 with path.open("r+b") as fh:
                     fh.truncate(absolute_end)
                 stale = True
-        if stale:
-            self._pending = self.index_flush_every  # rewrite soon
+        self._stale = stale
         self._current = numbers[-1]
         self._current_size = self._segment_path(self._current)\
             .stat().st_size
@@ -287,9 +286,7 @@ class CampaignStore:
                 os.fsync(handle.fileno())
             self._current_size += len(line)
             self._keys[digest] = (self._current, offset, len(line))
-            self._pending += 1
-            if self._pending >= self.index_flush_every:
-                self._write_index()
+            self._stale = True
             return True
 
     def _open_current(self):
@@ -315,7 +312,7 @@ class CampaignStore:
         tmp = self.path / (_INDEX + ".tmp")
         tmp.write_bytes(blob)
         tmp.replace(self.path / _INDEX)
-        self._pending = 0
+        self._stale = False
 
     @staticmethod
     def _write_json(path: pathlib.Path, payload: dict) -> None:
@@ -325,11 +322,13 @@ class CampaignStore:
         tmp.replace(path)
 
     def flush(self) -> None:
-        """Persist the packed index and any buffered segment bytes."""
+        """Persist any buffered segment bytes, and the packed index if
+        it is stale."""
         with self._lock:
             if self._handle is not None:
                 self._handle.flush()
-            self._write_index()
+            if self._stale:
+                self._write_index()
 
     def close(self) -> None:
         with self._lock:

@@ -11,7 +11,7 @@ interesting error paths are actually hit.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core import commands as C
 from repro.core.flags import OpenFlag, SeekWhence

@@ -285,6 +285,61 @@ def test_clause_consistency_accepts_declared_and_covered(tmp_path):
     assert lint_paths([path], rules=["clause-consistency"]) == []
 
 
+# -- unused-import ----------------------------------------------------------
+
+def test_unused_import_flags_names_nothing_reads(tmp_path):
+    path = _write(tmp_path, "repro/fsops/extra.py", """\
+        import os
+        import json as codec
+        from typing import (Dict,
+                            List)
+
+        def f(items: List[int]) -> int:
+            return len(items)
+    """)
+    findings = lint_paths([path], rules=["unused-import"])
+    assert _rules_of(findings) == ["unused-import"] * 3
+    assert [(f.line, f.message.split()[0]) for f in findings] == [
+        (1, "'os'"), (2, "'codec'"), (3, "'Dict'")]
+
+
+def test_unused_import_accepts_reads_annotations_and_exports(tmp_path):
+    path = _write(tmp_path, "repro/fsops/extra.py", """\
+        from __future__ import annotations
+        import os.path
+        from typing import Optional
+        from repro.core.errors import Errno
+        from repro.core.values import Ok
+
+        __all__ = ["Ok", "f"]
+
+        def f(name: Optional[str]) -> bool:
+            return os.path.exists(name or Errno.ENOENT.name)
+    """)
+    assert lint_paths([path], rules=["unused-import"]) == []
+
+
+def test_unused_import_pragma_suppresses_one_name(tmp_path):
+    path = _write(tmp_path, "repro/fsops/extra.py", """\
+        from repro.core.errors import (
+            Errno)  # lint: ignore[unused-import]
+        from repro.core.values import Ok
+    """)
+    findings = lint_paths([path], rules=["unused-import"])
+    assert [(f.line, f.message.split()[0]) for f in findings] == [
+        (3, "'Ok'")]
+
+
+def test_unused_import_exempts_package_reexports(tmp_path):
+    path = _write(tmp_path, "repro/fsops/__init__.py",
+                  "from repro.core.values import Ok\n")
+    assert lint_paths([path], rules=["unused-import"]) == []
+    module = _write(tmp_path, "repro/fsops/extra.py",
+                    "from repro.core.values import Ok\n")
+    assert _rules_of(lint_paths([module], rules=["unused-import"])) == [
+        "unused-import"]
+
+
 # -- pragmas, rendering, the driver -----------------------------------------
 
 def test_pragma_suppresses_finding_on_its_line(tmp_path):

@@ -443,13 +443,39 @@ class TestShardedBackendEndToEnd:
             assert not backend._pool.alive
             assert backend.run_stats()["pool_cold_starts"] == 0
 
-    def test_feeder_and_consumer_under_forced_switching(self):
-        """Executed traces are held on the pool's feeder thread and
-        taken on the consuming thread.  With a thread switch forced
-        every 10 µs and more shards than cores, every record still
-        equals the serial backend's, in order; so does each run started
-        right after an abandoned one, whose feeder may still be
-        executing (each call has its own executor)."""
+    def test_run_iter_on_a_started_pool_starts_no_thread(self,
+                                                         monkeypatch):
+        """A sharded call pulls, executes, sends and collects on its
+        caller's thread: once the pool's workers and their reader
+        threads are up, a whole ``run_iter`` starts no thread."""
+        from repro.testgen.generator import gen_handwritten_tests
+
+        quirks = config_by_name("linux_ext4")
+        suite = gen_handwritten_tests()[:40]
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        with ShardedBackend(2) as backend:
+            backend._pool.start()
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", start)
+                got = [record.outcome.profiles for record in
+                       backend.run_iter(quirks, "linux", suite)]
+        assert started == []
+        assert got == [record.outcome.profiles for record in
+                       SerialBackend().run_iter(quirks, "linux", suite)]
+
+    def test_one_executor_under_forced_switching(self):
+        """A sharded backend executes every call with its one
+        executor while the shards' reader threads resolve results.
+        With a thread switch forced every 10 µs and more shards than
+        cores, every record still equals the serial backend's, in
+        order; so does each run started right after an abandoned one,
+        whose executor state the next run resumes from."""
         from repro.gen import default_plan
 
         def rows(records):

@@ -268,8 +268,8 @@ class TestStreamingGeneration:
 
     def test_process_pool_feed_is_bounded(self):
         # Longer than the sharded window (WINDOW * CHUNK items per
-        # shard), so only the window, not the timing, can stop the
-        # feeder from draining the stream before the first result.
+        # shard), so only the window can stop the call from draining
+        # the stream before the first result.
         total = 2001
         produced = []
 
@@ -292,10 +292,10 @@ class TestStreamingGeneration:
             for _checked in s.iter_checked():
                 if produced_at_first_check is None:
                     produced_at_first_check = len(produced)
-        # The bounded window means the feeder cannot have drained the
-        # whole generator before the first result came back: it holds
-        # the window, the pull blocked on it, and one more per result
-        # the session took (it reads one record ahead).
+        # The bounded window means the call cannot have drained the
+        # whole generator before the first result came back: it pulls
+        # the window before it waits on its first item, and one more
+        # per result the session took (it reads one record ahead).
         assert produced_at_first_check <= WINDOW * CHUNK + 3
         assert len(produced) == total
 

@@ -46,7 +46,7 @@ from repro.script import (ParseError, parse_script, parse_trace,
 from repro.service import (CheckingService, CheckResult, ServiceClient,
                            ShardPool, ShardWorkerState, run_server)
 from repro.service.client import LINE_TOO_LONG, MAX_LINE_BYTES
-from repro.service.pool import CHUNK, VERDICT_MEMO_MAX
+from repro.service.pool import CHUNK, VERDICT_MEMO_MAX, WINDOW
 from repro.service.server import ServiceServer
 
 CONFIG = "linux_sshfs_tmpfs"
@@ -285,35 +285,34 @@ class TestShardPool:
 
     def test_abandoned_call_pulls_no_further_items(self):
         """Pulling an item can be costly (the sharded backend executes a
-        script to make one): once the consumer abandons a call, its
-        feeder finishes the pull in progress and stops, even while the
-        in-flight window has room."""
-        text = print_trace(_traces(1)[0])
-        gate, done = threading.Event(), threading.Event()
+        script to make one): the call pulls only its window ahead of the
+        first result, and once the consumer closes ``results()``, the
+        pull count stays where it was, although the window has room."""
+        text = print_trace(_named("t"))
         pulled = []
         with ShardPool(2) as pool:
-            # Every item routes to one shard, so the first chunk is
-            # flushed and checked before the stream blocks on the gate.
-            names = [name for name in (f"t{i}" for i in range(1000))
-                     if pool.shard_of("all", name) == 0]
+            window = WINDOW * CHUNK * pool.shards
 
             def items():
-                try:
-                    for i in range(100):
-                        if i >= CHUNK:
-                            gate.wait(timeout=60)
-                        pulled.append(i)
-                        yield (names[i], text)
-                finally:
-                    done.set()  # the feeder let go of the stream
+                for i in range(3 * window):
+                    pulled.append(i)
+                    yield (f"t{i}", text.replace("# Test t\n",
+                                                 f"# Test t{i}\n"))
 
             results = pool.submit_stream(items(), model="all",
                                          partition="all").results()
-            next(results)
+            index, payload = next(results)
+            assert (index, payload[0]) == (0, _serial_rows([_named("t0")])[0])
+            assert len(pulled) == window
             results.close()
-            gate.set()
-            assert done.wait(timeout=60)
-        assert len(pulled) == CHUNK + 1
+            assert len(pulled) == window
+            # Items already sent finish in the background, and the pool
+            # stays usable.
+            after = _named("after")
+            again = pool.submit([("after", print_trace(after))],
+                                model="all", partition="all")
+            assert again[0].result(timeout=60)[0] == \
+                _serial_rows([after])[0]
 
     @pytest.mark.parametrize("shards", [0, -2])
     def test_shard_count_below_one_is_rejected(self, shards):

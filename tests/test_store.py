@@ -150,6 +150,43 @@ class TestStoreBasics:
             assert store.rows == 8
             assert store.append(_record(3)) is False  # keys recovered
 
+    def test_appends_write_no_index_until_flush(self, tmp_path):
+        """The index is a cache: appends leave it unwritten (reopening
+        scans the rows it misses) until a flush writes it once."""
+        path = tmp_path / "c"
+        with CampaignStore(path) as store:
+            for i in range(300):
+                store.append(_record(i))
+            assert not (path / "index.bin").exists()
+            store.flush()
+            assert (path / "index.bin").exists()
+        with CampaignStore(path, create=False) as store:
+            assert store.rows == 300
+
+    def test_flush_with_nothing_new_leaves_the_index_untouched(
+            self, tmp_path):
+        path = tmp_path / "c"
+        index = path / "index.bin"
+
+        def identity():
+            stat = index.stat()
+            return stat.st_ino, stat.st_mtime_ns
+
+        with CampaignStore(path) as store:
+            for i in range(3):
+                store.append(_record(i))
+            store.flush()
+            written = identity()
+            store.flush()
+            assert identity() == written
+            store.append(_record(1))  # a duplicate adds no row
+            store.flush()
+            assert identity() == written
+        assert identity() == written  # close had nothing new either
+        with CampaignStore(path, create=False) as store:
+            assert store.rows == 3
+        assert identity() == written  # nor had a reopen of a current index
+
     def test_create_false_requires_existing_store(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             CampaignStore(tmp_path / "missing", create=False)
